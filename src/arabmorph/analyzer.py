@@ -9,8 +9,8 @@ their analyses through a cache.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
+from itertools import product
 from typing import Callable
 
 from .lexicon import Flag, Kind, LexEntry, Lexicon, compatible
@@ -62,7 +62,6 @@ class Analysis:
     lemma: str
     pos: str
     tags: str
-    gloss: str
     parts: tuple[LexEntry, LexEntry, LexEntry]
 
     @property
@@ -81,7 +80,6 @@ def _make_analysis(pre: LexEntry, stem: LexEntry, suf: LexEntry) -> Analysis:
         lemma=stem.lemma,
         pos=stem.head_tag(),
         tags="+".join(t for p in parts for t in p.tag_units()),
-        gloss="+".join(p.gloss for p in parts if p.gloss),
         parts=parts,
     )
 
@@ -111,62 +109,61 @@ def analyze_type(surface: str, lex: Lexicon, active: Flag,
                  fold_alif: bool = False) -> list[Analysis]:
     """All compatible readings of one unvocalized Buckwalter surface.
 
-    Duplicates (same voc, lemma, primary tag) collapse onto the first
-    occurrence, so order is deterministic: segmentation order, then
-    lexicon load order.
+    Splits are tried in ``segmentations`` order.  Each prefix and suffix
+    length is looked up once per surface, and a stem only where both
+    affix lookups found entries.  Duplicates (same voc, lemma, primary
+    tag) collapse onto the first occurrence, so order is deterministic:
+    segmentation order, then lexicon load order.
     """
     seen: set[tuple[str, str, str]] = set()
     out: list[Analysis] = []
-    if not surface:
+    n = len(surface)
+    if not n:
         return out
-    for pre, stem, suf in segmentations(surface):
-        pres = lex.lookup(pre, Kind.PREFIX, active, fold_alif)
+    sufs_by_len = [lex.lookup(surface[n - s:], Kind.SUFFIX, active, fold_alif)
+                   for s in range(min(MAX_SUFFIX_LEN, n - 1) + 1)]
+    for p in range(min(MAX_PREFIX_LEN, n - 1) + 1):
+        pres = lex.lookup(surface[:p], Kind.PREFIX, active, fold_alif)
         if not pres:
             continue
-        stems = lex.lookup(stem, Kind.STEM, active, fold_alif)
-        if not stems:
-            continue
-        sufs = lex.lookup(suf, Kind.SUFFIX, active, fold_alif)
-        if not sufs:
-            continue
-        for a in pres:
-            for b in stems:
-                for c in sufs:
-                    if not compatible(lex.compat, a.cat, b.cat, c.cat):
-                        continue
-                    analysis = _make_analysis(a, b, c)
-                    key = (analysis.voc, analysis.lemma, analysis.pos)
-                    if key not in seen:
-                        seen.add(key)
-                        out.append(analysis)
+        for s in range(min(MAX_SUFFIX_LEN, n - p - 1) + 1):
+            sufs = sufs_by_len[s]
+            if not sufs:
+                continue
+            stems = lex.lookup(surface[p:n - s], Kind.STEM, active, fold_alif)
+            if not stems:
+                continue
+            for a, b, c in product(pres, stems, sufs):
+                if not compatible(lex.compat, a.cat, b.cat, c.cat):
+                    continue
+                analysis = _make_analysis(a, b, c)
+                key = (analysis.voc, analysis.lemma, analysis.pos)
+                if key not in seen:
+                    seen.add(key)
+                    out.append(analysis)
     return out
 
 
 class TypeCache:
-    """Per-type analysis cache keyed by (surface, active flag bits).
-
-    get_or_compute is atomic, so analyze_text may be fanned out across
-    threads without changing its results.
-    """
+    """Per-type analysis cache keyed by (surface, active flag bits, alif
+    folding), with hit and miss counts."""
 
     def __init__(self):
         self._map: dict[tuple, list[Analysis]] = {}
-        self._lock = threading.Lock()
         self.hits = 0
         self.misses = 0
 
     def get_or_compute(self, key: tuple,
                        compute: Callable[[], list[Analysis]]) -> list[Analysis]:
-        with self._lock:
-            try:
-                value = self._map[key]
-            except KeyError:
-                value = compute()
-                self._map[key] = value
-                self.misses += 1
-                return value
-            self.hits += 1
+        try:
+            value = self._map[key]
+        except KeyError:
+            value = compute()
+            self._map[key] = value
+            self.misses += 1
             return value
+        self.hits += 1
+        return value
 
     @property
     def hit_rate(self) -> float:

@@ -193,10 +193,13 @@ class LmModel:
     freq: dict[Tuple, int]
     lam: float
     vocab: frozenset[Tuple]
+    # Normalisers of the smoothed distributions, constant per model.
+    freq_total: int = field(init=False, repr=False, compare=False)
+    v1: int = field(init=False, repr=False, compare=False)
 
-    @property
-    def freq_total(self) -> int:
-        return sum(self.freq.values())
+    def __post_init__(self):
+        object.__setattr__(self, "freq_total", sum(self.freq.values()))
+        object.__setattr__(self, "v1", len(self.vocab) + 1)
 
     def score(self, ctx: tuple[Tuple, Tuple], cand: Tuple) -> float:
         """lam * P(cand | ctx) + (1 - lam) * Pfreq(cand), both > 0.
@@ -206,7 +209,7 @@ class LmModel:
         smoothing over |vocab| + 1 outcomes.
         """
         t2, t1 = ctx
-        v1 = len(self.vocab) + 1
+        v1 = self.v1
         ctx_count = self.bigram.get((t2, t1), 0)
         if ctx_count > 0:
             p = (self.trigram.get((t2, t1, cand), 0) + 1) / (ctx_count + v1)
@@ -319,9 +322,21 @@ def load_lm(stream: IO[str] | Iterable[str], filename: str = "<lm>") -> LmModel:
         pos += 1
         return fields
 
-    def records(count: int, n_fields: int, what: str):
+    def count(text: str, lineno: int, what: str) -> int:
+        if not (text.isascii() and text.isdigit()):
+            raise LmError(f"{filename}:{lineno}: bad {what} {text!r}, "
+                          "expected a non-negative integer")
+        return int(text)
+
+    def header_count(expect: str, what: str) -> int:
+        return count(take(expect, 2)[1], pos, what)
+
+    def records(n: int, n_fields: int, what: str):
+        """``n`` lines of ``n_fields`` fields; each is yielded with its
+        last field, a count, parsed to an int."""
         nonlocal pos
-        for _ in range(count):
+        label = f"{what} count"
+        for _ in range(n):
             if pos >= len(lines):
                 raise LmError(f"{filename}: truncated {what} section "
                               f"at line {pos + 1}")
@@ -330,34 +345,38 @@ def load_lm(stream: IO[str] | Iterable[str], filename: str = "<lm>") -> LmModel:
                 raise LmError(f"{filename}:{pos + 1}: expected {n_fields} "
                               f"fields in {what} record")
             pos += 1
+            fields[-1] = count(fields[-1], pos, label)
             yield fields
+
+    def section(order: int, n_fields: int, what: str):
+        header = take("ngrams", 3)
+        if header[1] != str(order):
+            raise LmError(f"{filename}:{pos}: expected {what} section")
+        return records(count(header[2], pos, f"{what} section size"),
+                       n_fields, what)
 
     magic = take(_LM_MAGIC, 2)
     if magic[1] != _LM_VERSION:
-        raise LmError(f"{filename}: unsupported model version {magic[1]!r}")
+        raise LmError(f"{filename}:{pos}: unsupported model version "
+                      f"{magic[1]!r}")
+    text = take("lambda", 2)[1]
     try:
-        lam = float(take("lambda", 2)[1])
+        lam = float(text)
     except ValueError:
-        raise LmError(f"{filename}: bad lambda value") from None
-    vocab_size = int(take("vocab", 2)[1])
-    total = int(take("total", 2)[1])
+        lam = -1.0
+    if not 0.0 <= lam <= 1.0:
+        raise LmError(f"{filename}:{pos}: bad lambda value {text!r}, "
+                      "expected a number in [0, 1]")
+    vocab_size = header_count("vocab", "vocab size")
+    total = header_count("total", "total")
 
-    header = take("ngrams", 3)
-    if header[1] != "1":
-        raise LmError(f"{filename}: expected unigram section first")
-    unigram = {(f[0], f[1]): int(f[2]) for f in records(int(header[2]), 3, "unigram")}
-    header = take("ngrams", 3)
-    if header[1] != "2":
-        raise LmError(f"{filename}: expected bigram section")
-    bigram = {((f[0], f[1]), (f[2], f[3])): int(f[4])
-              for f in records(int(header[2]), 5, "bigram")}
-    header = take("ngrams", 3)
-    if header[1] != "3":
-        raise LmError(f"{filename}: expected trigram section")
-    trigram = {((f[0], f[1]), (f[2], f[3]), (f[4], f[5])): int(f[6])
-               for f in records(int(header[2]), 7, "trigram")}
-    header = take("freq", 2)
-    freq = {(f[0], f[1]): int(f[2]) for f in records(int(header[1]), 3, "freq")}
+    unigram = {(f[0], f[1]): f[2] for f in section(1, 3, "unigram")}
+    bigram = {((f[0], f[1]), (f[2], f[3])): f[4]
+              for f in section(2, 5, "bigram")}
+    trigram = {((f[0], f[1]), (f[2], f[3]), (f[4], f[5])): f[6]
+               for f in section(3, 7, "trigram")}
+    n_freq = header_count("freq", "freq section size")
+    freq = {(f[0], f[1]): f[2] for f in records(n_freq, 3, "freq")}
     if pos != len(lines) and any(l.strip() for l in lines[pos:]):
         raise LmError(f"{filename}:{pos + 1}: trailing content")
 

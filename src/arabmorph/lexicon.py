@@ -537,7 +537,12 @@ def load_review(stream, filename: str = "<review>") -> ReviewBatch:
             for part in line[2:].strip().split("\t"):
                 key, _, value = part.partition("=")
                 if key == "kind":
-                    batch.kind = Kind(value)
+                    try:
+                        batch.kind = Kind(value)
+                    except ValueError:
+                        raise LexiconError(
+                            f"{filename}:{lineno}: bad kind {value!r}, "
+                            "expected prefix, stem or suffix") from None
                 elif key == "source":
                     batch.source = value
             continue

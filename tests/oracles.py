@@ -35,3 +35,66 @@ def brute_force_segmentation_count(n, max_pre, max_suf):
             if i <= max_pre and (n - j) <= max_suf and j > i:
                 count += 1
     return count
+
+
+def one_lookup_per_split_analyses(surface, lex, active, fold_alif,
+                                  max_pre, max_suf):
+    """Every reading of a surface, in the analyzer's order, by looking up
+    the prefix, stem and suffix of each capped split afresh.
+
+    Splits go by prefix length, then suffix length; within a split the
+    readings go in lexicon load order; a repeated (voc, lemma, primary tag)
+    keeps its first occurrence.  Returns (voc, lemma, pos, parts) tuples.
+    """
+    out, seen = [], set()
+    n = len(surface)
+    for p in range(0, min(max_pre, n - 1) + 1):
+        for s in range(0, min(max_suf, n - p - 1) + 1):
+            pres = lex.lookup(surface[:p], Kind.PREFIX, active, fold_alif)
+            stems = lex.lookup(surface[p:n - s], Kind.STEM, active, fold_alif)
+            sufs = lex.lookup(surface[n - s:], Kind.SUFFIX, active, fold_alif)
+            for a in pres:
+                for b in stems:
+                    for c in sufs:
+                        if not compatible(lex.compat, a.cat, b.cat, c.cat):
+                            continue
+                        voc = "+".join(x.voc for x in (a, b, c) if x.voc)
+                        key = (voc, b.lemma, b.head_tag())
+                        if key not in seen:
+                            seen.add(key)
+                            out.append(key + ((a, b, c),))
+    return out
+
+
+def licensed_surfaces(lex):
+    """The surface of every prefix+stem+suffix entry triple whose three
+    categories are pairwise compatible, sorted and deduplicated."""
+    surfaces = set()
+    for pres in lex.prefixes.values():
+        for a in pres:
+            for stems in lex.stems.values():
+                for b in stems:
+                    if (a.cat, b.cat) not in lex.compat.ab:
+                        continue
+                    for sufs in lex.suffixes.values():
+                        for c in sufs:
+                            if compatible(lex.compat, a.cat, b.cat, c.cat):
+                                surfaces.add(a.surface + b.surface + c.surface)
+    return sorted(surfaces)
+
+
+def resummed_score(model, ctx, cand):
+    """``LmModel.score`` with the frequency mass and the vocabulary size
+    counted again from the model's tables on every call."""
+    t2, t1 = ctx
+    v1 = len(set(model.vocab)) + 1
+    freq_total = sum(model.freq.values())
+    ctx_count = model.bigram.get((t2, t1), 0)
+    if ctx_count > 0:
+        p = (model.trigram.get((t2, t1, cand), 0) + 1) / (ctx_count + v1)
+    elif model.unigram.get(t1, 0) > 0:
+        p = (model.bigram.get((t1, cand), 0) + 1) / (model.unigram[t1] + v1)
+    else:
+        p = (model.unigram.get(cand, 0) + 1) / (model.total + v1)
+    pf = (model.freq.get(cand, 0) + 1) / (freq_total + v1)
+    return model.lam * p + (1.0 - model.lam) * pf

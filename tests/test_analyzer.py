@@ -1,5 +1,6 @@
 import random
 
+import pytest
 from hypothesis import given, strategies as st
 
 from arabmorph.analyzer import (MAX_PREFIX_LEN, MAX_SUFFIX_LEN, AnalysisSet,
@@ -8,7 +9,8 @@ from arabmorph.analyzer import (MAX_PREFIX_LEN, MAX_SUFFIX_LEN, AnalysisSet,
 from arabmorph.lexicon import ALL_FLAGS, compatible, parse_flagset
 from arabmorph.translit import strip_diacritics
 
-from oracles import brute_force_analyses, brute_force_segmentation_count
+from oracles import (brute_force_analyses, brute_force_segmentation_count,
+                     licensed_surfaces, one_lookup_per_split_analyses)
 
 MSA = parse_flagset(["MSA"])
 
@@ -121,6 +123,29 @@ def test_analyze_type_agrees_with_uncapped_brute_force(lexicon):
         fast = {(a.voc, a.lemma, a.pos) for a in
                 analyze_type(surface, lexicon, ALL_FLAGS)}
         assert fast == brute_force_analyses(surface, lexicon, ALL_FLAGS)
+
+
+def _agrees_with_one_lookup_per_split(surfaces, lex, active, fold_alif):
+    for surface in surfaces:
+        fast = [(a.voc, a.lemma, a.pos, a.parts)
+                for a in analyze_type(surface, lex, active, fold_alif)]
+        assert fast == one_lookup_per_split_analyses(
+            surface, lex, active, fold_alif, MAX_PREFIX_LEN, MAX_SUFFIX_LEN)
+
+
+@pytest.mark.parametrize("fold_alif", [False, True])
+def test_analyze_type_lists_corpus_readings_in_reference_order(
+        lexicon, corpus_text, fold_alif):
+    types = sorted({token_lookup_key(t) for t in tokenize(corpus_text)})
+    for active in (ALL_FLAGS, MSA):
+        _agrees_with_one_lookup_per_split(types, lexicon, active, fold_alif)
+
+
+@pytest.mark.parametrize("fold_alif", [False, True])
+def test_analyze_type_lists_licensed_readings_in_reference_order(
+        lexicon, fold_alif):
+    surfaces = random.Random(5).sample(licensed_surfaces(lexicon), 1500)
+    _agrees_with_one_lookup_per_split(surfaces, lexicon, ALL_FLAGS, fold_alif)
 
 
 def test_analysis_invariants_hold_structurally(lexicon, corpus_text):

@@ -239,3 +239,34 @@ def test_lexicon_env_var_is_used_and_cli_flag_wins(tmp_path, capsys,
                   / "data" / "lexicon")
     assert main(_analyze_args(phrase, lexicon=bundled)) == 0
     assert capsys.readouterr().out == GOLDEN
+
+
+def test_analyze_with_a_malformed_lm_exits_2(tmp_path, capsys):
+    model_path = tmp_path / "bad.lm"
+    assert main(["train-lm", str(DATA / "gold.tsv"),
+                 "--output", str(model_path)]) == 0
+    text = model_path.read_text(encoding="utf-8")
+    lines = text.splitlines(keepends=True)
+    assert lines[2].startswith("vocab\t")
+    lines[2] = "vocab\tX\n"
+    model_path.write_text("".join(lines), encoding="utf-8")
+    capsys.readouterr()
+    assert main(["analyze", _write_phrase(tmp_path), "--flags", "MSA",
+                 "--lm", str(model_path)]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert f"{model_path}:3: bad vocab size 'X'" in out.err
+    assert "Traceback" not in out.err
+
+
+def test_merge_with_a_bad_review_kind_exits_2(tmp_path, capsys):
+    review = tmp_path / "review.tsv"
+    review.write_text("#! kind=bogus\tsource=x\n"
+                      "A\tjAmd\tjAmid\tN\tcool\tjAmid_1\tICA\n",
+                      encoding="utf-8")
+    outdir = tmp_path / "out"
+    assert main(["merge", str(review), "--output", str(outdir)]) == 2
+    err = capsys.readouterr().err
+    assert f"{review}:1: bad kind 'bogus'" in err
+    assert "Traceback" not in err
+    assert not outdir.exists()

@@ -2,14 +2,18 @@ import io
 import logging
 import random
 from collections import Counter
+from dataclasses import replace
 
 import pytest
+from hypothesis import given, strategies as st
 
 from arabmorph.analyzer import analyze_text, tokenize
 from arabmorph.disambig import (BOS, FilterRule, LmError, RuleError, apply_rules,
                                 empty_lm, load_freq_table, load_lm, parse_rules,
-                                rank, serialize_lm, train_lm)
+                                UNK, rank, serialize_lm, train_lm)
 from arabmorph.lexicon import ALL_FLAGS, parse_flagset
+
+from oracles import resummed_score
 
 MSA = parse_flagset(["MSA"])
 
@@ -227,6 +231,41 @@ def test_lambda_endpoints_reduce_to_pure_components(freq):
         no_freq.score((BOS, BOS), cands[1])
 
 
+_TUPLES = st.tuples(st.sampled_from(["a_1", "b_1", "c_2", "d_1"]),
+                   st.sampled_from(["N", "V", "A"]))
+_CONTEXT_TUPLES = _TUPLES | st.sampled_from([BOS, UNK])
+
+
+@st.composite
+def _models(draw):
+    """A model from every way one is built: training, a serialization
+    round trip, the empty model, and a lambda replaced afterwards."""
+    sents = draw(st.lists(st.lists(_TUPLES, min_size=1, max_size=6),
+                          min_size=1, max_size=5))
+    freq = draw(st.dictionaries(_TUPLES, st.integers(0, 10**6), max_size=8))
+    lam = draw(st.floats(0.0, 1.0))
+    how = draw(st.sampled_from(["train", "reload", "empty", "replace",
+                                "replace-empty"]))
+    if how == "train":
+        return train_lm(sents, freq, lam)
+    if how == "reload":
+        return load_lm(io.StringIO(serialize_lm(train_lm(sents, freq, lam))))
+    if how == "empty":
+        return empty_lm(lam, freq)
+    if how == "replace":
+        return replace(train_lm(sents, freq, 0.7), lam=lam)
+    return replace(empty_lm(0.7, freq), lam=lam)
+
+
+@given(_models(), st.lists(st.tuples(_CONTEXT_TUPLES, _CONTEXT_TUPLES,
+                                     _TUPLES), min_size=1, max_size=10))
+def test_score_equals_a_score_that_recounts_its_normalisers(model, queries):
+    assert model.freq_total == sum(model.freq.values())
+    for t2, t1, cand in queries:
+        assert model.score((t2, t1), cand) == \
+            resummed_score(model, (t2, t1), cand)
+
+
 # --- model serialization ---------------------------------------------------------
 
 def test_lm_serialization_round_trips_bit_exactly(freq, gold_sentences):
@@ -252,6 +291,58 @@ def test_load_lm_rejects_corrupt_input():
     lines = serialize_lm(model).splitlines(keepends=True)
     with pytest.raises(LmError, match="truncated"):
         load_lm(io.StringIO("".join(lines[:-2])))
+
+
+def _with_last_field(text, lineno, value):
+    """``text`` with the last tab-separated field of line ``lineno``
+    (1-based) replaced by ``value``."""
+    lines = text.splitlines(keepends=True)
+    head = lines[lineno - 1].rstrip("\n").rpartition("\t")[0]
+    lines[lineno - 1] = f"{head}\t{value}\n"
+    return "".join(lines)
+
+
+def test_load_lm_reports_bad_numbers_with_file_and_line():
+    model = train_lm([[("a_1", "N"), ("b_1", "V")]], freq={("a_1", "N"): 2})
+    text = serialize_lm(model)
+    lines = text.splitlines()
+
+    def line_of(prefix):
+        return next(i for i, line in enumerate(lines, 1)
+                    if line.startswith(prefix))
+
+    cases = [
+        (line_of("lambda"), "X", "bad lambda value"),
+        (line_of("lambda"), "1.5", "bad lambda value"),
+        (line_of("lambda"), "nan", "bad lambda value"),
+        (line_of("vocab"), "X", "bad vocab size"),
+        (line_of("total"), "-1", "bad total"),
+        (line_of("ngrams\t1"), "X", "bad unigram section size"),
+        (line_of("ngrams\t1") + 1, "X", "bad unigram count"),
+        (line_of("ngrams\t2"), "-2", "bad bigram section size"),
+        (line_of("ngrams\t2") + 1, "1.5", "bad bigram count"),
+        (line_of("ngrams\t3"), "", "bad trigram section size"),
+        (line_of("ngrams\t3") + 1, "-1", "bad trigram count"),
+        (line_of("freq"), "X", "bad freq section size"),
+        (line_of("freq") + 1, "two", "bad freq count"),
+    ]
+    for lineno, value, what in cases:
+        with pytest.raises(LmError, match=f"^m.lm:{lineno}: {what}"):
+            load_lm(io.StringIO(_with_last_field(text, lineno, value)),
+                    "m.lm")
+
+
+@given(st.integers(min_value=0), st.text(max_size=12))
+def test_load_lm_with_one_line_replaced_parses_or_raises_lm_error(index,
+                                                                  line):
+    model = train_lm([[("a_1", "N"), ("b_1", "V")], [("a_1", "N")]],
+                     freq={("c_1", "A"): 4}, lam=0.25)
+    lines = serialize_lm(model).splitlines(keepends=True)
+    lines[index % len(lines)] = line + "\n"
+    try:
+        load_lm(io.StringIO("".join(lines)))
+    except LmError:
+        pass
 
 
 def test_load_freq_table_accumulates_and_validates():

@@ -343,3 +343,9 @@ def test_review_file_round_trip():
 def test_review_file_rejects_bad_status():
     with pytest.raises(LexiconError, match="bad status"):
         load_review(io.StringIO("X\tktAb\tkitAb\tN\tbook\tkitAb_1\tCA\n"))
+
+
+def test_review_file_rejects_bad_kind():
+    with pytest.raises(LexiconError, match="^r.tsv:2: bad kind 'bogus'"):
+        load_review(io.StringIO("# comment\n#! kind=bogus\tsource=x\n"),
+                    "r.tsv")
