@@ -11,10 +11,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from typing import Callable
+from typing import TYPE_CHECKING, Callable, Sequence
 
 from .lexicon import Flag, Kind, LexEntry, Lexicon, compatible
 from .translit import BuckTable, DEFAULT_TABLE, normalize, strip_diacritics
+
+if TYPE_CHECKING:
+    from .disambig import FilterRule
 
 MAX_PREFIX_LEN = 4
 MAX_SUFFIX_LEN = 6
@@ -84,13 +87,21 @@ def _make_analysis(pre: LexEntry, stem: LexEntry, suf: LexEntry) -> Analysis:
     )
 
 
-@dataclass
-class AnalysisSet:
+@dataclass(slots=True)
+class TokenReadings:
+    """One token's readings.  ``apply_rules`` keeps the survivors in
+    ``analyses`` and moves the rest to ``dropped`` with their rules;
+    ``rank`` adds ``ranked``, the survivors by descending score.  The
+    tuple defaults allocate nothing per token."""
+
     token: Token
     analyses: list[Analysis]
+    dropped: Sequence[tuple[Analysis, FilterRule]] = ()
+    ranked: Sequence[tuple[Analysis, float]] = ()
 
     @property
     def unknown(self) -> bool:
+        # Holds at every stage: the safeguard never empties a set.
         return not self.analyses
 
 
@@ -192,8 +203,8 @@ def had_diacritics(token: Token, table: BuckTable | None = None) -> bool:
 def analyze_text(tokens: list[Token], lex: Lexicon, active: Flag,
                  cache: TypeCache | None = None,
                  table: BuckTable | None = None,
-                 fold_alif: bool = False) -> list[AnalysisSet]:
-    """One AnalysisSet per token, in token order; repeated types are served
+                 fold_alif: bool = False) -> list[TokenReadings]:
+    """One record per token, in token order; repeated types are served
     from the cache."""
     cache = cache if cache is not None else TypeCache()
     out = []
@@ -202,5 +213,5 @@ def analyze_text(tokens: list[Token], lex: Lexicon, active: Flag,
         key = (surface, int(active), fold_alif)
         analyses = cache.get_or_compute(
             key, lambda: analyze_type(surface, lex, active, fold_alif))
-        out.append(AnalysisSet(token, list(analyses)))
+        out.append(TokenReadings(token, list(analyses)))
     return out

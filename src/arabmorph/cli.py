@@ -1,11 +1,11 @@
-"""Command-line entry point: each pipeline stage is a subcommand.
+"""Command-line entry point: argument parsing and output over the library.
 
-``analyze`` chains the full pipeline (tokenize, analyze, filter, rank,
-emit); ``correct`` applies reviewer corrections to annotated XML;
-``train-lm``, ``eval``, ``import`` and ``merge`` wrap the corresponding
-module operations.  Every produced artifact is written atomically
-(temp file, then rename), since review files and lexicons are hand-edited
-downstream.
+``analyze`` resolves its options (and ``$ARABMORPH_LEXICON``) into a
+``pipeline.PipelineConfig``, runs the pipeline and writes TEI or TSV;
+``correct`` applies reviewer corrections to annotated XML; ``train-lm``,
+``eval``, ``import`` and ``merge`` wrap the corresponding module
+operations.  Every produced artifact is written atomically (temp file,
+then rename), since review files and lexicons are hand-edited downstream.
 """
 
 from __future__ import annotations
@@ -15,23 +15,22 @@ import io
 import os
 import sys
 import tempfile
-from dataclasses import dataclass, replace
 from importlib import resources
 from pathlib import Path
 
 from . import __version__
-from .analyzer import TypeCache, analyze_text, had_diacritics, tokenize
-from .disambig import (LmError, RuleError, apply_rules, empty_lm,
-                       load_freq_table, load_lm, parse_rules, rank,
-                       serialize_lm, train_lm)
+from .analyzer import had_diacritics
+from .disambig import (LmError, RuleError, load_freq_table, serialize_lm,
+                       train_lm)
 from .evaluation import (evaluate, load_gold, report_table, report_tsv)
 from .lexicon import (ALL_FLAGS, Flag, Kind, LexiconError, classical_preset,
                       flag_names, load_lexicon_dir, load_review,
                       import_tei_dictionary, import_wordlist, merge_reviewed,
                       parse_flagset, save_review, serialize_lexicon)
+from .pipeline import Pipeline, PipelineConfig
 from .teixml import (UNKNOWN_ANA, TeiError, apply_corrections, doc_from_ranked,
                      emit_tei, parse_tei)
-from .translit import BuckTable, DEFAULT_TABLE, TranslitError
+from .translit import TranslitError
 
 ENV_LEXICON = "ARABMORPH_LEXICON"
 
@@ -89,86 +88,24 @@ def _read_text(path: str) -> str:
         return f.read()
 
 
-def _load_table(args) -> BuckTable:
-    if getattr(args, "translit_table", None):
-        return BuckTable.from_file(args.translit_table)
-    return DEFAULT_TABLE
-
-
 def _add_lexicon_opts(p: argparse.ArgumentParser) -> None:
     p.add_argument("--lexicon", metavar="DIR",
                    help="lexicon directory (default: $%s or the bundled "
                         "toy lexicon)" % ENV_LEXICON)
 
 
-@dataclass(frozen=True)
-class PipelineConfig:
-    """Everything the analysis pipeline needs, resolved from CLI/env."""
-
-    lexicon_dir: Path
-    flags: Flag
-    rules_path: str | None = None
-    lm_path: str | None = None
-    freq_path: str | None = None
-    lam: float | None = None
-    out_format: str = "tei"
-    normalize_alif: bool = False
-    translit_table: str | None = None
-
-    @classmethod
-    def from_args(cls, args) -> "PipelineConfig":
-        return cls(lexicon_dir=_resolve_lexicon_dir(args.lexicon),
-                   flags=_parse_cli_flags(args.flags),
-                   rules_path=args.rules, lm_path=args.lm,
-                   freq_path=args.freq, lam=args.lam,
-                   out_format=args.format,
-                   normalize_alif=args.normalize_alif,
-                   translit_table=args.translit_table)
-
-    def load(self) -> "Pipeline":
-        """Open and parse every referenced resource, failing fast before
-        any input text is processed."""
-        table = (BuckTable.from_file(self.translit_table)
-                 if self.translit_table else DEFAULT_TABLE)
-        lex = load_lexicon_dir(self.lexicon_dir)
-        rules = []
-        if self.rules_path:
-            with open(self.rules_path, encoding="utf-8") as f:
-                rules = parse_rules(f, self.rules_path)
-        freq = None
-        if self.freq_path:
-            with open(self.freq_path, encoding="utf-8") as f:
-                freq = load_freq_table(f, self.freq_path)
-        if self.lm_path:
-            with open(self.lm_path, encoding="utf-8") as f:
-                model = load_lm(f, self.lm_path)
-            if self.lam is not None:
-                model = replace(model, lam=self.lam)
-        else:
-            model = empty_lm(lam=self.lam if self.lam is not None else 0.7,
-                             freq=freq)
-        return Pipeline(self, table, lex, rules, model)
-
-
-@dataclass
-class Pipeline:
-    config: PipelineConfig
-    table: BuckTable
-    lexicon: object
-    rules: list
-    model: object
-
-    def run(self, text: str):
-        tokens = tokenize(text, self.table)
-        cache = TypeCache()
-        sets = analyze_text(tokens, self.lexicon, self.config.flags, cache,
-                            self.table, fold_alif=self.config.normalize_alif)
-        ranked = rank(apply_rules(sets, self.rules), self.model)
-        return tokens, cache, ranked
+def _load_pipeline(args) -> Pipeline:
+    """The pipeline that ``analyze``'s options and the environment name."""
+    return PipelineConfig(lexicon_dir=_resolve_lexicon_dir(args.lexicon),
+                          flags=_parse_cli_flags(args.flags),
+                          rules_path=args.rules, lm_path=args.lm,
+                          freq_path=args.freq, lam=args.lam,
+                          normalize_alif=args.normalize_alif,
+                          translit_table=args.translit_table).load()
 
 
 def cmd_analyze(args) -> int:
-    pipeline = PipelineConfig.from_args(args).load()
+    pipeline = _load_pipeline(args)
     table = pipeline.table
     text = _read_text(args.input)
     tokens, cache, ranked = pipeline.run(text)
@@ -180,17 +117,17 @@ def cmd_analyze(args) -> int:
         sys.stdout.write(emit_tei(doc))
     else:
         lines = []
-        for rset in ranked:
-            if had_diacritics(rset.token, table):
-                lines.append(f"# diacritics stripped: {rset.token.surface}")
-            if not rset.ranked:
-                lines.append(f"{rset.token.surface}\t{UNKNOWN_ANA}")
+        for rec in ranked:
+            if had_diacritics(rec.token, table):
+                lines.append(f"# diacritics stripped: {rec.token.surface}")
+            if rec.unknown:
+                lines.append(f"{rec.token.surface}\t{UNKNOWN_ANA}")
             else:
-                for analysis, _score in rset.ranked:
-                    lines.append(f"{rset.token.surface}\t{analysis.ana}")
+                for analysis, _score in rec.ranked:
+                    lines.append(f"{rec.token.surface}\t{analysis.ana}")
         sys.stdout.write("".join(line + "\n" for line in lines))
 
-    unknown = sum(1 for r in ranked if not r.ranked)
+    unknown = sum(1 for r in ranked if r.unknown)
     print(f"{len(tokens)} tokens, {len(cache)} types, {unknown} unknown, "
           f"cache hit rate {cache.hit_rate:.1%}", file=sys.stderr)
     return 0

@@ -16,8 +16,8 @@ import re
 from dataclasses import dataclass, field
 from typing import IO, Iterable, Sequence
 
-from .analyzer import Analysis, AnalysisSet, Token
-from .translit import arabic_to_buck, normalize, strip_diacritics
+from .analyzer import Analysis, TokenReadings, token_lookup_key
+from .translit import BuckTable, DEFAULT_TABLE
 
 log = logging.getLogger(__name__)
 
@@ -53,12 +53,12 @@ class FilterRule:
             return False
         return True
 
-    def matches_context(self, neighbor: AnalysisSet) -> bool:
+    def matches_context(self, neighbor: TokenReadings,
+                        table: BuckTable = DEFAULT_TABLE) -> bool:
         if self.context_attr == "surface":
-            surface = neighbor.token.surface
-            return (self.context_value == surface
+            return (self.context_value == neighbor.token.surface
                     or self.context_value
-                    == strip_diacritics(normalize(arabic_to_buck(surface))))
+                    == token_lookup_key(neighbor.token, table))
         if self.context_attr == "lemma":
             return any(a.lemma == self.context_value for a in neighbor.analyses)
         return any(a.pos == self.context_value for a in neighbor.analyses)
@@ -118,19 +118,8 @@ def parse_rules(stream: IO[str] | Iterable[str],
     return rules
 
 
-@dataclass
-class FilteredSet:
-    token: Token
-    analyses: list[Analysis]
-    dropped: list[tuple[Analysis, FilterRule]] = field(default_factory=list)
-
-    @property
-    def unknown(self) -> bool:
-        return not self.analyses and not self.dropped
-
-
-def apply_rules(sets: Sequence[AnalysisSet],
-                rules: Sequence[FilterRule]) -> list[FilteredSet]:
+def apply_rules(sets: Sequence[TokenReadings], rules: Sequence[FilterRule],
+                table: BuckTable = DEFAULT_TABLE) -> list[TokenReadings]:
     """Move rule-matched analyses to the drop list, per token.
 
     All rules are matched against the original analysis sets (of both the
@@ -138,17 +127,18 @@ def apply_rules(sets: Sequence[AnalysisSet],
     rule-file order except through the safeguard: a rule application that
     would leave a non-empty set empty is skipped and logged, in file order.
     Tokens at the sequence edges never match rules whose context offset
-    falls outside the sequence.
+    falls outside the sequence.  ``surface`` contexts compare against the
+    neighbor's surface as written and as its lookup key under ``table``.
     """
     out = []
-    for i, aset in enumerate(sets):
-        original = aset.analyses
+    for i, rec in enumerate(sets):
+        original = rec.analyses
         matches: list[tuple[FilterRule, set[int]]] = []
         for rule in rules:
             j = i + rule.offset
             if not 0 <= j < len(sets):
                 continue
-            if not rule.matches_context(sets[j]):
+            if not rule.matches_context(sets[j], table):
                 continue
             hit = {k for k, a in enumerate(original) if rule.matches_target(a)}
             if hit:
@@ -161,16 +151,15 @@ def apply_rules(sets: Sequence[AnalysisSet],
                 continue
             if drop == remaining:
                 log.warning("rule %r would remove every analysis of %r; "
-                            "application skipped", rule.text, aset.token.surface)
+                            "application skipped", rule.text, rec.token.surface)
                 continue
             for k in sorted(drop):
                 dropped.append((original[k], rule))
             remaining -= drop
-        out.append(FilteredSet(
-            token=aset.token,
-            analyses=[a for k, a in enumerate(original) if k in remaining],
-            dropped=dropped,
-        ))
+        out.append(TokenReadings(
+            rec.token,
+            [a for k, a in enumerate(original) if k in remaining],
+            dropped))
     return out
 
 
@@ -198,6 +187,8 @@ class LmModel:
     v1: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        if not 0.0 <= self.lam <= 1.0:
+            raise LmError(f"lambda must be in [0, 1], got {self.lam}")
         object.__setattr__(self, "freq_total", sum(self.freq.values()))
         object.__setattr__(self, "v1", len(self.vocab) + 1)
 
@@ -226,8 +217,6 @@ def train_lm(sentences: Sequence[Sequence[Tuple]],
              lam: float = 0.7) -> LmModel:
     """Count n-grams over gold (lemma, tag) sequences, two boundary symbols
     prepended per sentence."""
-    if not 0.0 <= lam <= 1.0:
-        raise LmError(f"lambda must be in [0, 1], got {lam}")
     sentences = [list(s) for s in sentences if s]
     if not sentences:
         raise LmError("empty training corpus")
@@ -399,22 +388,8 @@ def empty_lm(lam: float = 0.7, freq: dict[Tuple, int] | None = None) -> LmModel:
 # ---------------------------------------------------------------------------
 # Ranking
 
-@dataclass
-class RankedSet:
-    token: Token
-    ranked: list[tuple[Analysis, float]]       # descending score
-    dropped: list[tuple[Analysis, FilterRule]]
-
-    @property
-    def unknown(self) -> bool:
-        return not self.ranked and not self.dropped
-
-    @property
-    def readings(self) -> list[Tuple]:
-        return [a.lemma_pos for a, _ in self.ranked]
-
-
-def rank(sets: Sequence[FilteredSet], model: LmModel) -> list[RankedSet]:
+def rank(sets: Sequence[TokenReadings],
+         model: LmModel) -> list[TokenReadings]:
     """Greedy left-to-right ranking.
 
     The context for token t is the pair of top-ranked tuples chosen at
@@ -425,16 +400,15 @@ def rank(sets: Sequence[FilteredSet], model: LmModel) -> list[RankedSet]:
     """
     history: list[Tuple] = [BOS, BOS]
     out = []
-    for fset in sets:
+    for rec in sets:
         ctx = (history[-2], history[-1])
-        scored = [(model.score(ctx, a.lemma_pos), a) for a in fset.analyses]
+        scored = [(model.score(ctx, a.lemma_pos), a) for a in rec.analyses]
         order = sorted(
             range(len(scored)),
             key=lambda i: (-scored[i][0],
                            -model.freq.get(scored[i][1].lemma_pos, 0),
                            i))
         ranked = [(scored[i][1], scored[i][0]) for i in order]
-        out.append(RankedSet(token=fset.token, ranked=ranked,
-                             dropped=list(fset.dropped)))
+        out.append(TokenReadings(rec.token, rec.analyses, rec.dropped, ranked))
         history.append(ranked[0][0].lemma_pos if ranked else UNK)
     return out

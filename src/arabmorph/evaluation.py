@@ -14,7 +14,7 @@ import enum
 from dataclasses import dataclass
 from typing import IO, Iterable, Sequence
 
-from .disambig import RankedSet
+from .analyzer import TokenReadings
 from .lexicon import Flag, Lexicon, LexiconError
 
 Reading = tuple[str, str]
@@ -65,8 +65,8 @@ def load_gold(stream: IO[str] | Iterable[str],
     return sentences
 
 
-def readings_from_ranked(sets: Sequence[RankedSet]) -> list[list[Reading]]:
-    return [rset.readings for rset in sets]
+def readings_from_ranked(sets: Sequence[TokenReadings]) -> list[list[Reading]]:
+    return [[a.lemma_pos for a, _ in rec.ranked] for rec in sets]
 
 
 class Mode(enum.Enum):

@@ -18,7 +18,7 @@ from typing import IO, Sequence
 from xml.sax.saxutils import escape, quoteattr
 
 from . import __version__
-from .disambig import RankedSet
+from .analyzer import TokenReadings
 
 UNKNOWN_ANA = "UNK//UNK"
 
@@ -66,16 +66,16 @@ def _check_word(word: TeiWord, where: str = "") -> None:
         raise TeiError(f"unknown word {word.surface!r}{label} carries notes")
 
 
-def doc_from_ranked(ranked: Sequence[RankedSet], source: str = "",
+def doc_from_ranked(ranked: Sequence[TokenReadings], source: str = "",
                     flags: str = "") -> TeiDoc:
     words = []
-    for rset in ranked:
-        if not rset.ranked:
-            words.append(TeiWord(surface=rset.token.surface, ana=UNKNOWN_ANA))
+    for rec in ranked:
+        if not rec.ranked:
+            words.append(TeiWord(surface=rec.token.surface, ana=UNKNOWN_ANA))
             continue
-        top = rset.ranked[0][0]
-        notes = tuple(Note(a.ana) for a, _ in rset.ranked[1:])
-        words.append(TeiWord(surface=rset.token.surface, ana=top.ana,
+        top = rec.ranked[0][0]
+        notes = tuple(Note(a.ana) for a, _ in rec.ranked[1:])
+        words.append(TeiWord(surface=rec.token.surface, ana=top.ana,
                              notes=notes))
     return TeiDoc(source=source, flags=flags, words=tuple(words))
 

@@ -93,9 +93,6 @@ class BuckTable:
             out.append(ar)
         return "".join(out)
 
-    def is_buck(self, text: str) -> bool:
-        return all(ch in self.b2a for ch in text)
-
 
 def _load_default() -> BuckTable:
     data = resources.files("arabmorph").joinpath("data/buckwalter.tsv")

@@ -3,7 +3,7 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from arabmorph.analyzer import (MAX_PREFIX_LEN, MAX_SUFFIX_LEN, AnalysisSet,
+from arabmorph.analyzer import (MAX_PREFIX_LEN, MAX_SUFFIX_LEN, TokenReadings,
                                 TypeCache, analyze_text, analyze_type,
                                 segmentations, token_lookup_key, tokenize)
 from arabmorph.lexicon import ALL_FLAGS, compatible, parse_flagset
@@ -204,7 +204,7 @@ def test_analyze_text_unknown_token_flagged(lexicon):
 def test_cache_transparency(lexicon, corpus_text):
     tokens = tokenize(corpus_text)
     cached = analyze_text(tokens, lexicon, ALL_FLAGS, TypeCache())
-    uncached = [AnalysisSet(t, analyze_type(token_lookup_key(t), lexicon,
+    uncached = [TokenReadings(t, analyze_type(token_lookup_key(t), lexicon,
                                             ALL_FLAGS)) for t in tokens]
     for a, b in zip(cached, uncached):
         assert [x.ana for x in a.analyses] == [x.ana for x in b.analyses]

@@ -1,6 +1,8 @@
 import random
 from pathlib import Path
 
+import pytest
+
 from arabmorph.cli import main
 from arabmorph.disambig import BOS, load_lm, train_lm, load_freq_table
 from arabmorph.evaluation import load_gold
@@ -257,6 +259,37 @@ def test_analyze_with_a_malformed_lm_exits_2(tmp_path, capsys):
     assert out.out == ""
     assert f"{model_path}:3: bad vocab size 'X'" in out.err
     assert "Traceback" not in out.err
+
+
+@pytest.mark.parametrize("lam", ["3", "nan"])
+def test_analyze_with_a_lambda_outside_the_unit_interval_exits_2(
+        tmp_path, capsys, lam):
+    assert main(_analyze_args(_write_phrase(tmp_path), **{"lambda": lam})) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith("arabmorph: error: lambda must be in [0, 1]")
+
+
+def test_surface_rules_match_the_key_under_the_pipeline_table(tmp_path,
+                                                              capsys):
+    """With ع mapped to c, مع has the lookup key mc, not the default mE."""
+    default = (DATA.parent.parent / "src" / "arabmorph" / "data"
+               / "buckwalter.tsv").read_text(encoding="utf-8")
+    assert "U+0639\tE\n" in default
+    table = tmp_path / "c.tsv"
+    table.write_text(default.replace("U+0639\tE\n", "U+0639\tc\n"),
+                     encoding="utf-8")
+    phrase = _write_phrase(tmp_path)
+    for key, verb_kept in (("mc", False), ("mE", True)):
+        rules = tmp_path / f"{key}.txt"
+        rules.write_text(f"DROP pos=V WHEN prev.surface={key}\n",
+                         encoding="utf-8")
+        assert main(["analyze", phrase, "--flags", "MSA", "--format", "tsv",
+                     "--translit-table", str(table),
+                     "--rules", str(rules)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert "كاتب\tkAtib/kAtib_1/N" in lines
+        assert ("كاتب\tkAtab+a/kAtab_1/V" in lines) == verb_kept
 
 
 def test_merge_with_a_bad_review_kind_exits_2(tmp_path, capsys):

@@ -167,6 +167,14 @@ def test_train_lm_rejects_empty_corpus_and_bad_lambda():
         train_lm([[("a_1", "N")]], lam=1.5)
 
 
+@pytest.mark.parametrize("lam", [-0.1, 1.5, float("nan")])
+def test_every_lm_constructor_rejects_lambda_outside_the_unit_interval(lam):
+    with pytest.raises(LmError, match="lambda must be in"):
+        empty_lm(lam=lam)
+    with pytest.raises(LmError, match="lambda must be in"):
+        replace(train_lm([[("a_1", "N")]]), lam=lam)
+
+
 def test_marginals_are_consistent_with_trigram_sums():
     sents = [[("a_1", "N"), ("b_1", "V"), ("c_1", "N")],
              [("a_1", "N"), ("c_1", "N")]]
