@@ -95,7 +95,7 @@ class TokenReadings:
     tuple defaults allocate nothing per token."""
 
     token: Token
-    analyses: list[Analysis]
+    analyses: Sequence[Analysis]
     dropped: Sequence[tuple[Analysis, FilterRule]] = ()
     ranked: Sequence[tuple[Analysis, float]] = ()
 
@@ -157,15 +157,15 @@ def analyze_type(surface: str, lex: Lexicon, active: Flag,
 
 class TypeCache:
     """Per-type analysis cache keyed by (surface, active flag bits, alif
-    folding), with hit and miss counts."""
+    folding), with hit and miss counts; tuple values, shared by tokens."""
 
     def __init__(self):
-        self._map: dict[tuple, list[Analysis]] = {}
+        self._map: dict[tuple, tuple[Analysis, ...]] = {}
         self.hits = 0
         self.misses = 0
 
     def get_or_compute(self, key: tuple,
-                       compute: Callable[[], list[Analysis]]) -> list[Analysis]:
+                       compute: Callable[[], tuple]) -> tuple:
         try:
             value = self._map[key]
         except KeyError:
@@ -205,13 +205,13 @@ def analyze_text(tokens: list[Token], lex: Lexicon, active: Flag,
                  table: BuckTable | None = None,
                  fold_alif: bool = False) -> list[TokenReadings]:
     """One record per token, in token order; repeated types are served
-    from the cache."""
+    from the cache and share its tuple of analyses."""
     cache = cache if cache is not None else TypeCache()
     out = []
     for token in tokens:
         surface = token_lookup_key(token, table)
         key = (surface, int(active), fold_alif)
         analyses = cache.get_or_compute(
-            key, lambda: analyze_type(surface, lex, active, fold_alif))
-        out.append(TokenReadings(token, list(analyses)))
+            key, lambda: tuple(analyze_type(surface, lex, active, fold_alif)))
+        out.append(TokenReadings(token, analyses))
     return out

@@ -54,11 +54,9 @@ class FilterRule:
         return True
 
     def matches_context(self, neighbor: TokenReadings,
-                        table: BuckTable = DEFAULT_TABLE) -> bool:
+                        neighbor_key: str | None) -> bool:
         if self.context_attr == "surface":
-            return (self.context_value == neighbor.token.surface
-                    or self.context_value
-                    == token_lookup_key(neighbor.token, table))
+            return self.context_value in (neighbor.token.surface, neighbor_key)
         if self.context_attr == "lemma":
             return any(a.lemma == self.context_value for a in neighbor.analyses)
         return any(a.pos == self.context_value for a in neighbor.analyses)
@@ -128,8 +126,11 @@ def apply_rules(sets: Sequence[TokenReadings], rules: Sequence[FilterRule],
     would leave a non-empty set empty is skipped and logged, in file order.
     Tokens at the sequence edges never match rules whose context offset
     falls outside the sequence.  ``surface`` contexts compare against the
-    neighbor's surface as written and as its lookup key under ``table``.
+    neighbor's surface as written and as its lookup key under ``table``,
+    computed once per token.  Unfiltered tokens keep their ``analyses``.
     """
+    keys = ([token_lookup_key(rec.token, table) for rec in sets]
+            if any(rule.context_attr == "surface" for rule in rules) else None)
     out = []
     for i, rec in enumerate(sets):
         original = rec.analyses
@@ -138,7 +139,7 @@ def apply_rules(sets: Sequence[TokenReadings], rules: Sequence[FilterRule],
             j = i + rule.offset
             if not 0 <= j < len(sets):
                 continue
-            if not rule.matches_context(sets[j], table):
+            if not rule.matches_context(sets[j], keys[j] if keys else None):
                 continue
             hit = {k for k, a in enumerate(original) if rule.matches_target(a)}
             if hit:
@@ -156,10 +157,9 @@ def apply_rules(sets: Sequence[TokenReadings], rules: Sequence[FilterRule],
             for k in sorted(drop):
                 dropped.append((original[k], rule))
             remaining -= drop
-        out.append(TokenReadings(
-            rec.token,
-            [a for k, a in enumerate(original) if k in remaining],
-            dropped))
+        survivors = ([a for k, a in enumerate(original) if k in remaining]
+                     if dropped else original)
+        out.append(TokenReadings(rec.token, survivors, dropped))
     return out
 
 

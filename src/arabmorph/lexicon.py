@@ -43,6 +43,8 @@ class Flag(enum.IntFlag):
 ALL_FLAGS = Flag.CA | Flag.MSA | Flag.ICA | Flag.SPEC_MED | Flag.SPEC_ALCH \
     | Flag.SPEC_GRAM | Flag.NE | Flag.FNE | Flag.CAP
 NO_FLAGS = Flag(0)
+# (name, bit) per flag: flag_names tests plain ints, not IntFlag members.
+_FLAG_BITS = tuple((f.name, int(f)) for f in Flag)
 
 # Historical spelling of the flag names carries this prefix; accept both.
 _FLAG_PREFIX = "XRAM_"
@@ -72,7 +74,8 @@ def classical_preset() -> Flag:
 
 
 def flag_names(mask: Flag) -> list[str]:
-    return [f.name for f in Flag if f & mask]
+    bits = int(mask)
+    return [name for name, bit in _FLAG_BITS if bits & bit]
 
 
 class Kind(enum.Enum):
@@ -233,26 +236,24 @@ def _parse_pairs(stream: IO[str] | Iterable[str],
 
 
 class Lexicon:
-    """The three surface-keyed entry tables plus their compatibility tables.
-
-    Immutable by convention after load: merge operations return a new
-    Lexicon rather than mutating in place.
-    """
+    """The surface-keyed entry tables of the three kinds, one ``tables``
+    store, plus their compatibility tables.  Lookups read one view per
+    (flags, alif folding), built on first use; ``add``, the only mutator
+    (merges return a new Lexicon), drops it."""
 
     def __init__(self, compat: CompatTables):
-        self.prefixes: dict[str, list[LexEntry]] = {}
-        self.stems: dict[str, list[LexEntry]] = {}
-        self.suffixes: dict[str, list[LexEntry]] = {}
+        self.tables: dict[Kind, dict[str, list[LexEntry]]] = {k: {} for k in Kind}
+        self.prefixes, self.stems, self.suffixes = self.tables.values()
         self.compat = compat
         self._by_key: dict[tuple, LexEntry] = {}
-        self._folded: dict[Kind, dict[str, list[LexEntry]]] | None = None
+        self._view_key: tuple[int, bool] | None = None
+        self._view: dict[Kind, dict[str, list[LexEntry]]] = {}
 
     def table(self, kind: Kind) -> dict[str, list[LexEntry]]:
-        return {Kind.PREFIX: self.prefixes, Kind.STEM: self.stems,
-                Kind.SUFFIX: self.suffixes}[kind]
+        return self.tables[kind]
 
     def entries(self) -> Iterator[LexEntry]:
-        for table in (self.prefixes, self.stems, self.suffixes):
+        for table in self.tables.values():
             for bucket in table.values():
                 yield from bucket
 
@@ -265,42 +266,41 @@ class Lexicon:
         Returns True when a new row was created, False when an existing
         row absorbed the entry's flags.
         """
+        self._view_key = None
         key = _dedup_key(entry)
         existing = self._by_key.get(key)
         if existing is not None:
             if existing.flags | entry.flags != existing.flags:
                 merged = replace(existing, flags=existing.flags | entry.flags)
-                bucket = self.table(entry.kind)[entry.surface]
+                bucket = self.tables[entry.kind][entry.surface]
                 bucket[bucket.index(existing)] = merged
                 self._by_key[key] = merged
-            self._folded = None
             return False
-        self.table(entry.kind).setdefault(entry.surface, []).append(entry)
+        self.tables[entry.kind].setdefault(entry.surface, []).append(entry)
         self._by_key[key] = entry
-        self._folded = None
         return True
 
     def lookup(self, surface: str, kind: Kind, active: Flag,
                fold_alif: bool = False) -> list[LexEntry]:
-        """Entries whose surface matches exactly and whose flag mask
-        intersects the active set; load order preserved."""
+        """Entries whose surface matches, alif-folded under ``fold_alif``,
+        and whose flags intersect ``active``; table, then load order."""
+        if (int(active), fold_alif) != self._view_key:
+            self._build_view(int(active), fold_alif)
         if fold_alif:
-            bucket = self._folded_table(kind).get(normalize(surface, fold_alif=True), [])
-        else:
-            bucket = self.table(kind).get(surface, [])
-        return [e for e in bucket if e.flags & active]
+            surface = normalize(surface, fold_alif=True)
+        return list(self._view[kind].get(surface, ()))
 
-    def _folded_table(self, kind: Kind) -> dict[str, list[LexEntry]]:
-        if self._folded is None:
-            self._folded = {}
-            for k in Kind:
-                folded: dict[str, list[LexEntry]] = {}
-                for bucket in self.table(k).values():
-                    for e in bucket:
-                        folded.setdefault(normalize(e.surface, fold_alif=True),
-                                          []).append(e)
-                self._folded[k] = folded
-        return self._folded[kind]
+    def _build_view(self, mask: int, fold_alif: bool) -> None:
+        view = {}
+        for kind, table in self.tables.items():
+            view[kind] = index = {}
+            for surface, bucket in table.items():
+                if fold_alif:
+                    surface = normalize(surface, fold_alif=True)
+                for e in bucket:
+                    if int(e.flags) & mask:
+                        index.setdefault(surface, []).append(e)
+        self._view, self._view_key = view, (mask, fold_alif)
 
     def known_lemma_pos(self) -> set[tuple[str, str]]:
         """(lemma, primary tag) pairs of every stem entry."""
@@ -375,10 +375,9 @@ def load_lexicon_dir(path) -> Lexicon:
 def serialize_lexicon(lex: Lexicon) -> dict[str, str]:
     """Render the lexicon back to its six-file TSV form (file name -> text)."""
     out = {}
-    for name, kind in zip(LEXICON_FILES[:3], (Kind.PREFIX, Kind.STEM, Kind.SUFFIX)):
-        lines = [format_entry_line(e)
-                 for bucket in lex.table(kind).values() for e in bucket]
-        out[name] = "".join(line + "\n" for line in lines)
+    for name, table in zip(LEXICON_FILES[:3], lex.tables.values()):
+        out[name] = "".join(format_entry_line(e) + "\n"
+                            for bucket in table.values() for e in bucket)
     for name, pairs in zip(LEXICON_FILES[3:],
                            (lex.compat.ab, lex.compat.bc, lex.compat.ac)):
         out[name] = "".join(f"{a}\t{b}\n" for a, b in sorted(pairs))

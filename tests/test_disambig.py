@@ -12,6 +12,7 @@ from arabmorph.disambig import (BOS, FilterRule, LmError, RuleError, apply_rules
                                 empty_lm, load_freq_table, load_lm, parse_rules,
                                 UNK, rank, serialize_lm, train_lm)
 from arabmorph.lexicon import ALL_FLAGS, parse_flagset
+from arabmorph.translit import BuckTable
 
 from oracles import resummed_score
 
@@ -117,6 +118,36 @@ def test_rules_match_against_original_neighbor_sets(lexicon):
         filtered = apply_rules(_phrase_sets(lexicon, text),
                                parse_rules(io.StringIO(rule_text)))
         assert [a.pos for a in filtered[1].analyses] == ["N", "A"]
+
+
+def test_tokens_of_one_type_share_their_readings(lexicon, rules):
+    sets = _phrase_sets(lexicon, "كاتب مع كاتب")
+    assert sets[0].analyses is sets[2].analyses
+    filtered = apply_rules(sets, rules)
+    assert filtered[0].analyses is sets[0].analyses
+    assert filtered[2].analyses is not sets[2].analyses
+    assert [a.pos for a in filtered[2].analyses] == ["N", "A"]
+
+
+def test_surface_rules_transliterate_each_token_at_most_once(
+        lexicon, rules, corpus_text, monkeypatch):
+    sets = analyze_text(tokenize(corpus_text * 10), lexicon, ALL_FLAGS)
+    surface_rules = parse_rules(io.StringIO(
+        "DROP pos=V WHEN prev.surface=mE\n"
+        "DROP pos=N WHEN next.surface=ktAb\n"
+        "DROP pos=A WHEN prev.surface=Al\n"))
+    calls = []
+    to_buck = BuckTable.to_buck
+
+    def counting(self, *args, **kwargs):
+        calls.append(1)
+        return to_buck(self, *args, **kwargs)
+
+    monkeypatch.setattr(BuckTable, "to_buck", counting)
+    apply_rules(sets, rules)
+    assert len(calls) == 0
+    apply_rules(sets, surface_rules)
+    assert 0 < len(calls) <= len(sets)
 
 
 def test_filter_conservation_over_the_corpus(lexicon, rules, corpus_text):

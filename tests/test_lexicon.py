@@ -10,10 +10,11 @@ DATA = Path(__file__).parent / "data"
 
 from arabmorph.lexicon import (ALL_FLAGS, CompatTables, Flag, Kind,
                                LexiconError, Status, classical_preset,
-                               compatible, import_tei_dictionary,
+                               compatible, flag_names, import_tei_dictionary,
                                import_wordlist, load_lexicon, load_review,
                                merge_reviewed, parse_entry_line, parse_flagset,
                                save_review, serialize_lexicon)
+from arabmorph.translit import normalize
 
 flag_lists = st.lists(st.sampled_from([f.name for f in Flag]), max_size=9)
 
@@ -53,6 +54,12 @@ def test_parse_flagset_matches_manual_union(names):
     for n in names:
         expected |= Flag[n]
     assert parse_flagset(names) == expected
+
+
+def test_flag_names_matches_enum_iteration_over_every_mask():
+    for bits in range(int(ALL_FLAGS) + 1):
+        mask = Flag(bits)
+        assert flag_names(mask) == [f.name for f in Flag if f & mask]
 
 
 # --- entry parsing ----------------------------------------------------------
@@ -166,6 +173,52 @@ def test_lookup_flag_monotonicity(lexicon, data):
     subset = lexicon.lookup(surface, Kind.STEM, f_small)
     superset = lexicon.lookup(surface, Kind.STEM, f_big)
     assert set(map(id, subset)) <= set(map(id, superset))
+
+
+@given(st.data())
+def test_lookup_equals_a_filter_over_entries(lexicon, data):
+    raw = sorted({e.surface for e in lexicon.entries()})
+    folded = sorted({normalize(s, fold_alif=True) for s in raw} - set(raw))
+    surface = data.draw(st.sampled_from(raw) | st.sampled_from(folded)
+                        | st.text(alphabet="Ab>|<{tkl", max_size=4))
+    kind = data.draw(st.sampled_from(list(Kind)))
+    fold_alif = data.draw(st.booleans())
+    active = parse_flagset(data.draw(flag_lists))
+
+    def key(s):
+        return normalize(s, fold_alif=True) if fold_alif else s
+
+    expected = [e for e in lexicon.entries()
+                if e.kind is kind and e.flags & active
+                and key(e.surface) == key(surface)]
+    assert lexicon.lookup(surface, kind, active, fold_alif) == expected
+
+
+def test_the_three_tables_are_the_store(lexicon):
+    aliases = (lexicon.prefixes, lexicon.stems, lexicon.suffixes)
+    for kind, alias in zip(Kind, aliases):
+        assert lexicon.table(kind) is lexicon.tables[kind] is alias
+
+
+@pytest.mark.parametrize("query,fold_alif", [(">mr", False), ("Amr", True)])
+def test_add_after_a_lookup_shows_the_new_row(query, fold_alif):
+    lex = _mini_lexicon([">mr\t>amr\tN\tcommand\t>amr_1\tMSA"])
+    assert [e.lemma for e in lex.lookup(query, Kind.STEM, Flag.MSA,
+                                        fold_alif)] == [">amr_1"]
+    assert lex.add(parse_entry_line(">mr\t>am~ar\tPV\tappoint\t>am~ar_1\tMSA",
+                                    Kind.STEM))
+    assert [e.lemma for e in lex.lookup(query, Kind.STEM, Flag.MSA,
+                                        fold_alif)] == [">amr_1", ">am~ar_1"]
+
+
+@pytest.mark.parametrize("query,fold_alif", [(">mr", False), ("Amr", True)])
+def test_add_after_a_lookup_shows_a_flag_union(query, fold_alif):
+    lex = _mini_lexicon([">mr\t>amr\tN\tcommand\t>amr_1\tCA"])
+    assert lex.lookup(query, Kind.STEM, Flag.MSA, fold_alif) == []
+    assert not lex.add(parse_entry_line(">mr\t>amr\tN\tcommand\t>amr_1\tMSA",
+                                        Kind.STEM))
+    [entry] = lex.lookup(query, Kind.STEM, Flag.MSA, fold_alif)
+    assert entry.flags == Flag.CA | Flag.MSA
 
 
 # --- compatibility ----------------------------------------------------------
