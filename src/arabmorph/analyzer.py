@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from itertools import product
 from typing import TYPE_CHECKING, Callable, Sequence
 
-from .lexicon import Flag, Kind, LexEntry, Lexicon, compatible
+from .lexicon import Flag, Kind, LexEntry, Lexicon, compatible, head_of
 from .translit import BuckTable, DEFAULT_TABLE, normalize, strip_diacritics
 
 if TYPE_CHECKING:
@@ -76,17 +76,6 @@ class Analysis:
         return (self.lemma, self.pos)
 
 
-def _make_analysis(pre: LexEntry, stem: LexEntry, suf: LexEntry) -> Analysis:
-    parts = (pre, stem, suf)
-    return Analysis(
-        voc="+".join(p.voc for p in parts if p.voc),
-        lemma=stem.lemma,
-        pos=stem.head_tag(),
-        tags="+".join(t for p in parts for t in p.tag_units()),
-        parts=parts,
-    )
-
-
 @dataclass(slots=True)
 class TokenReadings:
     """One token's readings.  ``apply_rules`` keeps the survivors in
@@ -120,38 +109,51 @@ def analyze_type(surface: str, lex: Lexicon, active: Flag,
                  fold_alif: bool = False) -> list[Analysis]:
     """All compatible readings of one unvocalized Buckwalter surface.
 
-    Splits are tried in ``segmentations`` order.  Each prefix and suffix
-    length is looked up once per surface, and a stem only where both
-    affix lookups found entries.  Duplicates (same voc, lemma, primary
-    tag) collapse onto the first occurrence, so order is deterministic:
-    segmentation order, then lexicon load order.
+    ``surface`` is a lookup key as ``token_lookup_key`` returns it: it has
+    no tatweel, so alif folding maps one character to one, and a slice of
+    the folded surface is the folded slice.  The lexicon's view is fetched
+    once and each prefix, stem and suffix is one read of it: each affix
+    length once per surface, a stem only where both affixes were found.
+    Splits are tried in ``segmentations`` order.  Duplicates (same voc,
+    lemma, primary tag) collapse onto the first occurrence, so order is
+    deterministic: segmentation order, then lexicon load order.
     """
     seen: set[tuple[str, str, str]] = set()
     out: list[Analysis] = []
     n = len(surface)
     if not n:
         return out
-    sufs_by_len = [lex.lookup(surface[n - s:], Kind.SUFFIX, active, fold_alif)
+    view = lex.view(active, fold_alif)
+    prefixes, stems, suffixes = (view[Kind.PREFIX], view[Kind.STEM],
+                                 view[Kind.SUFFIX])
+    if fold_alif:
+        surface = normalize(surface, fold_alif=True)
+    compat = lex.compat
+    sufs_by_len = [suffixes.get(surface[n - s:])
                    for s in range(min(MAX_SUFFIX_LEN, n - 1) + 1)]
     for p in range(min(MAX_PREFIX_LEN, n - 1) + 1):
-        pres = lex.lookup(surface[:p], Kind.PREFIX, active, fold_alif)
+        pres = prefixes.get(surface[:p])
         if not pres:
             continue
         for s in range(min(MAX_SUFFIX_LEN, n - p - 1) + 1):
             sufs = sufs_by_len[s]
             if not sufs:
                 continue
-            stems = lex.lookup(surface[p:n - s], Kind.STEM, active, fold_alif)
-            if not stems:
+            stem_entries = stems.get(surface[p:n - s])
+            if not stem_entries:
                 continue
-            for a, b, c in product(pres, stems, sufs):
-                if not compatible(lex.compat, a.cat, b.cat, c.cat):
+            for a, b, c in product(pres, stem_entries, sufs):
+                if not compatible(compat, a.cat, b.cat, c.cat):
                     continue
-                analysis = _make_analysis(a, b, c)
-                key = (analysis.voc, analysis.lemma, analysis.pos)
-                if key not in seen:
-                    seen.add(key)
-                    out.append(analysis)
+                units = b.tag_units()
+                key = ("+".join([x.voc for x in (a, b, c) if x.voc]),
+                       b.lemma, head_of(units))
+                if key in seen:
+                    continue
+                seen.add(key)
+                out.append(Analysis(
+                    *key, tags="+".join(a.tag_units() + units + c.tag_units()),
+                    parts=(a, b, c)))
     return out
 
 
@@ -188,8 +190,8 @@ class TypeCache:
 def token_lookup_key(token: Token, table: BuckTable | None = None) -> str:
     """Unvocalized normalized Buckwalter surface used for lexicon lookup.
 
-    Alif folding is not applied here; when enabled it happens inside
-    Lexicon.lookup, which folds both the query and its index.
+    Alif folding is not applied here; when enabled, ``analyze_type`` and
+    ``Lexicon.lookup`` fold the query, and the lexicon's view its keys.
     """
     buck = (table or DEFAULT_TABLE).to_buck(token.surface)
     return strip_diacritics(normalize(buck))

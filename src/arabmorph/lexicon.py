@@ -83,6 +83,10 @@ class Kind(enum.Enum):
     STEM = "stem"
     SUFFIX = "suffix"
 
+    # Members are singletons compared by identity; Enum's own __hash__ is
+    # a Python-level call paid on every Kind-keyed dict access.
+    __hash__ = object.__hash__
+
 
 # Closed primary-tag inventory; morphotactic subtypes fold onto it by
 # longest-prefix match (Ndu -> N), verb stem categories map explicitly.
@@ -126,8 +130,12 @@ class LexEntry:
 
     def head_tag(self) -> str:
         """Primary tag: first annotation unit folded to the closed set."""
-        units = self.tag_units()
-        return fold_tag(units[0]) if units else ""
+        return head_of(self.tag_units())
+
+
+def head_of(units: list[str]) -> str:
+    """The primary tag of a stem's ``tag_units``."""
+    return fold_tag(units[0]) if units else ""
 
 
 def _dedup_key(e: LexEntry) -> tuple:
@@ -237,7 +245,7 @@ def _parse_pairs(stream: IO[str] | Iterable[str],
 
 class Lexicon:
     """The surface-keyed entry tables of the three kinds, one ``tables``
-    store, plus their compatibility tables.  Lookups read one view per
+    store, plus their compatibility tables.  Lookups read one ``view`` per
     (flags, alif folding), built on first use; ``add``, the only mutator
     (merges return a new Lexicon), drops it."""
 
@@ -284,23 +292,31 @@ class Lexicon:
                fold_alif: bool = False) -> list[LexEntry]:
         """Entries whose surface matches, alif-folded under ``fold_alif``,
         and whose flags intersect ``active``; table, then load order."""
-        if (int(active), fold_alif) != self._view_key:
-            self._build_view(int(active), fold_alif)
+        view = self.view(active, fold_alif)
         if fold_alif:
             surface = normalize(surface, fold_alif=True)
-        return list(self._view[kind].get(surface, ()))
+        return list(view[kind].get(surface, ()))
 
-    def _build_view(self, mask: int, fold_alif: bool) -> None:
-        view = {}
-        for kind, table in self.tables.items():
-            view[kind] = index = {}
-            for surface, bucket in table.items():
-                if fold_alif:
-                    surface = normalize(surface, fold_alif=True)
-                for e in bucket:
-                    if int(e.flags) & mask:
-                        index.setdefault(surface, []).append(e)
-        self._view, self._view_key = view, (mask, fold_alif)
+    def view(self, active: Flag, fold_alif: bool = False
+             ) -> dict[Kind, dict[str, list[LexEntry]]]:
+        """Per kind, the entries whose flags intersect ``active``, keyed by
+        surface, alif-folded under ``fold_alif``; table, then load order.
+        One view is kept, built on first use for its (flags, folding) pair
+        and dropped by ``add``.  Callers read its buckets and never change
+        them."""
+        mask = int(active)
+        if (mask, fold_alif) != self._view_key:
+            view = {}
+            for kind, table in self.tables.items():
+                view[kind] = index = {}
+                for key, bucket in table.items():
+                    if fold_alif:
+                        key = normalize(key, fold_alif=True)
+                    for e in bucket:
+                        if int(e.flags) & mask:
+                            index.setdefault(key, []).append(e)
+            self._view, self._view_key = view, (mask, fold_alif)
+        return self._view
 
     def known_lemma_pos(self) -> set[tuple[str, str]]:
         """(lemma, primary tag) pairs of every stem entry."""
@@ -308,9 +324,13 @@ class Lexicon:
                 for bucket in self.stems.values() for e in bucket if e.lemma}
 
     def copy(self) -> "Lexicon":
+        """An independent lexicon with the same rows.  Buckets are copied;
+        the frozen entries are shared."""
         clone = Lexicon(self.compat)
-        for e in self.entries():
-            clone.add(e)
+        for kind, table in self.tables.items():
+            clone.tables[kind].update(
+                (surface, list(bucket)) for surface, bucket in table.items())
+        clone._by_key = dict(self._by_key)
         return clone
 
 

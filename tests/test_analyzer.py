@@ -6,7 +6,8 @@ from hypothesis import given, strategies as st
 from arabmorph.analyzer import (MAX_PREFIX_LEN, MAX_SUFFIX_LEN, TokenReadings,
                                 TypeCache, analyze_text, analyze_type,
                                 segmentations, token_lookup_key, tokenize)
-from arabmorph.lexicon import ALL_FLAGS, compatible, parse_flagset
+from arabmorph.lexicon import (ALL_FLAGS, Flag, Kind, compatible,
+                               parse_entry_line, parse_flagset)
 from arabmorph.translit import strip_diacritics
 
 from oracles import (brute_force_analyses, brute_force_segmentation_count,
@@ -146,6 +147,33 @@ def test_analyze_type_lists_licensed_readings_in_reference_order(
         lexicon, fold_alif):
     surfaces = random.Random(5).sample(licensed_surfaces(lexicon), 1500)
     _agrees_with_one_lookup_per_split(surfaces, lexicon, ALL_FLAGS, fold_alif)
+
+
+@pytest.fixture(scope="module")
+def licensed(lexicon):
+    return licensed_surfaces(lexicon)
+
+
+@given(st.data())
+def test_analyze_type_lists_readings_in_reference_order_under_any_flags(
+        lexicon, licensed, data):
+    # Each bare alif may become a variant, so that folding matters.
+    surface = "".join(data.draw(st.sampled_from("A><|{")) if ch == "A" else ch
+                      for ch in data.draw(st.sampled_from(licensed)))
+    active = parse_flagset(data.draw(
+        st.lists(st.sampled_from([f.name for f in Flag]), max_size=9)))
+    _agrees_with_one_lookup_per_split([surface], lexicon, active,
+                                      data.draw(st.booleans()))
+
+
+@pytest.mark.parametrize("fold_alif", [False, True])
+def test_analyze_type_sees_a_stem_added_after_it_ran(lexicon, fold_alif):
+    lex = lexicon.copy()
+    assert analyze_type("qhwp", lex, ALL_FLAGS, fold_alif) == []
+    assert lex.add(parse_entry_line(
+        "qhwp\tqahowap\tN\tcoffee\tqahowap_1\tMSA", Kind.STEM))
+    assert [a.ana for a in analyze_type("qhwp", lex, ALL_FLAGS, fold_alif)
+            ] == ["qahowap/qahowap_1/N"]
 
 
 def test_analysis_invariants_hold_structurally(lexicon, corpus_text):

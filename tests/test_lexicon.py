@@ -1,6 +1,7 @@
 import io
 import logging
 from collections import Counter
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -8,10 +9,12 @@ from hypothesis import given, strategies as st
 
 DATA = Path(__file__).parent / "data"
 
+from arabmorph.cli import default_lexicon_dir
 from arabmorph.lexicon import (ALL_FLAGS, CompatTables, Flag, Kind,
                                LexiconError, Status, classical_preset,
                                compatible, flag_names, import_tei_dictionary,
-                               import_wordlist, load_lexicon, load_review,
+                               import_wordlist, load_lexicon,
+                               load_lexicon_dir, load_review,
                                merge_reviewed, parse_entry_line, parse_flagset,
                                save_review, serialize_lexicon)
 from arabmorph.translit import normalize
@@ -219,6 +222,23 @@ def test_add_after_a_lookup_shows_a_flag_union(query, fold_alif):
                                         Kind.STEM))
     [entry] = lex.lookup(query, Kind.STEM, Flag.MSA, fold_alif)
     assert entry.flags == Flag.CA | Flag.MSA
+
+
+def test_a_copy_changes_without_changing_the_original():
+    lex = load_lexicon_dir(default_lexicon_dir())
+    narrow = next(e for e in lex.entries() if e.flags != ALL_FLAGS)
+    queries = [(e.surface, e.kind) for e in lex.entries()]
+    before = [lex.lookup(s, k, ALL_FLAGS) for s, k in queries]
+    files = serialize_lexicon(lex)
+    clone = lex.copy()
+    assert serialize_lexicon(clone) == files
+    assert clone.add(parse_entry_line(
+        "qhwp\tqahowap\tN\tcoffee\tqahowap_1\tMSA", Kind.STEM))
+    assert not clone.add(replace(narrow, flags=ALL_FLAGS))
+    assert narrow not in clone.table(narrow.kind)[narrow.surface]
+    assert [lex.lookup(s, k, ALL_FLAGS) for s, k in queries] == before
+    assert lex.lookup("qhwp", Kind.STEM, ALL_FLAGS) == []
+    assert serialize_lexicon(lex) == files
 
 
 # --- compatibility ----------------------------------------------------------
