@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from itertools import product
 from typing import TYPE_CHECKING, Callable, Sequence
 
-from .lexicon import Flag, Kind, LexEntry, Lexicon, compatible, head_of
+from .lexicon import Flag, Kind, LexEntry, Lexicon, compatible
 from .translit import BuckTable, DEFAULT_TABLE, normalize, strip_diacritics
 
 if TYPE_CHECKING:
@@ -35,21 +35,11 @@ def tokenize(text: str, table: BuckTable | None = None) -> list[Token]:
     (punctuation, digits, Latin, whitespace) is skipped.  Offsets point
     into the original text so output can be realigned with the source."""
     table = table or DEFAULT_TABLE
-    tokens = []
-    i, n = 0, len(text)
-    while i < n:
-        if text[i] not in table.arabic_chars:
-            i += 1
-            continue
-        j = i
-        while j < n and text[j] in table.arabic_chars:
-            j += 1
-        run = text[i:j]
-        # A run of bare diacritics or tatweel is not a word.
-        if any(ch in table.arabic_letters for ch in run):
-            tokens.append(Token(run, i, len(tokens)))
-        i = j
-    return tokens
+    # A run of bare diacritics or tatweel is not a word.
+    words = (m for m in table.runs.finditer(text)
+             if not table.arabic_letters.isdisjoint(m.group()))
+    return [Token(m.group(), m.start(), index)
+            for index, m in enumerate(words)]
 
 
 @dataclass(frozen=True)
@@ -57,15 +47,19 @@ class Analysis:
     """One reading of a word type.
 
     ``voc`` joins the non-empty vocalized segments with "+"; ``pos`` is the
-    primary tag (the stem's head category folded onto the closed tag set);
-    ``tags`` is the full tag sequence contributed by all three parts.
+    primary tag (the stem's head category folded onto the closed tag set).
     """
 
     voc: str
     lemma: str
     pos: str
-    tags: str
     parts: tuple[LexEntry, LexEntry, LexEntry]
+
+    @property
+    def tags(self) -> str:
+        """The full tag sequence contributed by all three parts."""
+        a, b, c = self.parts
+        return "+".join(a.tag_units() + b.tag_units() + c.tag_units())
 
     @property
     def ana(self) -> str:
@@ -145,15 +139,12 @@ def analyze_type(surface: str, lex: Lexicon, active: Flag,
             for a, b, c in product(pres, stem_entries, sufs):
                 if not compatible(compat, a.cat, b.cat, c.cat):
                     continue
-                units = b.tag_units()
                 key = ("+".join([x.voc for x in (a, b, c) if x.voc]),
-                       b.lemma, head_of(units))
+                       b.lemma, b.head_tag())
                 if key in seen:
                     continue
                 seen.add(key)
-                out.append(Analysis(
-                    *key, tags="+".join(a.tag_units() + units + c.tag_units()),
-                    parts=(a, b, c)))
+                out.append(Analysis(*key, parts=(a, b, c)))
     return out
 
 
@@ -199,7 +190,7 @@ def token_lookup_key(token: Token, table: BuckTable | None = None) -> str:
 
 def had_diacritics(token: Token, table: BuckTable | None = None) -> bool:
     table = table or DEFAULT_TABLE
-    return any(ch in table.arabic_diacritics for ch in token.surface)
+    return not table.arabic_diacritics.isdisjoint(token.surface)
 
 
 def analyze_text(tokens: list[Token], lex: Lexicon, active: Flag,

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import logging
 import re
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import IO, Iterable, Sequence
 
@@ -91,23 +92,23 @@ def parse_rules(stream: IO[str] | Iterable[str],
         if len(ctx_tokens) != 1:
             raise RuleError(f"{where}: expected a single "
                             "(prev|next).(surface|lemma|pos)=value after WHEN")
-        target_pos = target_lemma = None
+        target: dict[str, str] = {}
         for t in target_tokens:
             m = _TARGET_RE.match(t)
             if not m:
                 raise RuleError(f"{where}: bad target {t!r}, "
                                 "expected pos=<TAG> or lemma=<ID>")
-            if m.group(1) == "pos":
-                target_pos = m.group(2)
-            else:
-                target_lemma = m.group(2)
+            if m.group(1) in target:
+                raise RuleError(f"{where}: repeated target key "
+                                f"{m.group(1)!r}")
+            target[m.group(1)] = m.group(2)
         m = _CTX_RE.match(ctx_tokens[0])
         if not m:
             raise RuleError(f"{where}: bad context {ctx_tokens[0]!r}, expected "
                             "(prev|next).(surface|lemma|pos)=<value>")
         rules.append(FilterRule(
-            target_pos=target_pos,
-            target_lemma=target_lemma,
+            target_pos=target.get("pos"),
+            target_lemma=target.get("lemma"),
             offset=-1 if m.group(1) == "prev" else 1,
             context_attr=m.group(2),
             context_value=m.group(3),
@@ -120,46 +121,44 @@ def apply_rules(sets: Sequence[TokenReadings], rules: Sequence[FilterRule],
                 table: BuckTable = DEFAULT_TABLE) -> list[TokenReadings]:
     """Move rule-matched analyses to the drop list, per token.
 
-    All rules are matched against the original analysis sets (of both the
-    current token and its neighbors), so the outcome does not depend on
-    rule-file order except through the safeguard: a rule application that
-    would leave a non-empty set empty is skipped and logged, in file order.
-    Tokens at the sequence edges never match rules whose context offset
-    falls outside the sequence.  ``surface`` contexts compare against the
-    neighbor's surface as written and as its lookup key under ``table``,
-    computed once per token.  Unfiltered tokens keep their ``analyses``.
+    Rules act in file order, each a filter over the readings that earlier
+    rules left: it drops its matching survivors unless that would empty a
+    non-empty set, in which case it is skipped for that token.  A reading
+    matches a target by its own fields alone, so this equals matching each
+    rule against the original set and dropping what earlier rules had not.
+    Context always reads the neighbor's original set.  Tokens at the
+    sequence edges never match rules whose context offset falls outside
+    the sequence.  ``surface`` contexts compare against the neighbor's
+    surface as written and as its lookup key under ``table``, computed once
+    per token.  A token that loses nothing keeps its ``analyses``.  Each
+    skipped (rule, surface) pair is logged once, with its token count.
     """
     keys = ([token_lookup_key(rec.token, table) for rec in sets]
             if any(rule.context_attr == "surface" for rule in rules) else None)
+    skipped: Counter[tuple[FilterRule, str]] = Counter()
     out = []
     for i, rec in enumerate(sets):
-        original = rec.analyses
-        matches: list[tuple[FilterRule, set[int]]] = []
+        survivors = rec.analyses
+        dropped: list[tuple[Analysis, FilterRule]] = []
         for rule in rules:
             j = i + rule.offset
             if not 0 <= j < len(sets):
                 continue
             if not rule.matches_context(sets[j], keys[j] if keys else None):
                 continue
-            hit = {k for k, a in enumerate(original) if rule.matches_target(a)}
-            if hit:
-                matches.append((rule, hit))
-        remaining = set(range(len(original)))
-        dropped: list[tuple[Analysis, FilterRule]] = []
-        for rule, hit in matches:
-            drop = hit & remaining
-            if not drop:
+            hit = [a for a in survivors if rule.matches_target(a)]
+            if not hit:
                 continue
-            if drop == remaining:
-                log.warning("rule %r would remove every analysis of %r; "
-                            "application skipped", rule.text, rec.token.surface)
+            if len(hit) == len(survivors):
+                skipped[rule, rec.token.surface] += 1
                 continue
-            for k in sorted(drop):
-                dropped.append((original[k], rule))
-            remaining -= drop
-        survivors = ([a for k, a in enumerate(original) if k in remaining]
-                     if dropped else original)
+            dropped.extend((a, rule) for a in hit)
+            survivors = [a for a in survivors if not rule.matches_target(a)]
         out.append(TokenReadings(rec.token, survivors, dropped))
+    for (rule, surface), count in skipped.items():
+        log.warning("rule %r would remove every analysis of %r; "
+                    "application skipped on %d token(s)",
+                    rule.text, surface, count)
     return out
 
 
@@ -395,20 +394,18 @@ def rank(sets: Sequence[TokenReadings],
     The context for token t is the pair of top-ranked tuples chosen at
     t-2 and t-1 (boundary symbols at the edges).  An unknown neighbor
     contributes an out-of-vocabulary placeholder, so scoring backs off to
-    the unigram/frequency floor.  Ties break on the higher frequency-table
-    count, then on lexicon load order, making the order total.
+    the unigram/frequency floor.  One stable sort by descending score,
+    then descending frequency-table count, ranks the readings; since the
+    sort is stable, readings tied on both keep their analysis order (the
+    lexicon load order), which makes the order total.
     """
     history: list[Tuple] = [BOS, BOS]
     out = []
     for rec in sets:
         ctx = (history[-2], history[-1])
-        scored = [(model.score(ctx, a.lemma_pos), a) for a in rec.analyses]
-        order = sorted(
-            range(len(scored)),
-            key=lambda i: (-scored[i][0],
-                           -model.freq.get(scored[i][1].lemma_pos, 0),
-                           i))
-        ranked = [(scored[i][1], scored[i][0]) for i in order]
+        ranked = sorted(
+            [(a, model.score(ctx, a.lemma_pos)) for a in rec.analyses],
+            key=lambda pair: (-pair[1], -model.freq.get(pair[0].lemma_pos, 0)))
         out.append(TokenReadings(rec.token, rec.analyses, rec.dropped, ranked))
         history.append(ranked[0][0].lemma_pos if ranked else UNK)
     return out

@@ -130,12 +130,8 @@ class LexEntry:
 
     def head_tag(self) -> str:
         """Primary tag: first annotation unit folded to the closed set."""
-        return head_of(self.tag_units())
-
-
-def head_of(units: list[str]) -> str:
-    """The primary tag of a stem's ``tag_units``."""
-    return fold_tag(units[0]) if units else ""
+        units = self.tag_units()
+        return fold_tag(units[0]) if units else ""
 
 
 def _dedup_key(e: LexEntry) -> tuple:

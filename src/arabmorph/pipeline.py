@@ -8,9 +8,9 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 
 from .analyzer import Token, TokenReadings, TypeCache, analyze_text, tokenize
-from .disambig import (FilterRule, LmModel, apply_rules, empty_lm,
+from .disambig import (FilterRule, LmError, LmModel, apply_rules, empty_lm,
                        load_freq_table, load_lm, parse_rules, rank)
-from .lexicon import Flag, Lexicon, load_lexicon_dir
+from .lexicon import Flag, Lexicon, LexiconError, load_lexicon_dir
 from .translit import BuckTable, DEFAULT_TABLE
 
 
@@ -30,6 +30,11 @@ class PipelineConfig:
     def load(self) -> Pipeline:
         """Open and parse every referenced resource, failing fast before
         any input text is processed."""
+        if not self.flags:
+            raise LexiconError("analysis requires a non-empty flag set")
+        if self.lm_path and self.freq_path:
+            raise LmError("a frequency table is used only without a language "
+                          "model; the model carries its own (train-lm --freq)")
         table = (BuckTable.from_file(self.translit_table)
                  if self.translit_table else DEFAULT_TABLE)
         lex = load_lexicon_dir(self.lexicon_dir)

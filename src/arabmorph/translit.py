@@ -35,7 +35,6 @@ class BuckTable:
             if bw in self.b2a:
                 raise TranslitError(f"duplicate Buckwalter character {bw!r} in table")
             self.b2a[bw] = ar
-        self.arabic_chars = frozenset(self.a2b)
         self.arabic_diacritics = frozenset(
             ar for ar, bw in self.a2b.items() if bw in DIACRITICS
         )
@@ -43,6 +42,11 @@ class BuckTable:
             ar for ar, bw in self.a2b.items()
             if bw not in DIACRITICS and bw != TATWEEL
         )
+        self._translation = str.maketrans(self.a2b)
+        # Maximal runs of table characters.  A letter-anchored pattern would
+        # backtrack quadratically over long runs of bare diacritics.
+        self.runs = re.compile(
+            "[%s]+" % "".join(map(re.escape, self.a2b)) if self.a2b else "(?!)")
 
     @classmethod
     def from_stream(cls, stream: IO[str] | Iterable[str]) -> "BuckTable":
@@ -71,16 +75,10 @@ class BuckTable:
         Characters outside the table pass through verbatim; their positions
         are appended to ``unmapped`` when a collector list is given.
         """
-        out = []
-        for i, ch in enumerate(text):
-            bw = self.a2b.get(ch)
-            if bw is None:
-                if unmapped is not None:
-                    unmapped.append((i, ch))
-                out.append(ch)
-            else:
-                out.append(bw)
-        return "".join(out)
+        if unmapped is not None:
+            unmapped.extend((i, ch) for i, ch in enumerate(text)
+                            if ch not in self.a2b)
+        return text.translate(self._translation)
 
     def to_arabic(self, text: str) -> str:
         out = []

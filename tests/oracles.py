@@ -1,5 +1,7 @@
 """Independent brute-force references the fast paths are checked against."""
 
+from arabmorph.analyzer import token_lookup_key
+from arabmorph.disambig import BOS, UNK
 from arabmorph.lexicon import Kind, compatible
 
 
@@ -98,3 +100,95 @@ def resummed_score(model, ctx, cand):
         p = (model.unigram.get(cand, 0) + 1) / (model.total + v1)
     pf = (model.freq.get(cand, 0) + 1) / (freq_total + v1)
     return model.lam * p + (1.0 - model.lam) * pf
+
+
+def reference_to_buck(table, text, unmapped=None):
+    """``BuckTable.to_buck`` one character at a time."""
+    out = []
+    for i, ch in enumerate(text):
+        bw = table.a2b.get(ch)
+        if bw is None:
+            if unmapped is not None:
+                unmapped.append((i, ch))
+            out.append(ch)
+        else:
+            out.append(bw)
+    return "".join(out)
+
+
+def reference_tokenize(text, table):
+    """``tokenize`` by scanning for maximal runs of table characters and
+    keeping those that hold a letter.  Returns (surface, offset, index)."""
+    tokens = []
+    i, n = 0, len(text)
+    while i < n:
+        if text[i] not in table.a2b:
+            i += 1
+            continue
+        j = i
+        while j < n and text[j] in table.a2b:
+            j += 1
+        run = text[i:j]
+        if any(ch in table.arabic_letters for ch in run):
+            tokens.append((run, i, len(tokens)))
+        i = j
+    return tokens
+
+
+def reference_apply_rules(sets, rules, table):
+    """``apply_rules`` by matching every rule against the original sets,
+    then dropping per rule in file order what earlier rules left.
+
+    Returns one (survivors, dropped) pair per token and, for each
+    (rule text, surface) pair the safeguard skipped, its token count.
+    """
+    keys = [token_lookup_key(rec.token, table) for rec in sets]
+    out, skipped = [], {}
+    for i, rec in enumerate(sets):
+        original = rec.analyses
+        matches = []
+        for rule in rules:
+            j = i + rule.offset
+            if not 0 <= j < len(sets):
+                continue
+            if not rule.matches_context(sets[j], keys[j]):
+                continue
+            hit = {k for k, a in enumerate(original) if rule.matches_target(a)}
+            if hit:
+                matches.append((rule, hit))
+        remaining = set(range(len(original)))
+        dropped = []
+        for rule, hit in matches:
+            drop = hit & remaining
+            if not drop:
+                continue
+            if drop == remaining:
+                pair = (rule.text, rec.token.surface)
+                skipped[pair] = skipped.get(pair, 0) + 1
+                continue
+            for k in sorted(drop):
+                dropped.append((original[k], rule))
+            remaining -= drop
+        survivors = [a for k, a in enumerate(original) if k in remaining]
+        out.append((survivors, dropped))
+    return out, skipped
+
+
+def reference_rank(survivor_lists, model):
+    """Greedy left-to-right ranking over lists of readings, ties broken by
+    an explicit (score, frequency count, position) key.  Returns one list
+    of (analysis, score) pairs per token."""
+    history = [BOS, BOS]
+    out = []
+    for analyses in survivor_lists:
+        ctx = (history[-2], history[-1])
+        scored = [(model.score(ctx, a.lemma_pos), a) for a in analyses]
+        order = sorted(
+            range(len(scored)),
+            key=lambda i: (-scored[i][0],
+                           -model.freq.get(scored[i][1].lemma_pos, 0),
+                           i))
+        ranked = [(scored[i][1], scored[i][0]) for i in order]
+        out.append(ranked)
+        history.append(ranked[0][0].lemma_pos if ranked else UNK)
+    return out

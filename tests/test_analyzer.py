@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 from hypothesis import given, strategies as st
@@ -8,10 +9,12 @@ from arabmorph.analyzer import (MAX_PREFIX_LEN, MAX_SUFFIX_LEN, TokenReadings,
                                 segmentations, token_lookup_key, tokenize)
 from arabmorph.lexicon import (ALL_FLAGS, Flag, Kind, compatible,
                                parse_entry_line, parse_flagset)
-from arabmorph.translit import strip_diacritics
+from arabmorph.translit import (DEFAULT_TABLE, DIACRITICS, TATWEEL, BuckTable,
+                                strip_diacritics)
 
 from oracles import (brute_force_analyses, brute_force_segmentation_count,
-                     licensed_surfaces, one_lookup_per_split_analyses)
+                     licensed_surfaces, one_lookup_per_split_analyses,
+                     reference_to_buck, reference_tokenize)
 
 MSA = parse_flagset(["MSA"])
 
@@ -48,6 +51,61 @@ def test_tokenize_invariants(text):
         assert " " not in t.surface
         assert t.offset > last
         last = t.offset
+
+
+ZWNJ = "\u200c"
+PRESENTATION_FORMS = "\ufe8d\ufe8e\ufe91\ufefb\ufb50\ufdf2"
+OTHER = "abzXY09٣ .,-\n" + ZWNJ + PRESENTATION_FORMS
+
+# Keys an alternate table may map: Arabic letters and marks, and ASCII
+# characters that a regex character class must escape.
+ALT_KEYS = sorted(DEFAULT_TABLE.a2b) + list("]-^\\[.*a")
+ALT_VALUES = sorted(set(DEFAULT_TABLE.b2a) | set(DIACRITICS) | {TATWEEL})
+
+
+@st.composite
+def alternate_tables(draw):
+    """A one-to-one table over a subset of ``ALT_KEYS``, possibly empty; a
+    value may be two characters long, or a diacritic or tatweel."""
+    keys = draw(st.lists(st.sampled_from(ALT_KEYS), max_size=30,
+                         unique=True))
+    values = draw(st.lists(st.text(ALT_VALUES, min_size=1, max_size=2),
+                           min_size=len(keys), max_size=len(keys),
+                           unique=True))
+    return BuckTable(dict(zip(keys, values)))
+
+
+def mixed_texts(table):
+    """Text mixing the table's letters, runs of its bare marks (diacritics
+    and tatweel), ZWNJ, presentation forms, Latin, digits and spaces."""
+    letters = sorted(table.arabic_letters) or [" "]
+    marks = sorted(set(table.a2b) - table.arabic_letters) or [" "]
+    piece = st.one_of(st.text(letters, min_size=1, max_size=6),
+                      st.text(marks, min_size=1, max_size=8),
+                      st.text(sorted(table.a2b), min_size=1, max_size=6),
+                      st.text(OTHER, min_size=1, max_size=4))
+    return st.lists(piece, max_size=12).map("".join)
+
+
+@given(st.data(), st.booleans())
+def test_tokenize_and_to_buck_equal_the_references(data, alternate):
+    table = data.draw(alternate_tables()) if alternate else DEFAULT_TABLE
+    text = data.draw(mixed_texts(table))
+    assert [(t.surface, t.offset, t.index) for t in tokenize(text, table)] \
+        == reference_tokenize(text, table)
+    unmapped, expected_unmapped = [], []
+    assert table.to_buck(text, unmapped) == \
+        reference_to_buck(table, text, expected_unmapped)
+    assert unmapped == expected_unmapped
+
+
+def test_tokenize_is_linear_in_runs_of_bare_marks():
+    text = "\u0640" * 200_000 + " كتب " + "\u064e" * 200_000
+    start = time.perf_counter()
+    tokens = tokenize(text)
+    elapsed = time.perf_counter() - start
+    assert [(t.surface, t.offset) for t in tokens] == [("كتب", 200_001)]
+    assert elapsed < 1.0
 
 
 # --- segmentations ----------------------------------------------------------

@@ -303,3 +303,24 @@ def test_merge_with_a_bad_review_kind_exits_2(tmp_path, capsys):
     assert f"{review}:1: bad kind 'bogus'" in err
     assert "Traceback" not in err
     assert not outdir.exists()
+
+
+def test_analyze_with_an_empty_flag_set_exits_2(tmp_path, capsys):
+    path = _write_phrase(tmp_path)
+    assert main(["analyze", path, "--flags", ",", "--format", "tsv"]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == ("arabmorph: error: analysis requires a non-empty "
+                       "flag set\n")
+
+
+def test_analyze_rejects_freq_with_lm_before_reading_either(tmp_path, capsys):
+    missing = str(tmp_path / "absent")
+    path = _write_phrase(tmp_path)
+    assert main(["analyze", path, "--flags", "MSA", "--lm", missing + ".lm",
+                 "--freq", missing + ".tsv"]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith("arabmorph: error: a frequency table is used "
+                              "only without a language model")
+    assert "Traceback" not in out.err

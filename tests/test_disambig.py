@@ -7,14 +7,15 @@ from dataclasses import replace
 import pytest
 from hypothesis import given, strategies as st
 
-from arabmorph.analyzer import analyze_text, tokenize
+from arabmorph.analyzer import analyze_text, token_lookup_key, tokenize
 from arabmorph.disambig import (BOS, FilterRule, LmError, RuleError, apply_rules,
                                 empty_lm, load_freq_table, load_lm, parse_rules,
                                 UNK, rank, serialize_lm, train_lm)
 from arabmorph.lexicon import ALL_FLAGS, parse_flagset
-from arabmorph.translit import BuckTable
+from arabmorph.translit import DEFAULT_TABLE, BuckTable
 
-from oracles import resummed_score
+from oracles import (reference_apply_rules, reference_rank,
+                     resummed_score)
 
 MSA = parse_flagset(["MSA"])
 
@@ -79,6 +80,15 @@ def test_parse_rules_syntax_errors_carry_line_numbers():
         parse_rules(io.StringIO("DROP pos=V WHEN left.pos=PREP"))
 
 
+def test_parse_rules_rejects_a_repeated_target_key():
+    for line, key in (("DROP pos=V pos=N WHEN prev.pos=P", "pos"),
+                      ("DROP lemma=a_1 pos=V lemma=b_1 WHEN next.pos=N",
+                       "lemma")):
+        with pytest.raises(RuleError,
+                           match=f"^rules.txt:2: repeated target key '{key}'"):
+            parse_rules(io.StringIO(f"# ok\n{line}\n"), "rules.txt")
+
+
 # --- rule application ----------------------------------------------------------
 
 def _phrase_sets(lexicon, text="مع كاتب", flags=MSA):
@@ -108,6 +118,17 @@ def test_safeguard_skips_application_that_would_empty_a_set(lexicon, rules,
     assert [a.pos for a in filtered[1].analyses] == ["V"]
     assert filtered[1].dropped == []
     assert any("skipped" in r.message for r in caplog.records)
+
+
+def test_safeguard_warns_once_per_rule_and_surface(lexicon, corpus_text,
+                                                 caplog):
+    sets = analyze_text(tokenize(corpus_text * 10), lexicon, ALL_FLAGS)
+    rules = parse_rules(io.StringIO("DROP pos=N WHEN next.surface=ktAb\n"))
+    with caplog.at_level(logging.WARNING, logger="arabmorph.disambig"):
+        apply_rules(sets, rules)
+    (record,) = caplog.records
+    assert "would remove every analysis of 'الحكيم'" in record.message
+    assert "skipped on 10 token(s)" in record.message
 
 
 def test_rules_match_against_original_neighbor_sets(lexicon):
@@ -159,6 +180,83 @@ def test_filter_conservation_over_the_corpus(lexicon, rules, corpus_text):
         assert kept + dropped == Counter(a.ana for a in before.analyses)
         if before.analyses:
             assert after.analyses, "rule filtering manufactured an unknown"
+
+
+@pytest.fixture(scope="module")
+def corpus_sets(lexicon, corpus_text):
+    return analyze_text(tokenize(corpus_text), lexicon, ALL_FLAGS)
+
+
+@st.composite
+def _rule_lines(draw, window):
+    """A rule aimed at one token of ``window``, by preference an ambiguous
+    one: its target is one of that token's readings, its context the
+    surface, lookup key, lemma or pos of the token at its offset (itself
+    where that falls outside the window)."""
+    ambiguous = [i for i, rec in enumerate(window) if len(rec.analyses) > 1]
+    i = draw(st.sampled_from(ambiguous or range(len(window))))
+    where, offset = draw(st.sampled_from([("prev", -1), ("next", 1)]))
+    neighbor = window[min(max(i + offset, 0), len(window) - 1)]
+    reading = draw(st.sampled_from(window[i].analyses or [None]))
+    target = {"pos": reading.pos if reading else "N",
+              "lemma": reading.lemma if reading else "kAtib_1"}
+    keys = draw(st.sampled_from([("pos",), ("lemma",), ("pos", "lemma")]))
+    attr = draw(st.sampled_from(["surface", "lemma", "pos"]))
+    values = ([neighbor.token.surface, token_lookup_key(neighbor.token)]
+              if attr == "surface" else
+              [getattr(a, attr) for a in neighbor.analyses] or ["N"])
+    return (f"DROP {' '.join(f'{k}={target[k]}' for k in keys)} "
+            f"WHEN {where}.{attr}={draw(st.sampled_from(values))}")
+
+
+class _Warnings(logging.Handler):
+    def __init__(self):
+        super().__init__(logging.WARNING)
+        self.records = []
+
+    def emit(self, record):
+        self.records.append(record)
+
+
+@pytest.fixture(scope="module")
+def ranking_models(freq, gold_sentences):
+    """A trained model, and untrained ones whose scores tie, leaving the
+    order to the frequency count, or to analysis order alone."""
+    return [train_lm([[t.lemma_pos for t in s] for s in gold_sentences], freq),
+            empty_lm(freq=freq), empty_lm(lam=1.0, freq=freq),
+            empty_lm(lam=1.0)]
+
+
+@given(data=st.data())
+def test_ranked_rule_output_equals_the_references(corpus_sets, ranking_models,
+                                                  data):
+    # A slice of up to 13 tokens around an ambiguous token of the corpus.
+    ambiguous = [i for i, rec in enumerate(corpus_sets)
+                 if len(rec.analyses) > 1]
+    at = data.draw(st.sampled_from(ambiguous))
+    window = corpus_sets[max(0, at - data.draw(st.integers(0, 6))):
+                         at + data.draw(st.integers(1, 7))]
+    lines = data.draw(st.lists(_rule_lines(window), max_size=8))
+    rules = parse_rules(io.StringIO("\n".join(lines)))
+    model = data.draw(st.sampled_from(ranking_models))
+
+    logger = logging.getLogger("arabmorph.disambig")
+    warnings = _Warnings()
+    logger.addHandler(warnings)
+    try:
+        filtered = apply_rules(window, rules)
+    finally:
+        logger.removeHandler(warnings)
+    ranked = rank(filtered, model)
+
+    expected, skipped = reference_apply_rules(window, rules, DEFAULT_TABLE)
+    assert [(list(r.analyses), r.dropped) for r in filtered] == expected
+    for before, after in zip(window, filtered):
+        assert (after.analyses is before.analyses) == (not after.dropped)
+    assert {r.args[:2]: r.args[2] for r in warnings.records} == skipped
+    assert len(warnings.records) == len(skipped)
+    assert [r.ranked for r in ranked] == \
+        reference_rank([survivors for survivors, _ in expected], model)
 
 
 def test_preposition_rule_never_drops_a_gold_analysis(lexicon, rules,
