@@ -23,7 +23,7 @@ MAX_PREFIX_LEN = 4
 MAX_SUFFIX_LEN = 6
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Token:
     surface: str    # Arabic script, possibly with diacritics
     offset: int     # character index into the source text
@@ -75,11 +75,13 @@ class TokenReadings:
     """One token's readings.  ``apply_rules`` keeps the survivors in
     ``analyses`` and moves the rest to ``dropped`` with their rules;
     ``rank`` adds ``ranked``, the survivors by descending score.  The
-    tuple defaults allocate nothing per token."""
+    tuple defaults allocate nothing per token.  Records of one word type
+    share their ``analyses``, ``dropped`` and ``ranked`` objects, so
+    treat them as read-only."""
 
     token: Token
     analyses: Sequence[Analysis]
-    dropped: Sequence[tuple[Analysis, FilterRule]] = ()
+    dropped: tuple[tuple[Analysis, FilterRule], ...] = ()
     ranked: Sequence[tuple[Analysis, float]] = ()
 
     @property
@@ -198,13 +200,21 @@ def analyze_text(tokens: list[Token], lex: Lexicon, active: Flag,
                  table: BuckTable | None = None,
                  fold_alif: bool = False) -> list[TokenReadings]:
     """One record per token, in token order; repeated types are served
-    from the cache and share its tuple of analyses."""
+    from the cache and share its tuple of analyses.
+
+    Each distinct surface is transliterated once per call: ``keys`` maps
+    it to its cache key.  The cache is still asked once per token, so its
+    hit and miss counts are per token.
+    """
     cache = cache if cache is not None else TypeCache()
+    keys: dict[str, tuple[str, int, bool]] = {}
     out = []
     for token in tokens:
-        surface = token_lookup_key(token, table)
-        key = (surface, int(active), fold_alif)
+        key = keys.get(token.surface)
+        if key is None:
+            key = keys[token.surface] = (token_lookup_key(token, table),
+                                         int(active), fold_alif)
         analyses = cache.get_or_compute(
-            key, lambda: tuple(analyze_type(surface, lex, active, fold_alif)))
+            key, lambda: tuple(analyze_type(key[0], lex, active, fold_alif)))
         out.append(TokenReadings(token, analyses))
     return out

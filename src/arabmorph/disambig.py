@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import logging
 import re
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from typing import IO, Iterable, Sequence
 
@@ -53,14 +53,6 @@ class FilterRule:
         if self.target_lemma is not None and analysis.lemma != self.target_lemma:
             return False
         return True
-
-    def matches_context(self, neighbor: TokenReadings,
-                        neighbor_key: str | None) -> bool:
-        if self.context_attr == "surface":
-            return self.context_value in (neighbor.token.surface, neighbor_key)
-        if self.context_attr == "lemma":
-            return any(a.lemma == self.context_value for a in neighbor.analyses)
-        return any(a.pos == self.context_value for a in neighbor.analyses)
 
 
 _CTX_RE = re.compile(r"^(prev|next)\.(surface|lemma|pos)=(\S+)$")
@@ -129,31 +121,74 @@ def apply_rules(sets: Sequence[TokenReadings], rules: Sequence[FilterRule],
     Context always reads the neighbor's original set.  Tokens at the
     sequence edges never match rules whose context offset falls outside
     the sequence.  ``surface`` contexts compare against the neighbor's
-    surface as written and as its lookup key under ``table``, computed once
-    per token.  A token that loses nothing keeps its ``analyses``.  Each
-    skipped (rule, surface) pair is logged once, with its token count.
+    surface as written and as its lookup key under ``table``.  A token
+    that loses nothing keeps its ``analyses`` and the empty ``dropped``.
+    Each skipped (rule, surface) pair is logged once, with its token count.
+
+    Work is done once per distinct input in one call.  Bit ``k`` stands
+    for ``rules[k]``.  A record's context bits, the rules whose context it
+    satisfies, are computed once per (surface, analyses object) from an
+    index of the rules by context.  A token's armed rules are the
+    ``prev.`` rules its left neighbor satisfies and the ``next.`` rules
+    its right neighbor satisfies.  A token with none armed enters no rule
+    loop.  An armed token's survivors, drops and skipped rules depend only
+    on its analyses and its armed rules, so they are computed once per
+    (analyses object, armed bits) and shared as tuples.  Keying by ``id``
+    is exact: ``sets`` keeps every keyed analyses object alive for the
+    call, and the type cache's shared per-type tuples make the ids repeat.
     """
-    keys = ([token_lookup_key(rec.token, table) for rec in sets]
-            if any(rule.context_attr == "surface" for rule in rules) else None)
+    index = {attr: defaultdict(int) for attr in ("surface", "lemma", "pos")}
+    for k, rule in enumerate(rules):
+        index[rule.context_attr][rule.context_value] |= 1 << k
+    surfaces, lemmas, tags = index["surface"], index["lemma"], index["pos"]
+    prev_rules = sum(1 << k for k, rule in enumerate(rules) if rule.offset < 0)
+    next_rules = (1 << len(rules)) - 1 - prev_rules
+    context: dict[tuple[str, int], int] = {}
+    bits = []
+    for rec in sets:
+        key = (rec.token.surface, id(rec.analyses))
+        b = context.get(key)
+        if b is None:
+            b = 0
+            if surfaces:
+                b = (surfaces.get(rec.token.surface, 0)
+                     | surfaces.get(token_lookup_key(rec.token, table), 0))
+            for a in rec.analyses:
+                b |= lemmas.get(a.lemma, 0) | tags.get(a.pos, 0)
+            context[key] = b
+        bits.append(b)
+    armed_bits = [(left & prev_rules) | (right & next_rules)
+                  for left, right in zip([0] + bits, bits[1:] + [0])]
+
+    outcomes: dict[tuple[int, int], tuple] = {}
     skipped: Counter[tuple[FilterRule, str]] = Counter()
     out = []
-    for i, rec in enumerate(sets):
-        survivors = rec.analyses
-        dropped: list[tuple[Analysis, FilterRule]] = []
-        for rule in rules:
-            j = i + rule.offset
-            if not 0 <= j < len(sets):
-                continue
-            if not rule.matches_context(sets[j], keys[j] if keys else None):
-                continue
-            hit = [a for a in survivors if rule.matches_target(a)]
-            if not hit:
-                continue
-            if len(hit) == len(survivors):
-                skipped[rule, rec.token.surface] += 1
-                continue
-            dropped.extend((a, rule) for a in hit)
-            survivors = [a for a in survivors if not rule.matches_target(a)]
+    for rec, armed in zip(sets, armed_bits):
+        if not armed:
+            out.append(TokenReadings(rec.token, rec.analyses))
+            continue
+        outcome = outcomes.get((id(rec.analyses), armed))
+        if outcome is None:
+            survivors = rec.analyses
+            dropped: list[tuple[Analysis, FilterRule]] = []
+            skips = []
+            for k, rule in enumerate(rules):
+                if not armed >> k & 1:
+                    continue
+                hit = [a for a in survivors if rule.matches_target(a)]
+                if not hit:
+                    continue
+                if len(hit) == len(survivors):
+                    skips.append(rule)
+                    continue
+                dropped.extend((a, rule) for a in hit)
+                survivors = tuple(a for a in survivors
+                                  if not rule.matches_target(a))
+            outcome = outcomes[id(rec.analyses), armed] = (
+                survivors, tuple(dropped), skips)
+        survivors, dropped, skips = outcome
+        for rule in skips:
+            skipped[rule, rec.token.surface] += 1
         out.append(TokenReadings(rec.token, survivors, dropped))
     for (rule, surface), count in skipped.items():
         log.warning("rule %r would remove every analysis of %r; "
@@ -191,22 +226,34 @@ class LmModel:
         object.__setattr__(self, "freq_total", sum(self.freq.values()))
         object.__setattr__(self, "v1", len(self.vocab) + 1)
 
+    def backoff(self, ctx: tuple[Tuple, Tuple]) -> tuple[Tuple, ...]:
+        """The part of ``ctx`` that ``score`` reads: the pair (t2, t1) if
+        it was observed as a bigram, else (t1,) if t1 was observed, else
+        (); so contexts with equal backoff score every candidate equally.
+        A frequency-only model maps every context to ()."""
+        if self.bigram.get(ctx, 0) > 0:
+            return ctx
+        t1 = ctx[1]
+        return (t1,) if self.unigram.get(t1, 0) > 0 else ()
+
     def score(self, ctx: tuple[Tuple, Tuple], cand: Tuple) -> float:
         """lam * P(cand | ctx) + (1 - lam) * Pfreq(cand), both > 0.
 
         The conditional backs off trigram -> bigram -> unigram: a level is
-        used only when its context was observed; each level applies add-one
-        smoothing over |vocab| + 1 outcomes.
+        used only when its context was observed (``backoff``); each level
+        applies add-one smoothing over |vocab| + 1 outcomes.
         """
-        t2, t1 = ctx
-        v1 = self.v1
-        ctx_count = self.bigram.get((t2, t1), 0)
-        if ctx_count > 0:
-            p = (self.trigram.get((t2, t1, cand), 0) + 1) / (ctx_count + v1)
-        elif self.unigram.get(t1, 0) > 0:
-            p = (self.bigram.get((t1, cand), 0) + 1) / (self.unigram[t1] + v1)
+        seen = self.backoff(ctx)
+        if len(seen) == 2:
+            count, total = (self.trigram.get(seen + (cand,), 0),
+                            self.bigram[seen])
+        elif seen:
+            count, total = (self.bigram.get(seen + (cand,), 0),
+                            self.unigram[seen[0]])
         else:
-            p = (self.unigram.get(cand, 0) + 1) / (self.total + v1)
+            count, total = self.unigram.get(cand, 0), self.total
+        v1 = self.v1
+        p = (count + 1) / (total + v1)
         pf = (self.freq.get(cand, 0) + 1) / (self.freq_total + v1)
         return self.lam * p + (1.0 - self.lam) * pf
 
@@ -398,14 +445,26 @@ def rank(sets: Sequence[TokenReadings],
     then descending frequency-table count, ranks the readings; since the
     sort is stable, readings tied on both keep their analysis order (the
     lexicon load order), which makes the order total.
+
+    A ranking depends only on the context's ``model.backoff`` and the
+    readings, so it is computed once per (backoff, analyses object) in
+    one call and the list is shared.  Keying by ``id`` is exact: ``sets``
+    keeps every keyed analyses object alive for the call, and the shared
+    per-type tuples and survivors make the ids repeat.
     """
-    history: list[Tuple] = [BOS, BOS]
+    t2 = t1 = BOS
+    memo: dict[tuple, list[tuple[Analysis, float]]] = {}
     out = []
     for rec in sets:
-        ctx = (history[-2], history[-1])
-        ranked = sorted(
-            [(a, model.score(ctx, a.lemma_pos)) for a in rec.analyses],
-            key=lambda pair: (-pair[1], -model.freq.get(pair[0].lemma_pos, 0)))
+        ctx = (t2, t1)
+        key = (model.backoff(ctx), id(rec.analyses))
+        ranked = memo.get(key)
+        if ranked is None:
+            ranked = memo[key] = [(a, model.score(ctx, a.lemma_pos))
+                                  for a in rec.analyses]
+            if len(ranked) > 1:
+                ranked.sort(key=lambda pair: (
+                    -pair[1], -model.freq.get(pair[0].lemma_pos, 0)))
         out.append(TokenReadings(rec.token, rec.analyses, rec.dropped, ranked))
-        history.append(ranked[0][0].lemma_pos if ranked else UNK)
+        t2, t1 = t1, ranked[0][0].lemma_pos if ranked else UNK
     return out

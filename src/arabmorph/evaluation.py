@@ -125,7 +125,13 @@ def prf(system: Sequence[Sequence[Reading]], gold: Sequence[GoldToken],
     in the lexicon; the error rate is over all tokens.
     """
     _check_aligned(system, gold)
-    covered = lexicon.known_lemma_pos()
+    return _prf(system, gold, mode, lexicon.known_lemma_pos())
+
+
+def _prf(system: Sequence[Sequence[Reading]], gold: Sequence[GoldToken],
+         mode: Mode, covered: set[Reading]) -> ModeScores:
+    """``prf`` of aligned sequences, given the lexicon's (lemma, tag)
+    pairs, ``covered``."""
     total = len(gold)
     analyzed = matches = gold_covered = covered_matches = 0
     for readings, gtok in zip(system, gold):
@@ -149,9 +155,13 @@ def prf(system: Sequence[Sequence[Reading]], gold: Sequence[GoldToken],
 
 def evaluate(system: Sequence[Sequence[Reading]], gold: Sequence[GoldToken],
              lexicon: Lexicon) -> EvalReport:
+    """Unknown rates and every mode's scores; the lexicon's (lemma, tag)
+    pairs are collected once for all modes."""
+    rates = unknown_rates(system, gold)
+    covered = lexicon.known_lemma_pos()
     return EvalReport(
-        unknown_rates=unknown_rates(system, gold),
-        modes={mode: prf(system, gold, mode, lexicon) for mode in Mode},
+        unknown_rates=rates,
+        modes={mode: _prf(system, gold, mode, covered) for mode in Mode},
     )
 
 

@@ -68,39 +68,57 @@ def _check_word(word: TeiWord, where: str = "") -> None:
 
 def doc_from_ranked(ranked: Sequence[TokenReadings], source: str = "",
                     flags: str = "") -> TeiDoc:
+    """One word per token.  Tokens with the same surface and the same
+    ranked list share one ``TeiWord``, built once per call.  Keying by
+    ``id`` is exact: ``ranked`` keeps every keyed list alive for the call,
+    and ``rank``'s shared lists make the ids repeat."""
+    built: dict[tuple[str, int], TeiWord] = {}
     words = []
     for rec in ranked:
-        if not rec.ranked:
-            words.append(TeiWord(surface=rec.token.surface, ana=UNKNOWN_ANA))
-            continue
-        top = rec.ranked[0][0]
-        notes = tuple(Note(a.ana) for a, _ in rec.ranked[1:])
-        words.append(TeiWord(surface=rec.token.surface, ana=top.ana,
-                             notes=notes))
+        key = (rec.token.surface, id(rec.ranked))
+        word = built.get(key)
+        if word is None:
+            if rec.ranked:
+                word = TeiWord(surface=rec.token.surface,
+                               ana=rec.ranked[0][0].ana,
+                               notes=tuple([Note(a.ana)
+                                            for a, _ in rec.ranked[1:]]))
+            else:
+                word = TeiWord(surface=rec.token.surface, ana=UNKNOWN_ANA)
+            built[key] = word
+        words.append(word)
     return TeiDoc(source=source, flags=flags, words=tuple(words))
 
 
 def emit_tei(doc: TeiDoc) -> str:
-    """Canonical serialization; the inverse of parse_tei on its image."""
-    out = ['<?xml version="1.0" encoding="UTF-8"?>']
-    out.append(f"<text source={quoteattr(doc.source)} "
-               f"flags={quoteattr(doc.flags)} "
-               f"version={quoteattr(doc.version)}>")
+    """Canonical serialization; the inverse of parse_tei on its image.
+
+    Each distinct word object is checked and rendered once per call, and
+    its ``<w>`` block repeated for every later occurrence.  Keying by
+    ``id`` is exact: ``doc`` keeps every word alive for the call, and
+    ``doc_from_ranked``'s shared words make the ids repeat."""
+    head = (f'<?xml version="1.0" encoding="UTF-8"?>\n'
+            f"<text source={quoteattr(doc.source)} "
+            f"flags={quoteattr(doc.flags)} "
+            f"version={quoteattr(doc.version)}>\n")
     if not doc.words:
-        out.append("  <body/>")
-    else:
-        out.append("  <body>")
-        for word in doc.words:
+        return head + "  <body/>\n</text>\n"
+    blocks: dict[int, str] = {}
+    out = [head, "  <body>\n"]
+    for word in doc.words:
+        key = id(word)
+        block = blocks.get(key)
+        if block is None:
             _check_word(word)
-            out.append(f"    <w ana={quoteattr(word.ana)}>")
+            block = f"    <w ana={quoteattr(word.ana)}>\n"
             for note in word.notes:
                 ed = ' ed="correct"' if note.corrected else ""
-                out.append(f"      <note ana={quoteattr(note.ana)}{ed}/>")
-            out.append(f"      {escape(word.surface)}")
-            out.append("    </w>")
-        out.append("  </body>")
-    out.append("</text>")
-    return "".join(line + "\n" for line in out)
+                block += f"      <note ana={quoteattr(note.ana)}{ed}/>\n"
+            block = blocks[key] = (
+                f"{block}      {escape(word.surface)}\n    </w>\n")
+        out.append(block)
+    out.append("  </body>\n</text>\n")
+    return "".join(out)
 
 
 def parse_tei(xml: str | IO[str]) -> TeiDoc:

@@ -1,5 +1,8 @@
 """Independent brute-force references the fast paths are checked against."""
 
+from xml.sax.saxutils import escape, quoteattr
+
+from arabmorph import __version__
 from arabmorph.analyzer import token_lookup_key
 from arabmorph.disambig import BOS, UNK
 from arabmorph.lexicon import Kind, compatible
@@ -139,7 +142,7 @@ def reference_apply_rules(sets, rules, table):
     """``apply_rules`` by matching every rule against the original sets,
     then dropping per rule in file order what earlier rules left.
 
-    Returns one (survivors, dropped) pair per token and, for each
+    Returns one (survivors list, dropped tuple) pair per token and, for each
     (rule text, surface) pair the safeguard skipped, its token count.
     """
     keys = [token_lookup_key(rec.token, table) for rec in sets]
@@ -151,7 +154,7 @@ def reference_apply_rules(sets, rules, table):
             j = i + rule.offset
             if not 0 <= j < len(sets):
                 continue
-            if not rule.matches_context(sets[j], keys[j]):
+            if not _matches_context(rule, sets[j], keys[j]):
                 continue
             hit = {k for k, a in enumerate(original) if rule.matches_target(a)}
             if hit:
@@ -170,8 +173,18 @@ def reference_apply_rules(sets, rules, table):
                 dropped.append((original[k], rule))
             remaining -= drop
         survivors = [a for k, a in enumerate(original) if k in remaining]
-        out.append((survivors, dropped))
+        out.append((survivors, tuple(dropped)))
     return out, skipped
+
+
+def _matches_context(rule, neighbor, neighbor_key):
+    """Whether ``neighbor``, with lookup key ``neighbor_key``, satisfies
+    the context of ``rule``, by scanning its readings."""
+    if rule.context_attr == "surface":
+        return rule.context_value in (neighbor.token.surface, neighbor_key)
+    if rule.context_attr == "lemma":
+        return any(a.lemma == rule.context_value for a in neighbor.analyses)
+    return any(a.pos == rule.context_value for a in neighbor.analyses)
 
 
 def reference_rank(survivor_lists, model):
@@ -192,3 +205,28 @@ def reference_rank(survivor_lists, model):
         out.append(ranked)
         history.append(ranked[0][0].lemma_pos if ranked else UNK)
     return out
+
+
+def reference_tei(surfaces, ranked_lists, source="", flags="",
+                  version=__version__):
+    """The TEI document ``emit_tei(doc_from_ranked(...))`` writes, built
+    line by line, one ``<w>`` per token: ``surfaces`` and
+    ``ranked_lists`` give each token's surface and (analysis, score)
+    pairs in rank order."""
+    lines = ['<?xml version="1.0" encoding="UTF-8"?>',
+             f"<text source={quoteattr(source)} flags={quoteattr(flags)} "
+             f"version={quoteattr(version)}>"]
+    if not surfaces:
+        lines.append("  <body/>")
+    else:
+        lines.append("  <body>")
+        for surface, ranked in zip(surfaces, ranked_lists):
+            ana = ranked[0][0].ana if ranked else "UNK//UNK"
+            lines.append(f"    <w ana={quoteattr(ana)}>")
+            for a, _ in ranked[1:]:
+                lines.append(f"      <note ana={quoteattr(a.ana)}/>")
+            lines.append(f"      {escape(surface)}")
+            lines.append("    </w>")
+        lines.append("  </body>")
+    lines.append("</text>")
+    return "\n".join(lines) + "\n"

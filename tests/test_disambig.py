@@ -58,7 +58,7 @@ def test_conjoined_target_predicates_must_both_match(lexicon):
     (other,) = parse_rules(io.StringIO(
         "DROP pos=V lemma=other_1 WHEN prev.surface=mE"))
     filtered = apply_rules(_phrase_sets(lexicon), [other])
-    assert filtered[1].dropped == []
+    assert filtered[1].dropped == ()
 
 
 def test_surface_context_matches_arabic_or_buckwalter(lexicon):
@@ -106,7 +106,7 @@ def test_maea_rule_drops_the_verb_reading(lexicon, rules):
 def test_rules_do_not_fire_past_sequence_edges(lexicon, rules):
     filtered = apply_rules(_phrase_sets(lexicon, "كاتب"), rules)
     assert [a.pos for a in filtered[0].analyses] == ["V", "N", "A"]
-    assert filtered[0].dropped == []
+    assert filtered[0].dropped == ()
 
 
 def test_safeguard_skips_application_that_would_empty_a_set(lexicon, rules,
@@ -116,7 +116,7 @@ def test_safeguard_skips_application_that_would_empty_a_set(lexicon, rules,
     with caplog.at_level(logging.WARNING, logger="arabmorph.disambig"):
         filtered = apply_rules(sets, rules)
     assert [a.pos for a in filtered[1].analyses] == ["V"]
-    assert filtered[1].dropped == []
+    assert filtered[1].dropped == ()
     assert any("skipped" in r.message for r in caplog.records)
 
 

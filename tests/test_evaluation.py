@@ -162,3 +162,22 @@ def test_report_rendering_smoke():
 class _FakeLex:
     def known_lemma_pos(self):
         return {("kitAb_1", "N")}
+
+
+class _CountingLex(_FakeLex):
+    def __init__(self):
+        self.calls = 0
+
+    def known_lemma_pos(self):
+        self.calls += 1
+        return super().known_lemma_pos()
+
+
+def test_evaluate_collects_the_covered_pairs_once(lexicon):
+    gold = _gold(2) + _gold(1, lemma="ghost_1")
+    system = [[("kitAb_1", "N")], [], [("ghost_1", "N")]]
+    counting = _CountingLex()
+    report = evaluate(system, gold, counting)
+    assert counting.calls == 1
+    assert report.modes == {mode: prf(system, gold, mode, _FakeLex())
+                            for mode in Mode}
