@@ -342,19 +342,29 @@ def serialize_lm(model: LmModel) -> str:
 
 
 def load_lm(stream: IO[str] | Iterable[str], filename: str = "<lm>") -> LmModel:
-    lines = [line.rstrip("\n") for line in stream]
-    pos = 0
+    """Parse ``serialize_lm``'s form, reading the stream line by line.
+    Every n-gram, freq and vocab key is built from one shared tuple per
+    distinct (lemma, tag)."""
+    lines = iter(stream)
+    pos = 0                         # lines read so far
+    shared: dict[Tuple, Tuple] = {}
+
+    def pair(lemma: str, tag: str) -> Tuple:
+        t = (lemma, tag)
+        return shared.setdefault(t, t)
 
     def take(expect: str, n_fields: int) -> list[str]:
         nonlocal pos
-        if pos >= len(lines):
+        line = next(lines, None)
+        if line is None:
             raise LmError(f"{filename}: truncated at line {pos + 1}, "
                           f"expected {expect}")
-        fields = lines[pos].split("\t")
-        if fields[0] != expect or len(fields) != n_fields:
-            raise LmError(f"{filename}:{pos + 1}: expected {expect} "
-                          f"with {n_fields} fields, got {lines[pos]!r}")
         pos += 1
+        line = line.rstrip("\n")
+        fields = line.split("\t")
+        if fields[0] != expect or len(fields) != n_fields:
+            raise LmError(f"{filename}:{pos}: expected {expect} "
+                          f"with {n_fields} fields, got {line!r}")
         return fields
 
     def count(text: str, lineno: int, what: str) -> int:
@@ -367,21 +377,23 @@ def load_lm(stream: IO[str] | Iterable[str], filename: str = "<lm>") -> LmModel:
         return count(take(expect, 2)[1], pos, what)
 
     def records(n: int, n_fields: int, what: str):
-        """``n`` lines of ``n_fields`` fields; each is yielded with its
-        last field, a count, parsed to an int."""
+        """The next ``n`` lines of ``n_fields`` fields; each is yielded
+        with its last field, a count, parsed to an int."""
         nonlocal pos
         label = f"{what} count"
-        for _ in range(n):
-            if pos >= len(lines):
-                raise LmError(f"{filename}: truncated {what} section "
-                              f"at line {pos + 1}")
-            fields = lines[pos].split("\t")
-            if len(fields) != n_fields:
-                raise LmError(f"{filename}:{pos + 1}: expected {n_fields} "
-                              f"fields in {what} record")
+        end = pos + n
+        # range first: zip stops on it without reading a line too many.
+        for _, line in zip(range(n), lines):
             pos += 1
+            fields = line.rstrip("\n").split("\t")
+            if len(fields) != n_fields:
+                raise LmError(f"{filename}:{pos}: expected {n_fields} "
+                              f"fields in {what} record")
             fields[-1] = count(fields[-1], pos, label)
             yield fields
+        if pos < end:
+            raise LmError(f"{filename}: truncated {what} section "
+                          f"at line {pos + 1}")
 
     def section(order: int, n_fields: int, what: str):
         header = take("ngrams", 3)
@@ -405,14 +417,14 @@ def load_lm(stream: IO[str] | Iterable[str], filename: str = "<lm>") -> LmModel:
     vocab_size = header_count("vocab", "vocab size")
     total = header_count("total", "total")
 
-    unigram = {(f[0], f[1]): f[2] for f in section(1, 3, "unigram")}
-    bigram = {((f[0], f[1]), (f[2], f[3])): f[4]
+    unigram = {pair(f[0], f[1]): f[2] for f in section(1, 3, "unigram")}
+    bigram = {(pair(f[0], f[1]), pair(f[2], f[3])): f[4]
               for f in section(2, 5, "bigram")}
-    trigram = {((f[0], f[1]), (f[2], f[3]), (f[4], f[5])): f[6]
-               for f in section(3, 7, "trigram")}
+    trigram = {(pair(f[0], f[1]), pair(f[2], f[3]), pair(f[4], f[5])):
+               f[6] for f in section(3, 7, "trigram")}
     n_freq = header_count("freq", "freq section size")
-    freq = {(f[0], f[1]): f[2] for f in records(n_freq, 3, "freq")}
-    if pos != len(lines) and any(l.strip() for l in lines[pos:]):
+    freq = {pair(f[0], f[1]): f[2] for f in records(n_freq, 3, "freq")}
+    if any(line.strip() for line in lines):
         raise LmError(f"{filename}:{pos + 1}: trailing content")
 
     vocab = frozenset(t for t in unigram if t != BOS) | frozenset(freq)

@@ -111,7 +111,7 @@ _LEMMA_RE = re.compile(r"^.+_[1-9][0-9]*$")
 _POS_FIELD_RE = re.compile(r"<pos>(.*?)</pos>\s*$")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LexEntry:
     kind: Kind
     surface: str          # unvocalized Buckwalter key; "" for null affixes
@@ -158,7 +158,7 @@ def parse_entry_line(line: str, kind: Kind, lineno: int = 0,
         raise LexiconError(f"{where}: expected 3 to 6 tab-separated fields, "
                            f"got {len(fields)}")
     fields += [""] * (6 - len(fields))
-    surface, voc, cat, glosspos, lemma = (f.strip() for f in fields[:5])
+    surface, voc, cat, glosspos, lemma, flagtext = map(str.strip, fields)
     surface = "" if surface == "0" else surface
     voc = "" if voc == "0" else voc
     if not cat:
@@ -178,8 +178,8 @@ def parse_entry_line(line: str, kind: Kind, lineno: int = 0,
     else:
         gloss = glosspos
         pos = _default_pos(voc, cat)
-    if fields[5].strip():
-        flags = parse_flagset(fields[5].strip().split("|"))
+    if flagtext:
+        flags = parse_flagset(flagtext.split("|"))
     else:
         flags = ALL_FLAGS
     return LexEntry(kind=kind, surface=surface, voc=voc, cat=cat,
@@ -262,7 +262,7 @@ class Lexicon:
                 yield from bucket
 
     def __len__(self) -> int:
-        return sum(1 for _ in self.entries())
+        return len(self._by_key)
 
     def add(self, entry: LexEntry) -> bool:
         """Insert an entry, collapsing duplicates by flag union.

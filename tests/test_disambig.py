@@ -1,6 +1,7 @@
 import io
 import logging
 import random
+import re
 from collections import Counter
 from dataclasses import replace
 
@@ -428,6 +429,58 @@ def test_load_lm_rejects_corrupt_input():
     lines = serialize_lm(model).splitlines(keepends=True)
     with pytest.raises(LmError, match="truncated"):
         load_lm(io.StringIO("".join(lines[:-2])))
+
+
+def _one_shot(text):
+    """``text`` as a generator of lines, which can be read only once."""
+    return (line for line in text.splitlines(keepends=True))
+
+
+def test_load_lm_reports_positions_when_read_once_line_by_line():
+    model = train_lm([[("a_1", "N"), ("b_1", "V")], [("a_1", "N")]],
+                     freq={("c_1", "A"): 4, ("d_1", "N"): 1}, lam=0.25)
+    text = serialize_lm(model)
+    lines = text.splitlines(keepends=True)
+    assert load_lm(_one_shot(text), "m.lm") == model
+    assert load_lm(_one_shot(text + "\n \n"), "m.lm") == model
+    headers = {what: next(i for i, line in enumerate(lines, 1)
+                          if line.startswith(prefix))
+               for what, prefix in (("unigram", "ngrams\t1"),
+                                    ("bigram", "ngrams\t2"),
+                                    ("trigram", "ngrams\t3"),
+                                    ("freq", "freq\t"))}
+    bigram_record = lines[headers["bigram"]].rpartition("\t")[0] + "\n"
+    cases = [
+        (lines[:headers["bigram"] - 1],
+         f"m.lm: truncated at line {headers['bigram']}, expected ngrams"),
+        (lines[:headers["freq"] - 1],
+         f"m.lm: truncated at line {headers['freq']}, expected freq"),
+        (lines[:headers["bigram"]] + [bigram_record]
+         + lines[headers["bigram"] + 1:],
+         f"m.lm:{headers['bigram'] + 1}: expected 5 fields in bigram record"),
+        (lines[:headers["bigram"] - 1] + ["ngrams\t3\t3\n"]
+         + lines[headers["bigram"]:],
+         f"m.lm:{headers['bigram']}: expected bigram section"),
+        (lines + ["\n", "junk\n"],
+         f"m.lm:{len(lines) + 1}: trailing content"),
+    ]
+    for what, line in headers.items():
+        cases.append((lines[:line + 1],
+                      f"m.lm: truncated {what} section at line {line + 2}"))
+    for kept, message in cases:
+        with pytest.raises(LmError, match=f"^{re.escape(message)}$"):
+            load_lm(_one_shot("".join(kept)), "m.lm")
+
+
+def test_a_loaded_model_keeps_one_tuple_per_lemma_and_tag(freq,
+                                                          gold_sentences):
+    tuples = [[t.lemma_pos for t in sent] for sent in gold_sentences]
+    text = serialize_lm(train_lm(tuples, freq=freq, lam=0.7))
+    model = load_lm(io.StringIO(text))
+    keys = [*model.unigram, *model.freq, *model.vocab,
+            *(t for key in [*model.bigram, *model.trigram] for t in key)]
+    assert len({id(t) for t in keys}) == len(set(keys))
+    assert serialize_lm(model) == text
 
 
 def _with_last_field(text, lineno, value):

@@ -2,6 +2,7 @@ import io
 import logging
 from collections import Counter
 from dataclasses import replace
+from itertools import cycle
 from pathlib import Path
 
 import pytest
@@ -10,14 +11,15 @@ from hypothesis import given, strategies as st
 DATA = Path(__file__).parent / "data"
 
 from arabmorph.cli import default_lexicon_dir
-from arabmorph.lexicon import (ALL_FLAGS, CompatTables, Flag, Kind,
-                               LexiconError, Status, classical_preset,
+from arabmorph.lexicon import (ALL_FLAGS, Candidate, CompatTables, Flag,
+                               Kind, LexEntry, Lexicon, LexiconError,
+                               ReviewBatch, Status, classical_preset,
                                compatible, flag_names, import_tei_dictionary,
                                import_wordlist, load_lexicon,
                                load_lexicon_dir, load_review,
                                merge_reviewed, parse_entry_line, parse_flagset,
                                save_review, serialize_lexicon)
-from arabmorph.translit import normalize
+from arabmorph.translit import normalize, strip_diacritics
 
 flag_lists = st.lists(st.sampled_from([f.name for f in Flag]), max_size=9)
 
@@ -98,6 +100,108 @@ def test_parse_entry_line_rejections():
         parse_entry_line("ktAb\tkitAb\tN\tbook\tkitAb\tCA", Kind.STEM)
     with pytest.raises(LexiconError, match="3 to 6"):
         parse_entry_line("ktAb\tkitAb", Kind.STEM)
+
+
+# Pieces of real rows, so that generated rows reach every check.
+_ROW_PIECES = st.sampled_from([
+    "0", " ", "\t", "|", "<pos>", "</pos>", "/", "+", "_", "_1", "_0", "#",
+    "ktAb", "kitAb", "ktb", "a", "~", "N", "PV", "Pref-Al", "CA", "msa",
+    "XRAM_NE", "bogus", "\u0643"])
+
+
+@given(st.sampled_from(list(Kind)),
+       st.text(max_size=40) | st.lists(_ROW_PIECES, max_size=16).map("".join))
+def test_parse_entry_line_parses_or_raises_lexicon_error(kind, line):
+    try:
+        entry = parse_entry_line(line, kind)
+    except LexiconError:
+        return
+    assert entry.kind is kind and entry.cat and entry.flags
+
+
+def test_entries_are_slotted_and_still_replace_and_merge():
+    entry = parse_entry_line("ktAb\tkitAb\tN\tbook\tkitAb_1\tCA", Kind.STEM)
+    assert not hasattr(entry, "__dict__")
+    msa = replace(entry, flags=Flag.MSA)
+    assert (msa.flags, msa.voc, entry.flags) == (Flag.MSA, "kitAb", Flag.CA)
+    lex = _mini_lexicon(["ktAb\tkitAb\tN\tbook\tkitAb_1\tCA"])
+    assert not lex.add(msa)
+    assert lex.stems["ktAb"] == [replace(entry, flags=Flag.CA | Flag.MSA)]
+
+
+_FLAG_SETS = st.integers(1, int(ALL_FLAGS)).map(Flag)
+
+
+@st.composite
+def _entries(draw, kind=None):
+    """A valid entry: null affixes, explicit and default ``<pos>``
+    annotations, glosses and lemmas or none, any non-empty flag set."""
+    kind = kind or draw(st.sampled_from(list(Kind)))
+    units = draw(st.lists(
+        st.tuples(st.sampled_from("ktbAlw>"),
+                  st.sampled_from(["", "a", "i", "u", "~a"])),
+        min_size=1 if kind is Kind.STEM else 0, max_size=3))
+    voc = "".join(letter + vowels for letter, vowels in units)
+    cat = draw(st.sampled_from(["N", "PV", "Pref-Al", "Suff-0", "NSuff-ap"]))
+    pos = draw(st.none() | st.sampled_from(
+        ["", "Al/DET", "wa/CONJ+Al/DET", "kitAb/N+ap/NSUFF"]))
+    return LexEntry(
+        kind=kind, surface=strip_diacritics(voc), voc=voc, cat=cat,
+        gloss=draw(st.text("abc ()-", max_size=8)).strip(),
+        pos=f"{voc}/{cat}" if voc and pos is None else pos or "",
+        lemma=draw(st.just("") | st.builds("{}_{}".format,
+                                           st.sampled_from(["kitAb", "Al"]),
+                                           st.integers(1, 12))),
+        flags=draw(_FLAG_SETS))
+
+
+def _rows_counted(lex):
+    return sum(1 for _ in lex.entries())
+
+
+@given(st.lists(_entries(), max_size=12),
+       st.lists(st.tuples(_entries(), st.sampled_from([Status.ACCEPTED,
+                                                        Status.REJECTED])),
+                max_size=6))
+def test_len_counts_rows_after_adds_copies_and_merges(added, reviewed):
+    lex = _mini_lexicon(["ktAb\tkitAb\tN\tbook\tkitAb_1\tCA"])
+    # Re-adding rows with every flag gives duplicates and flag unions.
+    for entry in added + [replace(e, flags=ALL_FLAGS) for e in added[::2]]:
+        lex.add(entry)
+        assert len(lex) == _rows_counted(lex)
+    clone = lex.copy()
+    assert len(clone) == _rows_counted(clone) == len(lex)
+    batch = ReviewBatch([Candidate(e, status) for e, status in reviewed])
+    merged = merge_reviewed(lex, batch)
+    assert len(merged) == _rows_counted(merged)
+    assert len(lex) == _rows_counted(lex) == len(clone)
+
+
+def _pad(text, pads):
+    """Every tab-separated field of ``text`` with the next ``pads`` around
+    it."""
+    return "".join("\t".join(f"{next(pads)}{field}{next(pads)}"
+                             for field in row.split("\t")) + "\n"
+                   for row in text.splitlines())
+
+
+@given(_entries(Kind.STEM), st.lists(_entries(), max_size=12),
+       st.lists(st.sampled_from(["", " ", "  "]), min_size=1))
+def test_serialize_load_round_trip_over_generated_entries(stem, entries,
+                                                          pads):
+    lex = Lexicon(CompatTables(ab=frozenset({("Pref-Al", "N")}),
+                               bc=frozenset(), ac=frozenset()))
+    for entry in [stem] + entries:
+        lex.add(entry)
+    files = serialize_lexicon(lex)
+    spaces = cycle(pads)
+    reloaded = load_lexicon(
+        *(io.StringIO(_pad(files[name], spaces))
+          for name in ("prefixes.tsv", "stems.tsv", "suffixes.tsv")),
+        tuple(io.StringIO(files[name])
+              for name in ("compat_ab.tsv", "compat_bc.tsv", "compat_ac.tsv")))
+    assert list(reloaded.entries()) == list(lex.entries())
+    assert serialize_lexicon(reloaded) == files
 
 
 def _mini_lexicon(stem_rows, prefix_rows=("0\t0\tPref-0",),
