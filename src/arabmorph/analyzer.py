@@ -35,11 +35,18 @@ def tokenize(text: str, table: BuckTable | None = None) -> list[Token]:
     (punctuation, digits, Latin, whitespace) is skipped.  Offsets point
     into the original text so output can be realigned with the source."""
     table = table or DEFAULT_TABLE
-    # A run of bare diacritics or tatweel is not a word.
-    words = (m for m in table.runs.finditer(text)
-             if not table.arabic_letters.isdisjoint(m.group()))
-    return [Token(m.group(), m.start(), index)
-            for index, m in enumerate(words)]
+    letters = table.arabic_letters
+    is_word: dict[str, bool] = {}   # per distinct run: does it hold a letter
+    tokens: list[Token] = []
+    for m in table.runs.finditer(text):
+        run = m.group()
+        word = is_word.get(run)
+        if word is None:
+            # A run of bare diacritics or tatweel is not a word.
+            word = is_word[run] = not letters.isdisjoint(run)
+        if word:
+            tokens.append(Token(run, m.start(), len(tokens)))
+    return tokens
 
 
 @dataclass(frozen=True)
@@ -90,17 +97,6 @@ class TokenReadings:
         return not self.analyses
 
 
-def segmentations(surface: str) -> list[tuple[str, str, str]]:
-    """All (prefix, stem, suffix) cuts of a surface under the length caps,
-    stem non-empty; ordered by prefix length, then suffix length."""
-    out = []
-    n = len(surface)
-    for p in range(0, min(MAX_PREFIX_LEN, n - 1) + 1):
-        for s in range(0, min(MAX_SUFFIX_LEN, n - p - 1) + 1):
-            out.append((surface[:p], surface[p:n - s], surface[n - s:]))
-    return out
-
-
 def analyze_type(surface: str, lex: Lexicon, active: Flag,
                  fold_alif: bool = False) -> list[Analysis]:
     """All compatible readings of one unvocalized Buckwalter surface.
@@ -110,9 +106,11 @@ def analyze_type(surface: str, lex: Lexicon, active: Flag,
     the folded surface is the folded slice.  The lexicon's view is fetched
     once and each prefix, stem and suffix is one read of it: each affix
     length once per surface, a stem only where both affixes were found.
-    Splits are tried in ``segmentations`` order.  Duplicates (same voc,
-    lemma, primary tag) collapse onto the first occurrence, so order is
-    deterministic: segmentation order, then lexicon load order.
+    Splits are tried by prefix length, then by suffix length, each from
+    empty up to its cap (``MAX_PREFIX_LEN``, ``MAX_SUFFIX_LEN``), the stem
+    never empty.  Duplicates (same voc, lemma, primary tag) collapse onto
+    the first occurrence, so order is deterministic: segmentation order,
+    then lexicon load order.
     """
     seen: set[tuple[str, str, str]] = set()
     out: list[Analysis] = []
@@ -202,19 +200,21 @@ def analyze_text(tokens: list[Token], lex: Lexicon, active: Flag,
     """One record per token, in token order; repeated types are served
     from the cache and share its tuple of analyses.
 
-    Each distinct surface is transliterated once per call: ``keys`` maps
-    it to its cache key.  The cache is still asked once per token, so its
-    hit and miss counts are per token.
+    Each distinct surface is transliterated and looked up in the cache
+    once per call; ``found`` maps it to its analyses.  A later token of
+    the same surface would be a cache hit, so the cache's hit count grows
+    by those tokens and its hit and miss counts stay per token.
     """
     cache = cache if cache is not None else TypeCache()
-    keys: dict[str, tuple[str, int, bool]] = {}
+    found: dict[str, tuple[Analysis, ...]] = {}
     out = []
     for token in tokens:
-        key = keys.get(token.surface)
-        if key is None:
-            key = keys[token.surface] = (token_lookup_key(token, table),
-                                         int(active), fold_alif)
-        analyses = cache.get_or_compute(
-            key, lambda: tuple(analyze_type(key[0], lex, active, fold_alif)))
+        analyses = found.get(token.surface)
+        if analyses is None:
+            key = (token_lookup_key(token, table), int(active), fold_alif)
+            analyses = found[token.surface] = cache.get_or_compute(
+                key, lambda: tuple(analyze_type(key[0], lex, active,
+                                                fold_alif)))
         out.append(TokenReadings(token, analyses))
+    cache.hits += len(tokens) - len(found)
     return out

@@ -30,11 +30,13 @@ from .lexicon import (ALL_FLAGS, Flag, Kind, LexiconError, classical_preset,
 from .pipeline import Pipeline, PipelineConfig
 from .teixml import (UNKNOWN_ANA, TeiError, apply_corrections, doc_from_ranked,
                      emit_tei, parse_tei)
+from .textio import EncodingError, decoding, open_utf8
 from .translit import TranslitError
 
 ENV_LEXICON = "ARABMORPH_LEXICON"
 
-_ERRORS = (LexiconError, RuleError, LmError, TeiError, TranslitError)
+_ERRORS = (LexiconError, RuleError, LmError, TeiError, TranslitError,
+           EncodingError)
 
 
 def default_lexicon_dir() -> Path:
@@ -83,8 +85,9 @@ def _atomic_write(path: Path, text: str) -> None:
 
 def _read_text(path: str) -> str:
     if path == "-":
-        return sys.stdin.read()
-    with open(path, encoding="utf-8") as f:
+        with decoding("<stdin>"):
+            return sys.stdin.read()
+    with open_utf8(path) as f:
         return f.read()
 
 
@@ -140,11 +143,11 @@ def cmd_correct(args) -> int:
 
 
 def cmd_train_lm(args) -> int:
-    with open(args.gold, encoding="utf-8") as f:
+    with open_utf8(args.gold) as f:
         sentences = load_gold(f, args.gold)
     freq = None
     if args.freq:
-        with open(args.freq, encoding="utf-8") as f:
+        with open_utf8(args.freq) as f:
             freq = load_freq_table(f, args.freq)
     tuples = [[tok.lemma_pos for tok in sent] for sent in sentences]
     model = train_lm(tuples, freq, args.lam)
@@ -168,7 +171,7 @@ def _readings_from_doc(doc) -> list[list[tuple[str, str]]]:
 def cmd_eval(args) -> int:
     lex = load_lexicon_dir(_resolve_lexicon_dir(args.lexicon))
     doc = parse_tei(_read_text(args.system))
-    with open(args.gold, encoding="utf-8") as f:
+    with open_utf8(args.gold) as f:
         gold = [tok for sent in load_gold(f, args.gold) for tok in sent]
     report = evaluate(_readings_from_doc(doc), gold, lex)
     sys.stdout.write(report_table(report))
@@ -183,11 +186,11 @@ def cmd_import(args) -> int:
     if args.dedup:
         lex = load_lexicon_dir(_resolve_lexicon_dir(args.lexicon))
     if args.tei:
-        with open(args.tei, encoding="utf-8") as f:
+        with open_utf8(args.tei) as f:
             batch = import_tei_dictionary(f, assign, lex,
                                           source=Path(args.tei).name)
     else:
-        with open(args.wordlist, encoding="utf-8") as f:
+        with open_utf8(args.wordlist) as f:
             batch = import_wordlist(f, Kind(args.kind), assign,
                                     source=Path(args.wordlist).name)
     buf = io.StringIO()
@@ -201,7 +204,7 @@ def cmd_import(args) -> int:
 def cmd_merge(args) -> int:
     lexdir = _resolve_lexicon_dir(args.lexicon)
     lex = load_lexicon_dir(lexdir)
-    with open(args.review, encoding="utf-8") as f:
+    with open_utf8(args.review) as f:
         batch = load_review(f, args.review)
     merged = merge_reviewed(lex, batch)
     outdir = Path(args.output) if args.output else lexdir

@@ -123,6 +123,9 @@ def apply_rules(sets: Sequence[TokenReadings], rules: Sequence[FilterRule],
     the sequence.  ``surface`` contexts compare against the neighbor's
     surface as written and as its lookup key under ``table``.  A token
     that loses nothing keeps its ``analyses`` and the empty ``dropped``.
+    A token with no armed rule gets its input record itself back when
+    that record has no ``dropped`` and no ``ranked``, as ``analyze_text``'s
+    records have; any other record is rebuilt.
     Each skipped (rule, surface) pair is logged once, with its token count.
 
     Work is done once per distinct input in one call.  Bit ``k`` stands
@@ -165,7 +168,8 @@ def apply_rules(sets: Sequence[TokenReadings], rules: Sequence[FilterRule],
     out = []
     for rec, armed in zip(sets, armed_bits):
         if not armed:
-            out.append(TokenReadings(rec.token, rec.analyses))
+            out.append(rec if not (rec.dropped or rec.ranked)
+                       else TokenReadings(rec.token, rec.analyses))
             continue
         outcome = outcomes.get((id(rec.analyses), armed))
         if outcome is None:
@@ -460,23 +464,28 @@ def rank(sets: Sequence[TokenReadings],
 
     A ranking depends only on the context's ``model.backoff`` and the
     readings, so it is computed once per (backoff, analyses object) in
-    one call and the list is shared.  Keying by ``id`` is exact: ``sets``
-    keeps every keyed analyses object alive for the call, and the shared
-    per-type tuples and survivors make the ids repeat.
+    one call and the list is shared, kept with its top tuple (``UNK``
+    for an empty list) that the next contexts take.  Keying by ``id`` is
+    exact: ``sets`` keeps every keyed analyses object alive for the call,
+    and the shared per-type tuples and survivors make the ids repeat.
     """
+    backoff = model.backoff
     t2 = t1 = BOS
-    memo: dict[tuple, list[tuple[Analysis, float]]] = {}
+    memo: dict[tuple, tuple[list[tuple[Analysis, float]], Tuple]] = {}
     out = []
     for rec in sets:
         ctx = (t2, t1)
-        key = (model.backoff(ctx), id(rec.analyses))
-        ranked = memo.get(key)
-        if ranked is None:
-            ranked = memo[key] = [(a, model.score(ctx, a.lemma_pos))
-                                  for a in rec.analyses]
+        key = (backoff(ctx), id(rec.analyses))
+        entry = memo.get(key)
+        if entry is None:
+            ranked = [(a, model.score(ctx, a.lemma_pos))
+                      for a in rec.analyses]
             if len(ranked) > 1:
                 ranked.sort(key=lambda pair: (
                     -pair[1], -model.freq.get(pair[0].lemma_pos, 0)))
+            entry = memo[key] = (ranked,
+                                 ranked[0][0].lemma_pos if ranked else UNK)
+        ranked, top = entry
         out.append(TokenReadings(rec.token, rec.analyses, rec.dropped, ranked))
-        t2, t1 = t1, ranked[0][0].lemma_pos if ranked else UNK
+        t2, t1 = t1, top
     return out

@@ -12,9 +12,8 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import IO, Iterable, Sequence
+from typing import IO, AbstractSet, Iterable, Sequence
 
-from .analyzer import TokenReadings
 from .lexicon import Flag, Lexicon, LexiconError
 
 Reading = tuple[str, str]
@@ -63,10 +62,6 @@ def load_gold(stream: IO[str] | Iterable[str],
     if current:
         sentences.append(current)
     return sentences
-
-
-def readings_from_ranked(sets: Sequence[TokenReadings]) -> list[list[Reading]]:
-    return [[a.lemma_pos for a, _ in rec.ranked] for rec in sets]
 
 
 class Mode(enum.Enum):
@@ -129,7 +124,7 @@ def prf(system: Sequence[Sequence[Reading]], gold: Sequence[GoldToken],
 
 
 def _prf(system: Sequence[Sequence[Reading]], gold: Sequence[GoldToken],
-         mode: Mode, covered: set[Reading]) -> ModeScores:
+         mode: Mode, covered: AbstractSet[Reading]) -> ModeScores:
     """``prf`` of aligned sequences, given the lexicon's (lemma, tag)
     pairs, ``covered``."""
     total = len(gold)

@@ -17,6 +17,7 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import IO, Iterable, Iterator
 
+from .textio import utf8_lines
 from .translit import arabic_to_buck, normalize, strip_diacritics
 
 log = logging.getLogger(__name__)
@@ -242,8 +243,9 @@ def _parse_pairs(stream: IO[str] | Iterable[str],
 class Lexicon:
     """The surface-keyed entry tables of the three kinds, one ``tables``
     store, plus their compatibility tables.  Lookups read one ``view`` per
-    (flags, alif folding), built on first use; ``add``, the only mutator
-    (merges return a new Lexicon), drops it."""
+    (flags, alif folding), and evaluation the ``known_lemma_pos`` set, each
+    built on first use; ``add``, the only mutator (merges return a new
+    Lexicon), drops both."""
 
     def __init__(self, compat: CompatTables):
         self.tables: dict[Kind, dict[str, list[LexEntry]]] = {k: {} for k in Kind}
@@ -252,6 +254,7 @@ class Lexicon:
         self._by_key: dict[tuple, LexEntry] = {}
         self._view_key: tuple[int, bool] | None = None
         self._view: dict[Kind, dict[str, list[LexEntry]]] = {}
+        self._known: frozenset[tuple[str, str]] | None = None
 
     def table(self, kind: Kind) -> dict[str, list[LexEntry]]:
         return self.tables[kind]
@@ -270,7 +273,7 @@ class Lexicon:
         Returns True when a new row was created, False when an existing
         row absorbed the entry's flags.
         """
-        self._view_key = None
+        self._view_key = self._known = None
         key = _dedup_key(entry)
         existing = self._by_key.get(key)
         if existing is not None:
@@ -314,10 +317,14 @@ class Lexicon:
             self._view, self._view_key = view, (mask, fold_alif)
         return self._view
 
-    def known_lemma_pos(self) -> set[tuple[str, str]]:
-        """(lemma, primary tag) pairs of every stem entry."""
-        return {(e.lemma, e.head_tag())
-                for bucket in self.stems.values() for e in bucket if e.lemma}
+    def known_lemma_pos(self) -> frozenset[tuple[str, str]]:
+        """(lemma, primary tag) pairs of every stem entry, collected on
+        first use and kept until ``add``."""
+        if self._known is None:
+            self._known = frozenset(
+                (e.lemma, e.head_tag())
+                for bucket in self.stems.values() for e in bucket if e.lemma)
+        return self._known
 
     def copy(self) -> "Lexicon":
         """An independent lexicon with the same rows.  Buckets are copied;
@@ -376,16 +383,17 @@ LEXICON_FILES = ("prefixes.tsv", "stems.tsv", "suffixes.tsv",
 
 def load_lexicon_dir(path) -> Lexicon:
     path = Path(path)
-    streams = []
+    names = tuple(str(path / n) for n in LEXICON_FILES)
+    files = []
     try:
-        for name in LEXICON_FILES:
-            streams.append((path / name).open(encoding="utf-8"))
-        return load_lexicon(streams[0], streams[1], streams[2],
-                            (streams[3], streams[4], streams[5]),
-                            filenames=tuple(str(path / n) for n in LEXICON_FILES))
+        for name in names:
+            files.append(open(name, encoding="utf-8"))
+        lines = [utf8_lines(f, name) for f, name in zip(files, names)]
+        return load_lexicon(lines[0], lines[1], lines[2],
+                            (lines[3], lines[4], lines[5]), filenames=names)
     finally:
-        for s in streams:
-            s.close()
+        for f in files:
+            f.close()
 
 
 def serialize_lexicon(lex: Lexicon) -> dict[str, str]:

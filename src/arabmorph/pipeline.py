@@ -11,6 +11,7 @@ from .analyzer import Token, TokenReadings, TypeCache, analyze_text, tokenize
 from .disambig import (FilterRule, LmError, LmModel, apply_rules, empty_lm,
                        load_freq_table, load_lm, parse_rules, rank)
 from .lexicon import Flag, Lexicon, LexiconError, load_lexicon_dir
+from .textio import open_utf8
 from .translit import BuckTable, DEFAULT_TABLE
 
 
@@ -40,14 +41,14 @@ class PipelineConfig:
         lex = load_lexicon_dir(self.lexicon_dir)
         rules = []
         if self.rules_path:
-            with open(self.rules_path, encoding="utf-8") as f:
+            with open_utf8(self.rules_path) as f:
                 rules = parse_rules(f, self.rules_path)
         freq = None
         if self.freq_path:
-            with open(self.freq_path, encoding="utf-8") as f:
+            with open_utf8(self.freq_path) as f:
                 freq = load_freq_table(f, self.freq_path)
         if self.lm_path:
-            with open(self.lm_path, encoding="utf-8") as f:
+            with open_utf8(self.lm_path) as f:
                 model = load_lm(f, self.lm_path)
             if self.lam is not None:
                 model = replace(model, lam=self.lam)

@@ -1,0 +1,36 @@
+"""Reading UTF-8 text inputs: a decode failure becomes an
+``EncodingError`` that names the input, so the CLI can report it."""
+
+from __future__ import annotations
+
+from contextlib import contextmanager
+from typing import IO, Iterable, Iterator
+
+
+class EncodingError(ValueError):
+    """An input that is not UTF-8 text."""
+
+
+@contextmanager
+def decoding(name: str) -> Iterator[None]:
+    """Raise a UTF-8 decode failure inside the block as an
+    ``EncodingError`` naming ``name``."""
+    try:
+        yield
+    except UnicodeDecodeError as exc:
+        raise EncodingError(f"{name}: not UTF-8 text ({exc.reason})") from exc
+
+
+@contextmanager
+def open_utf8(path) -> Iterator[IO[str]]:
+    """``path`` opened for reading as UTF-8 text, with ``decoding(path)``
+    around the block."""
+    with open(path, encoding="utf-8") as f, decoding(str(path)):
+        yield f
+
+
+def utf8_lines(stream: Iterable[str], name: str) -> Iterator[str]:
+    """The lines of ``stream`` under ``decoding(name)``, for a reader that
+    holds several inputs open at once."""
+    with decoding(name):
+        yield from stream

@@ -12,6 +12,8 @@ import re
 from importlib import resources
 from typing import IO, Iterable
 
+from .textio import open_utf8
+
 # Characters removed when reducing a vocalized form to its written surface:
 # short vowels, sukun, shadda and the three tanwin signs.
 DIACRITICS = "auioFNK~"
@@ -66,7 +68,7 @@ class BuckTable:
 
     @classmethod
     def from_file(cls, path) -> "BuckTable":
-        with open(path, encoding="utf-8") as f:
+        with open_utf8(path) as f:
             return cls.from_stream(f)
 
     def to_buck(self, text: str, unmapped: list | None = None) -> str:

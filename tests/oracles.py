@@ -3,7 +3,7 @@
 from xml.sax.saxutils import escape, quoteattr
 
 from arabmorph import __version__
-from arabmorph.analyzer import token_lookup_key
+from arabmorph.analyzer import MAX_PREFIX_LEN, MAX_SUFFIX_LEN, token_lookup_key
 from arabmorph.disambig import BOS, UNK
 from arabmorph.lexicon import Kind, compatible
 
@@ -40,6 +40,24 @@ def brute_force_segmentation_count(n, max_pre, max_suf):
             if i <= max_pre and (n - j) <= max_suf and j > i:
                 count += 1
     return count
+
+
+def segmentations(surface):
+    """All (prefix, stem, suffix) cuts of a surface under the analyzer's
+    length caps, stem non-empty; ordered by prefix length, then suffix
+    length, the order in which ``analyze_type`` tries them."""
+    out = []
+    n = len(surface)
+    for p in range(0, min(MAX_PREFIX_LEN, n - 1) + 1):
+        for s in range(0, min(MAX_SUFFIX_LEN, n - p - 1) + 1):
+            out.append((surface[:p], surface[p:n - s], surface[n - s:]))
+    return out
+
+
+def readings_from_ranked(sets):
+    """The (lemma, primary tag) of each record's ranked readings, in rank
+    order: the system side ``evaluate`` takes."""
+    return [[a.lemma_pos for a, _ in rec.ranked] for rec in sets]
 
 
 def one_lookup_per_split_analyses(surface, lex, active, fold_alif,

@@ -6,7 +6,7 @@ from hypothesis import given, strategies as st
 
 from arabmorph.analyzer import (MAX_PREFIX_LEN, MAX_SUFFIX_LEN, TokenReadings,
                                 TypeCache, analyze_text, analyze_type,
-                                segmentations, token_lookup_key, tokenize)
+                                token_lookup_key, tokenize)
 from arabmorph.lexicon import (ALL_FLAGS, Flag, Kind, compatible,
                                parse_entry_line, parse_flagset)
 from arabmorph.translit import (DEFAULT_TABLE, DIACRITICS, TATWEEL, BuckTable,
@@ -14,7 +14,7 @@ from arabmorph.translit import (DEFAULT_TABLE, DIACRITICS, TATWEEL, BuckTable,
 
 from oracles import (brute_force_analyses, brute_force_segmentation_count,
                      licensed_surfaces, one_lookup_per_split_analyses,
-                     reference_to_buck, reference_tokenize)
+                     reference_to_buck, reference_tokenize, segmentations)
 
 MSA = parse_flagset(["MSA"])
 

@@ -1,4 +1,9 @@
+import io
+import os
 import random
+import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -324,3 +329,167 @@ def test_analyze_rejects_freq_with_lm_before_reading_either(tmp_path, capsys):
     assert out.err.startswith("arabmorph: error: a frequency table is used "
                               "only without a language model")
     assert "Traceback" not in out.err
+
+
+# --- the exit code on bad input -------------------------------------------------
+
+NOT_UTF8 = b"\xff\xfe"
+LEXICON = Path(__file__).parents[1] / "src" / "arabmorph" / "data" / "lexicon"
+TABLE = LEXICON.parent / "buckwalter.tsv"
+
+
+def _error_lines(err):
+    return [line for line in err.splitlines()
+            if line.startswith("arabmorph: error:")]
+
+
+def test_analyze_non_utf8_input_exits_2_naming_it(tmp_path, capsys,
+                                                  monkeypatch):
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(NOT_UTF8)
+    assert main(["analyze", str(bad), "--flags", "all"]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == (f"arabmorph: error: {bad}: not UTF-8 text "
+                       "(invalid start byte)\n")
+
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(NOT_UTF8),
+                                                      encoding="utf-8"))
+    assert main(["analyze", "-", "--flags", "all"]) == 2
+    assert capsys.readouterr().err == ("arabmorph: error: <stdin>: not UTF-8 "
+                                       "text (invalid start byte)\n")
+
+
+@pytest.mark.parametrize("option", ["--lm", "--rules"])
+def test_analyze_non_utf8_resource_exits_2_naming_it(tmp_path, capsys,
+                                                     option):
+    bad = tmp_path / "bad.res"
+    bad.write_bytes(b"# a comment\n" + NOT_UTF8 + b"\n")
+    assert main(["analyze", _write_phrase(tmp_path), "--flags", "all",
+                 option, str(bad)]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert _error_lines(out.err) == [
+        f"arabmorph: error: {bad}: not UTF-8 text (invalid start byte)"]
+
+
+def test_the_command_line_reports_non_utf8_input_without_a_traceback(
+        tmp_path):
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(NOT_UTF8)
+    src = Path(__file__).parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-m", "arabmorph.cli", "analyze", str(bad),
+         "--flags", "all"],
+        capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": str(src)})
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert _error_lines(proc.stderr) == proc.stderr.splitlines()
+    assert len(proc.stderr.splitlines()) == 1
+
+
+# Each command's arguments with a well-formed input in every file slot.
+COMMANDS = {
+    "analyze": ["analyze", "{text}", "--flags", "MSA", "--lexicon",
+                "{lexicon}", "--rules", "{rules}", "--freq", "{freq}",
+                "--translit-table", "{table}"],
+    "analyze --lm": ["analyze", "{text}", "--flags", "MSA", "--lm", "{lm}"],
+    "correct": ["correct", "{xml}"],
+    "train-lm": ["train-lm", "{gold}", "--freq", "{freq}",
+                 "--output", "{out}/model.lm"],
+    "eval": ["eval", "{xml}", "{eval_gold}", "--lexicon", "{lexicon}"],
+    "import --tei": ["import", "--tei", "{tei}", "--flags", "CA", "--dedup",
+                     "--lexicon", "{lexicon}", "--output", "{out}/r.tsv"],
+    "import --wordlist": ["import", "--wordlist", "{wordlist}", "--flags",
+                          "ICA", "--output", "{out}/r.tsv"],
+    "merge": ["merge", "{review}", "--lexicon", "{lexicon}",
+              "--output", "{out}/merged"],
+}
+
+# One malformed input of each kind a slot reads; a lexicon directory gets
+# the text as one more line of the named file.
+MALFORMED = {
+    "text": {},
+    "lexicon": {"lexicon row": ("stems.tsv", "ktb\n"),
+                "compat pair": ("compat_ab.tsv", "N\n")},
+    "rules": {"rule": "DROP pos=V\n"},
+    "freq": {"freq row": "kitAb_1\tN\n"},
+    "lm": {"LM": "arabmorph-lm\t9\n"},
+    "table": {"translit row": "U+0639\n"},
+    "xml": {"TEI": '<text><w ana="x">'},
+    "gold": {"gold row": "مع\tmaEa\tMSA\n"},
+    "eval_gold": {"gold row": "مع\tmaEa\tMSA\n"},
+    "tei": {"TEI": "<TEI><entry>"},
+    "wordlist": {"wordlist row": "ktb\n"},
+    "review": {"review file": "X\tjAmd\tjAmid\tN\n"},
+}
+
+
+def _inputs(tmp_path):
+    """A well-formed file for every slot, and the output directory."""
+    d = tmp_path / "in"
+    d.mkdir()
+    lm = d / "model.lm"
+    main(["train-lm", str(DATA / "gold.tsv"), "--output", str(lm)])
+    eval_gold = d / "eval_gold.tsv"      # aligned with the golden XML
+    eval_gold.write_text("مع\tmaEa/maEa_1/PREP\tMSA\n"
+                         "كاتب\tkAtib/kAtib_1/N\tMSA\n", encoding="utf-8")
+    xml = d / "system.xml"
+    xml.write_text(GOLDEN, encoding="utf-8")
+    review = d / "review.tsv"
+    review.write_text("#! kind=stem\tsource=x\n"
+                      "A\tjAmd\tjAmid\tN\tcool\tjAmid_1\tICA\n",
+                      encoding="utf-8")
+    return {"text": _write_phrase(d), "lexicon": LEXICON,
+            "rules": RULES, "freq": DATA / "freq.tsv", "lm": lm,
+            "table": TABLE, "xml": xml, "gold": DATA / "gold.tsv",
+            "eval_gold": eval_gold, "tei": DATA / "tei_dict.xml",
+            "wordlist": DATA / "wordlist.tsv", "review": review,
+            "out": tmp_path / "out"}
+
+
+def _argv(command, inputs):
+    return [arg.format(**{k: str(v) for k, v in inputs.items()})
+            for arg in COMMANDS[command]]
+
+
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+def test_every_command_succeeds_on_well_formed_inputs(tmp_path, capsys,
+                                                      command):
+    assert main(_argv(command, _inputs(tmp_path))) == 0
+    assert _error_lines(capsys.readouterr().err) == []
+
+
+_BAD_INPUTS = [(command, slot, kind)
+               for command, args in sorted(COMMANDS.items())
+               for slot in MALFORMED if "{%s}" % slot in " ".join(args)
+               for kind in [*MALFORMED[slot], "non-UTF-8", "missing file"]]
+
+
+@pytest.mark.parametrize("command,slot,kind", _BAD_INPUTS)
+def test_every_command_exits_2_with_one_error_line_on_bad_input(
+        tmp_path, capsys, command, slot, kind):
+    inputs = _inputs(tmp_path)
+    capsys.readouterr()
+    inputs[slot] = named = bad = tmp_path / f"bad-{slot}"
+    if slot == "lexicon" and kind != "missing file":
+        shutil.copytree(LEXICON, bad)
+        name, line = MALFORMED[slot].get(kind, ("stems.tsv", None))
+        named = bad / name
+        if line is None:
+            named.write_bytes(NOT_UTF8)
+        else:
+            with open(named, "a", encoding="utf-8") as f:
+                f.write(line)
+    elif kind == "non-UTF-8":
+        bad.write_bytes(NOT_UTF8)
+    elif kind != "missing file":
+        bad.write_text(MALFORMED[slot][kind], encoding="utf-8")
+    assert main(_argv(command, inputs)) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    lines = _error_lines(err)
+    assert len(lines) == 1
+    if kind in ("non-UTF-8", "missing file"):
+        assert str(named) in lines[0]

@@ -5,9 +5,11 @@ import pytest
 from arabmorph.analyzer import analyze_text, tokenize
 from arabmorph.disambig import apply_rules, empty_lm, rank
 from arabmorph.evaluation import (EvalReport, GoldToken, Mode, evaluate,
-                                  f1_score, load_gold, prf, readings_from_ranked,
-                                  report_table, report_tsv, unknown_rates)
+                                  f1_score, load_gold, prf, report_table,
+                                  report_tsv, unknown_rates)
 from arabmorph.lexicon import ALL_FLAGS, LexiconError
+
+from oracles import readings_from_ranked
 
 
 def _gold(n, genre="CA", lemma="kitAb_1", pos="N"):

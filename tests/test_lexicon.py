@@ -345,6 +345,21 @@ def test_a_copy_changes_without_changing_the_original():
     assert serialize_lexicon(lex) == files
 
 
+def test_known_lemma_pos_is_kept_until_add_and_not_shared_by_copy():
+    lex = load_lexicon_dir(default_lexicon_dir())
+    known = lex.known_lemma_pos()
+    assert isinstance(known, frozenset)
+    assert known == {(e.lemma, e.head_tag()) for e in lex.entries()
+                     if e.kind is Kind.STEM and e.lemma}
+    assert lex.known_lemma_pos() is known
+    clone = lex.copy()
+    assert clone.known_lemma_pos() == known
+    assert clone.add(parse_entry_line(
+        "qhwp\tqahowap\tN\tcoffee\tqahowap_1\tMSA", Kind.STEM))
+    assert clone.known_lemma_pos() == known | {("qahowap_1", "N")}
+    assert lex.known_lemma_pos() is known
+
+
 # --- compatibility ----------------------------------------------------------
 
 def test_compatible_requires_all_three_pairs():

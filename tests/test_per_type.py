@@ -1,8 +1,9 @@
-"""The stages after tokenizing do their work once per distinct input of a
-call: lookup keys per surface, rule outcomes per (readings, armed rules),
-rankings per (LM backoff context, readings), ``<w>`` blocks per word.
-Their output must equal the per-token references, and the call counts
-pin that the work is shared."""
+"""Each stage does its work once per distinct input of a call: the letter
+check per run, lookup keys and cache lookups per surface, rule outcomes
+per (readings, armed rules), rankings and their top tuples per (LM
+backoff context, readings), ``<w>`` blocks per word.  Their output must
+equal the per-token references, and the call counts pin that the work
+is shared."""
 
 import io
 import logging
@@ -11,17 +12,19 @@ import pytest
 from hypothesis import given, strategies as st
 
 import arabmorph.teixml as teixml
-from arabmorph.analyzer import (TokenReadings, analyze_type, token_lookup_key,
+from arabmorph.analyzer import (Analysis, TokenReadings, TypeCache,
+                                analyze_text, analyze_type, token_lookup_key,
                                 tokenize)
 from arabmorph.cli import default_lexicon_dir
-from arabmorph.disambig import (BOS, UNK, LmModel, empty_lm, parse_rules,
-                                train_lm)
+from arabmorph.disambig import (BOS, UNK, LmModel, apply_rules, empty_lm,
+                                parse_rules, rank, train_lm)
 from arabmorph.lexicon import ALL_FLAGS, parse_flagset
 from arabmorph.pipeline import Pipeline, PipelineConfig
 from arabmorph.teixml import TeiDoc, doc_from_ranked, emit_tei
 from arabmorph.translit import DEFAULT_TABLE, BuckTable
 
-from oracles import reference_apply_rules, reference_rank, reference_tei
+from oracles import (reference_apply_rules, reference_rank, reference_tei,
+                     reference_tokenize)
 
 RULES = default_lexicon_dir().parent / "rules.txt"
 
@@ -184,6 +187,80 @@ def test_each_surface_is_transliterated_once_per_run(corpus_text,
     calls = _counting(monkeypatch, BuckTable, "to_buck")
     tokens, _, _ = pipeline.run(text)
     assert len(calls) == len({t.surface for t in tokens}) < len(tokens)
+
+
+class _CountingLetters(frozenset):
+    """A letter set that records the text of each ``isdisjoint`` call."""
+
+    def isdisjoint(self, other):
+        self.calls.append(other)
+        return super().isdisjoint(other)
+
+
+def test_each_distinct_run_is_checked_for_a_letter_once(corpus_text):
+    table = BuckTable(DEFAULT_TABLE.a2b)
+    table.arabic_letters = _CountingLetters(table.arabic_letters)
+    table.arabic_letters.calls = []
+    # Bare diacritics and tatweel make runs that hold no letter.
+    text = (corpus_text + " \u064e\u0640 ") * 20
+    tokens = tokenize(text, table)
+    assert [(t.surface, t.offset, t.index) for t in tokens] == \
+        reference_tokenize(text, table)
+    runs = table.runs.findall(text)
+    assert sorted(table.arabic_letters.calls) == sorted(set(runs))
+    assert len(set(runs)) < len(tokens)
+
+
+def test_the_cache_is_asked_once_per_surface_and_counts_per_token(
+        lexicon, corpus_text, monkeypatch):
+    tokens = tokenize(corpus_text * 20)
+    cache = TypeCache()
+    analyze_text(tokenize("كاتب"), lexicon, ALL_FLAGS, cache)
+    calls = _counting(monkeypatch, TypeCache, "get_or_compute")
+    sets = analyze_text(tokens, lexicon, ALL_FLAGS, cache)
+    surfaces = {t.surface for t in tokens}
+    assert len(calls) == len(surfaces) < len(tokens)
+    keys = {token_lookup_key(t) for t in tokens}
+    assert cache.misses == len(keys | {"kAtb"})
+    assert cache.hits + cache.misses == len(tokens) + 1
+    assert [r.analyses for r in sets] == [
+        tuple(analyze_type(token_lookup_key(t), lexicon, ALL_FLAGS))
+        for t in tokens]
+
+
+def test_apply_rules_passes_records_without_armed_rules_through(lexicon,
+                                                                rules):
+    sets = analyze_text(tokenize("مع كاتب مع كاتب كاتب"), lexicon, ALL_FLAGS)
+    out = apply_rules(sets, rules)
+    # The verb reading after مع is dropped; no rule is armed elsewhere.
+    assert [len(r.dropped) for r in out] == [0, 1, 0, 1, 0]
+    assert [o is s for o, s in zip(out, sets)] == [True, False, True, False,
+                                                   True]
+    # Records that carry a ranking are rebuilt without it.
+    again = apply_rules(rank(out, empty_lm()), [])
+    assert all(r.ranked == () and r.dropped == () for r in again)
+    assert [r.analyses for r in again] == [r.analyses for r in out]
+
+
+def test_rank_reads_each_top_tuple_once_per_ranking(lexicon, rules, models,
+                                                    corpus_text, monkeypatch):
+    calls = []
+    lemma_pos = Analysis.lemma_pos.fget
+
+    def counting(analysis):
+        calls.append(analysis)
+        return lemma_pos(analysis)
+
+    monkeypatch.setattr(Analysis, "lemma_pos", property(counting))
+    for model in models:
+        counts = []
+        for copies in (2, 3):
+            calls.clear()
+            _pipeline(lexicon, ALL_FLAGS, rules, model).run(
+                corpus_text * copies)
+            counts.append(len(calls))
+        # A third copy of the text adds tokens but no new ranking.
+        assert counts[0] == counts[1]
 
 
 def test_score_runs_once_per_backoff_and_readings(lexicon, rules, models,
