@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from .lexicon import Flag, Kind, LexEntry, Lexicon, compatible
 from .translit import BuckTable, DEFAULT_TABLE, normalize, strip_diacritics
@@ -27,7 +27,6 @@ MAX_SUFFIX_LEN = 6
 class Token:
     surface: str    # Arabic script, possibly with diacritics
     offset: int     # character index into the source text
-    index: int      # ordinal position in the token stream
 
 
 def tokenize(text: str, table: BuckTable | None = None) -> list[Token]:
@@ -45,7 +44,7 @@ def tokenize(text: str, table: BuckTable | None = None) -> list[Token]:
             # A run of bare diacritics or tatweel is not a word.
             word = is_word[run] = not letters.isdisjoint(run)
         if word:
-            tokens.append(Token(run, m.start(), len(tokens)))
+            tokens.append(Token(run, m.start()))
     return tokens
 
 
@@ -82,9 +81,14 @@ class TokenReadings:
     """One token's readings.  ``apply_rules`` keeps the survivors in
     ``analyses`` and moves the rest to ``dropped`` with their rules;
     ``rank`` adds ``ranked``, the survivors by descending score.  The
-    tuple defaults allocate nothing per token.  Records of one word type
-    share their ``analyses``, ``dropped`` and ``ranked`` objects, so
-    treat them as read-only."""
+    tuple defaults allocate nothing per token.
+
+    Records of one word type share their ``analyses``, ``dropped`` and
+    ``ranked`` objects, so treat them as read-only.  A stage may key its
+    per-call work by the ``id`` of such an object, or of one it builds
+    per such object: the input it is given keeps every keyed object
+    alive for the call, so no id is reused, and the sharing makes the
+    ids repeat."""
 
     token: Token
     analyses: Sequence[Analysis]
@@ -148,34 +152,18 @@ def analyze_type(surface: str, lex: Lexicon, active: Flag,
     return out
 
 
-class TypeCache:
-    """Per-type analysis cache keyed by (surface, active flag bits, alif
-    folding), with hit and miss counts; tuple values, shared by tokens."""
+class TypeCache(dict):
+    """Per-type analyses keyed by (lookup key, active flag bits, alif
+    folding); tuple values, shared by tokens.  ``analyze_text`` fills it
+    and counts its hits and misses per token."""
 
-    def __init__(self):
-        self._map: dict[tuple, tuple[Analysis, ...]] = {}
-        self.hits = 0
-        self.misses = 0
-
-    def get_or_compute(self, key: tuple,
-                       compute: Callable[[], tuple]) -> tuple:
-        try:
-            value = self._map[key]
-        except KeyError:
-            value = compute()
-            self._map[key] = value
-            self.misses += 1
-            return value
-        self.hits += 1
-        return value
+    hits = 0
+    misses = 0
 
     @property
     def hit_rate(self) -> float:
         total = self.hits + self.misses
         return self.hits / total if total else 0.0
-
-    def __len__(self) -> int:
-        return len(self._map)
 
 
 def token_lookup_key(token: Token, table: BuckTable | None = None) -> str:
@@ -212,9 +200,14 @@ def analyze_text(tokens: list[Token], lex: Lexicon, active: Flag,
         analyses = found.get(token.surface)
         if analyses is None:
             key = (token_lookup_key(token, table), int(active), fold_alif)
-            analyses = found[token.surface] = cache.get_or_compute(
-                key, lambda: tuple(analyze_type(key[0], lex, active,
-                                                fold_alif)))
+            analyses = cache.get(key)
+            if analyses is None:
+                analyses = cache[key] = tuple(
+                    analyze_type(key[0], lex, active, fold_alif))
+                cache.misses += 1
+            else:
+                cache.hits += 1
+            found[token.surface] = analyses
         out.append(TokenReadings(token, analyses))
     cache.hits += len(tokens) - len(found)
     return out

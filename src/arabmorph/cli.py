@@ -22,7 +22,8 @@ from . import __version__
 from .analyzer import had_diacritics
 from .disambig import (LmError, RuleError, load_freq_table, serialize_lm,
                        train_lm)
-from .evaluation import (evaluate, load_gold, report_table, report_tsv)
+from .evaluation import (evaluate, load_gold, readings_from_doc,
+                         report_table, report_tsv)
 from .lexicon import (ALL_FLAGS, Flag, Kind, LexiconError, classical_preset,
                       flag_names, load_lexicon_dir, load_review,
                       import_tei_dictionary, import_wordlist, merge_reviewed,
@@ -85,8 +86,10 @@ def _atomic_write(path: Path, text: str) -> None:
 
 def _read_text(path: str) -> str:
     if path == "-":
-        with decoding("<stdin>"):
-            return sys.stdin.read()
+        # Strict UTF-8 whatever the locale, with a file's newline handling.
+        with io.TextIOWrapper(sys.stdin.buffer, encoding="utf-8") as f, \
+                decoding("<stdin>"):
+            return f.read()
     with open_utf8(path) as f:
         return f.read()
 
@@ -157,23 +160,12 @@ def cmd_train_lm(args) -> int:
     return 0
 
 
-def _readings_from_doc(doc) -> list[list[tuple[str, str]]]:
-    readings = []
-    for word in doc.words:
-        if word.ana == UNKNOWN_ANA:
-            readings.append([])
-            continue
-        anas = [word.ana] + [n.ana for n in word.notes]
-        readings.append([(a.split("/")[1], a.split("/")[2]) for a in anas])
-    return readings
-
-
 def cmd_eval(args) -> int:
     lex = load_lexicon_dir(_resolve_lexicon_dir(args.lexicon))
     doc = parse_tei(_read_text(args.system))
     with open_utf8(args.gold) as f:
         gold = [tok for sent in load_gold(f, args.gold) for tok in sent]
-    report = evaluate(_readings_from_doc(doc), gold, lex)
+    report = evaluate(readings_from_doc(doc), gold, lex)
     sys.stdout.write(report_table(report))
     if args.tsv:
         _atomic_write(Path(args.tsv), report_tsv(report))
@@ -289,10 +281,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except _ERRORS as exc:
-        print(f"arabmorph: error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (*_ERRORS, OSError) as exc:
         print(f"arabmorph: error: {exc}", file=sys.stderr)
         return 2
 

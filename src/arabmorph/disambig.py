@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 from typing import IO, Iterable, Sequence
 
 from .analyzer import Analysis, TokenReadings, token_lookup_key
+from .textio import data_lines
 from .translit import BuckTable, DEFAULT_TABLE
 
 log = logging.getLogger(__name__)
@@ -136,9 +137,8 @@ def apply_rules(sets: Sequence[TokenReadings], rules: Sequence[FilterRule],
     its right neighbor satisfies.  A token with none armed enters no rule
     loop.  An armed token's survivors, drops and skipped rules depend only
     on its analyses and its armed rules, so they are computed once per
-    (analyses object, armed bits) and shared as tuples.  Keying by ``id``
-    is exact: ``sets`` keeps every keyed analyses object alive for the
-    call, and the type cache's shared per-type tuples make the ids repeat.
+    (analyses object, armed bits) and shared as tuples, keyed by ``id``
+    as ``TokenReadings`` allows.
     """
     index = {attr: defaultdict(int) for attr in ("surface", "lemma", "pos")}
     for k, rule in enumerate(rules):
@@ -295,10 +295,7 @@ def load_freq_table(stream: IO[str] | Iterable[str],
                     filename: str = "<freq>") -> dict[Tuple, int]:
     """TSV rows lemma<TAB>pos<TAB>count."""
     freq: dict[Tuple, int] = {}
-    for lineno, line in enumerate(stream, 1):
-        line = line.rstrip("\n")
-        if not line.strip() or line.startswith("#"):
-            continue
+    for lineno, line in data_lines(stream):
         fields = line.split("\t")
         if len(fields) != 3:
             raise LmError(f"{filename}:{lineno}: expected lemma<TAB>pos<TAB>count")
@@ -464,10 +461,9 @@ def rank(sets: Sequence[TokenReadings],
 
     A ranking depends only on the context's ``model.backoff`` and the
     readings, so it is computed once per (backoff, analyses object) in
-    one call and the list is shared, kept with its top tuple (``UNK``
-    for an empty list) that the next contexts take.  Keying by ``id`` is
-    exact: ``sets`` keeps every keyed analyses object alive for the call,
-    and the shared per-type tuples and survivors make the ids repeat.
+    one call (keyed by ``id`` as ``TokenReadings`` allows) and the list
+    is shared, kept with its top tuple (``UNK`` for an empty list) that
+    the next contexts take.
     """
     backoff = model.backoff
     t2 = t1 = BOS

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from typing import IO, AbstractSet, Iterable, Sequence
 
 from .lexicon import Flag, Lexicon, LexiconError
+from .teixml import UNKNOWN_ANA, TeiDoc
 
 Reading = tuple[str, str]
 
@@ -27,8 +28,26 @@ class GoldToken:
 
     @property
     def lemma_pos(self) -> Reading:
-        parts = self.ana.split("/")
-        return (parts[1], parts[2])
+        return _lemma_pos(self.ana)
+
+
+def _lemma_pos(ana: str) -> Reading:
+    """The (lemma, tag) of a ``voc/lemma/pos`` analysis string."""
+    parts = ana.split("/")
+    return (parts[1], parts[2])
+
+
+def readings_from_doc(doc: TeiDoc) -> list[list[Reading]]:
+    """One reading list per word of an annotated document: its analysis,
+    then its notes in order; empty for an unknown word."""
+    readings = []
+    for word in doc.words:
+        if word.ana == UNKNOWN_ANA:
+            readings.append([])
+        else:
+            readings.append([_lemma_pos(word.ana)]
+                            + [_lemma_pos(n.ana) for n in word.notes])
+    return readings
 
 
 def load_gold(stream: IO[str] | Iterable[str],
@@ -112,21 +131,15 @@ def unknown_rates(system: Sequence[Sequence[Reading]],
 
 
 def prf(system: Sequence[Sequence[Reading]], gold: Sequence[GoldToken],
-        mode: Mode, lexicon: Lexicon) -> ModeScores:
+        mode: Mode, covered: AbstractSet[Reading]) -> ModeScores:
     """Error rate, precision, recall and F1 for one matching mode.
 
     Precision is over analyzed (non-unknown) tokens; recall is over
-    gold-covered tokens, i.e. those whose gold (lemma, tag) exists anywhere
-    in the lexicon; the error rate is over all tokens.
+    gold-covered tokens, i.e. those whose gold (lemma, tag) is in
+    ``covered``, the lexicon's pairs (``Lexicon.known_lemma_pos``); the
+    error rate is over all tokens.
     """
     _check_aligned(system, gold)
-    return _prf(system, gold, mode, lexicon.known_lemma_pos())
-
-
-def _prf(system: Sequence[Sequence[Reading]], gold: Sequence[GoldToken],
-         mode: Mode, covered: AbstractSet[Reading]) -> ModeScores:
-    """``prf`` of aligned sequences, given the lexicon's (lemma, tag)
-    pairs, ``covered``."""
     total = len(gold)
     analyzed = matches = gold_covered = covered_matches = 0
     for readings, gtok in zip(system, gold):
@@ -156,7 +169,7 @@ def evaluate(system: Sequence[Sequence[Reading]], gold: Sequence[GoldToken],
     covered = lexicon.known_lemma_pos()
     return EvalReport(
         unknown_rates=rates,
-        modes={mode: _prf(system, gold, mode, covered) for mode in Mode},
+        modes={mode: prf(system, gold, mode, covered) for mode in Mode},
     )
 
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import IO, Iterable, Iterator
 
-from .textio import utf8_lines
+from .textio import data_lines, utf8_lines
 from .translit import arabic_to_buck, normalize, strip_diacritics
 
 log = logging.getLogger(__name__)
@@ -229,10 +229,7 @@ def compatible(tables: CompatTables, pcat: str, scat: str, sucat: str) -> bool:
 def _parse_pairs(stream: IO[str] | Iterable[str],
                  filename: str = "<compat>") -> frozenset[tuple[str, str]]:
     pairs = set()
-    for lineno, line in enumerate(stream, 1):
-        line = line.rstrip("\n")
-        if not line.strip() or line.startswith("#"):
-            continue
+    for lineno, line in data_lines(stream):
         fields = line.split("\t")
         if len(fields) != 2 or not fields[0].strip() or not fields[1].strip():
             raise LexiconError(f"{filename}:{lineno}: expected catA<TAB>catB")
@@ -340,10 +337,7 @@ class Lexicon:
 def _load_entry_file(lex: Lexicon, stream: IO[str] | Iterable[str], kind: Kind,
                      filename: str) -> int:
     count = 0
-    for lineno, line in enumerate(stream, 1):
-        line = line.rstrip("\n")
-        if not line.strip() or line.startswith("#"):
-            continue
+    for lineno, line in data_lines(stream):
         lex.add(parse_entry_line(line, kind, lineno, filename))
         count += 1
     return count
@@ -439,6 +433,17 @@ def _element_text(elem) -> str:
     return "".join(elem.itertext()).strip()
 
 
+def _candidate(word: str, kind: Kind, cat: str, gloss: str,
+               assign: Flag) -> LexEntry:
+    """The entry an import proposes for an Arabic-script ``word``; a stem
+    gets the lemma ``<voc>_1``."""
+    voc = normalize(arabic_to_buck(word))
+    return LexEntry(kind=kind, surface=strip_diacritics(voc), voc=voc,
+                    cat=cat, gloss=gloss, pos=f"{voc}/{cat}",
+                    lemma=f"{voc}_1" if kind is Kind.STEM else "",
+                    flags=assign)
+
+
 def import_tei_dictionary(stream, assign: Flag, lex: Lexicon | None = None,
                           source: str = "tei-dictionary") -> ReviewBatch:
     """Extract stem candidates from a TEI-encoded dictionary.
@@ -466,14 +471,10 @@ def import_tei_dictionary(stream, assign: Flag, lex: Lexicon | None = None,
         sense = next((c for c in elem.iter()
                       if _localname(c.tag) in ("sense", "def")), None)
         gloss = _element_text(sense) if sense is not None else ""
-        voc = normalize(arabic_to_buck(headword))
-        surface = strip_diacritics(voc)
-        lemma = f"{voc}_1"
-        entry = LexEntry(kind=Kind.STEM, surface=surface, voc=voc, cat="N",
-                         gloss=gloss, pos=f"{voc}/N", lemma=lemma, flags=assign)
+        entry = _candidate(headword, Kind.STEM, "N", gloss, assign)
         status = Status.PENDING
-        if lex is not None and any(e.lemma == lemma
-                                   for e in lex.stems.get(surface, [])):
+        if lex is not None and any(e.lemma == entry.lemma
+                                   for e in lex.stems.get(entry.surface, [])):
             status = Status.REJECTED
         batch.candidates.append(Candidate(entry, status))
     if batch.skipped:
@@ -488,22 +489,14 @@ def import_wordlist(stream, kind: Kind, assign: Flag,
     if not assign:
         raise LexiconError("import requires a non-empty flag set")
     batch = ReviewBatch(source=source, kind=kind)
-    for lineno, line in enumerate(stream, 1):
-        line = line.rstrip("\n")
-        if not line.strip() or line.startswith("#"):
-            continue
+    for lineno, line in data_lines(stream):
         fields = line.split("\t")
         if len(fields) != 3 or not fields[0].strip() or not fields[2].strip():
             raise LexiconError(f"{source}:{lineno}: expected "
                                "surface<TAB>gloss<TAB>pos")
         word, gloss, tag = (f.strip() for f in fields)
-        voc = normalize(arabic_to_buck(word))
-        surface = strip_diacritics(voc)
-        lemma = f"{voc}_1" if kind is Kind.STEM else ""
-        entry = LexEntry(kind=kind, surface=surface, voc=voc, cat=tag,
-                         gloss=gloss, pos=f"{voc}/{tag}", lemma=lemma,
-                         flags=assign)
-        batch.candidates.append(Candidate(entry))
+        batch.candidates.append(
+            Candidate(_candidate(word, kind, tag, gloss, assign)))
     return batch
 
 

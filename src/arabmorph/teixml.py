@@ -11,10 +11,9 @@ LF line endings) so byte-level golden comparisons are stable.
 
 from __future__ import annotations
 
-import io
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass, replace
-from typing import IO, Sequence
+from typing import Sequence
 from xml.sax.saxutils import escape, quoteattr
 
 from . import __version__
@@ -69,9 +68,8 @@ def _check_word(word: TeiWord, where: str = "") -> None:
 def doc_from_ranked(ranked: Sequence[TokenReadings], source: str = "",
                     flags: str = "") -> TeiDoc:
     """One word per token.  Tokens with the same surface and the same
-    ranked list share one ``TeiWord``, built once per call.  Keying by
-    ``id`` is exact: ``ranked`` keeps every keyed list alive for the call,
-    and ``rank``'s shared lists make the ids repeat."""
+    ranked list share one ``TeiWord``, built once per call (keyed by
+    ``id`` as ``TokenReadings`` allows)."""
     built: dict[tuple[str, int], TeiWord] = {}
     words = []
     for rec in ranked:
@@ -94,9 +92,8 @@ def emit_tei(doc: TeiDoc) -> str:
     """Canonical serialization; the inverse of parse_tei on its image.
 
     Each distinct word object is checked and rendered once per call, and
-    its ``<w>`` block repeated for every later occurrence.  Keying by
-    ``id`` is exact: ``doc`` keeps every word alive for the call, and
-    ``doc_from_ranked``'s shared words make the ids repeat."""
+    its ``<w>`` block repeated for every later occurrence (keyed by
+    ``id`` as ``TokenReadings`` allows)."""
     head = (f'<?xml version="1.0" encoding="UTF-8"?>\n'
             f"<text source={quoteattr(doc.source)} "
             f"flags={quoteattr(doc.flags)} "
@@ -121,10 +118,8 @@ def emit_tei(doc: TeiDoc) -> str:
     return "".join(out)
 
 
-def parse_tei(xml: str | IO[str]) -> TeiDoc:
+def parse_tei(xml: str) -> TeiDoc:
     """Read an annotated document back; preserves ``ed="correct"`` markers."""
-    if hasattr(xml, "read"):
-        xml = xml.read()
     try:
         root = ET.fromstring(xml)
     except ET.ParseError as exc:

@@ -1,5 +1,6 @@
 """Reading UTF-8 text inputs: a decode failure becomes an
-``EncodingError`` that names the input, so the CLI can report it."""
+``EncodingError`` that names the input, so the CLI can report it; TSV
+inputs share one rule for blank and comment lines."""
 
 from __future__ import annotations
 
@@ -27,6 +28,17 @@ def open_utf8(path) -> Iterator[IO[str]]:
     around the block."""
     with open(path, encoding="utf-8") as f, decoding(str(path)):
         yield f
+
+
+def data_lines(stream: Iterable[str]) -> Iterator[tuple[int, str]]:
+    """``(lineno, line)`` for each line of a TSV input that is not blank
+    and not a ``#`` comment, without its newline.  A line that is only
+    whitespace is blank; a comment starts with ``#`` in its first column,
+    so an indented ``#`` is data."""
+    for lineno, line in enumerate(stream, 1):
+        line = line.rstrip("\n")
+        if line.strip() and not line.startswith("#"):
+            yield lineno, line
 
 
 def utf8_lines(stream: Iterable[str], name: str) -> Iterator[str]:

@@ -71,15 +71,9 @@ class BuckTable:
         with open_utf8(path) as f:
             return cls.from_stream(f)
 
-    def to_buck(self, text: str, unmapped: list | None = None) -> str:
-        """Transliterate Arabic script to Buckwalter.
-
-        Characters outside the table pass through verbatim; their positions
-        are appended to ``unmapped`` when a collector list is given.
-        """
-        if unmapped is not None:
-            unmapped.extend((i, ch) for i, ch in enumerate(text)
-                            if ch not in self.a2b)
+    def to_buck(self, text: str) -> str:
+        """Transliterate Arabic script to Buckwalter; characters outside
+        the table pass through verbatim."""
         return text.translate(self._translation)
 
     def to_arabic(self, text: str) -> str:
@@ -105,9 +99,8 @@ DEFAULT_TABLE = _load_default()
 _STRIP = {ord(c): None for c in DIACRITICS}
 
 
-def arabic_to_buck(text: str, table: BuckTable | None = None,
-                   unmapped: list | None = None) -> str:
-    return (table or DEFAULT_TABLE).to_buck(text, unmapped)
+def arabic_to_buck(text: str, table: BuckTable | None = None) -> str:
+    return (table or DEFAULT_TABLE).to_buck(text)
 
 
 def buck_to_arabic(text: str, table: BuckTable | None = None) -> str:

@@ -123,23 +123,14 @@ def resummed_score(model, ctx, cand):
     return model.lam * p + (1.0 - model.lam) * pf
 
 
-def reference_to_buck(table, text, unmapped=None):
+def reference_to_buck(table, text):
     """``BuckTable.to_buck`` one character at a time."""
-    out = []
-    for i, ch in enumerate(text):
-        bw = table.a2b.get(ch)
-        if bw is None:
-            if unmapped is not None:
-                unmapped.append((i, ch))
-            out.append(ch)
-        else:
-            out.append(bw)
-    return "".join(out)
+    return "".join(table.a2b.get(ch, ch) for ch in text)
 
 
 def reference_tokenize(text, table):
     """``tokenize`` by scanning for maximal runs of table characters and
-    keeping those that hold a letter.  Returns (surface, offset, index)."""
+    keeping those that hold a letter.  Returns (surface, offset)."""
     tokens = []
     i, n = 0, len(text)
     while i < n:
@@ -151,7 +142,7 @@ def reference_tokenize(text, table):
             j += 1
         run = text[i:j]
         if any(ch in table.arabic_letters for ch in run):
-            tokens.append((run, i, len(tokens)))
+            tokens.append((run, i))
         i = j
     return tokens
 

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from arabmorph.cli import main
+from arabmorph.cli import _read_text, main
 from arabmorph.disambig import BOS, load_lm, train_lm, load_freq_table
 from arabmorph.evaluation import load_gold
 from arabmorph.lexicon import load_lexicon_dir, load_review, Status
@@ -387,6 +387,44 @@ def test_the_command_line_reports_non_utf8_input_without_a_traceback(
     assert "Traceback" not in proc.stderr
     assert _error_lines(proc.stderr) == proc.stderr.splitlines()
     assert len(proc.stderr.splitlines()) == 1
+
+
+def test_stdin_is_strict_utf8_under_a_c_locale(tmp_path):
+    src = Path(__file__).parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src), "LC_ALL": "C"}
+    env.pop("PYTHONIOENCODING", None)
+    env.pop("PYTHONUTF8", None)
+
+    def analyze(source, stdin=b""):
+        return subprocess.run(
+            [sys.executable, "-m", "arabmorph.cli", "analyze", source,
+             "--flags", "all", "--format", "tsv"],
+            input=stdin, capture_output=True, timeout=60, env=env)
+
+    proc = analyze("-", NOT_UTF8)
+    assert proc.returncode == 2
+    assert proc.stdout == b""
+    assert proc.stderr.decode().splitlines() == [
+        "arabmorph: error: <stdin>: not UTF-8 text (invalid start byte)"]
+
+    crlf = "مع كاتب\r\nكتاب.\rمع\r\n".encode("utf-8")
+    path = tmp_path / "crlf.txt"
+    path.write_bytes(crlf)
+    from_stdin, from_file = analyze("-", crlf), analyze(str(path))
+    assert from_stdin.returncode == from_file.returncode == 0
+    assert from_stdin.stdout == from_file.stdout != b""
+    assert from_stdin.stderr == from_file.stderr
+
+
+def test_stdin_text_equals_a_files_whatever_stdin_was_set_up_with(
+        tmp_path, monkeypatch):
+    crlf = "مع كاتب\r\nكتاب.\rمع\r\n".encode("utf-8")
+    path = tmp_path / "crlf.txt"
+    path.write_bytes(crlf)
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(
+        io.BytesIO(crlf), encoding="latin-1", newline=""))
+    assert _read_text("-") == _read_text(str(path)) == \
+        "مع كاتب\nكتاب.\nمع\n"
 
 
 # Each command's arguments with a well-formed input in every file slot.

@@ -76,7 +76,7 @@ def test_misaligned_lengths_raise():
     with pytest.raises(LexiconError, match="misaligned"):
         unknown_rates([[]], _gold(2))
     with pytest.raises(LexiconError, match="misaligned"):
-        prf([[]], _gold(2), Mode.ANY, lexicon=None)
+        prf([[]], _gold(2), Mode.ANY, covered=frozenset())
 
 
 # --- precision / recall / F1 -----------------------------------------------------
@@ -93,7 +93,7 @@ def test_prf_perfect_run(lexicon):
             GoldToken("مع", "maEa/maEa_1/PREP", "MSA")]
     system = [[("kitAb_1", "N")], [("maEa_1", "PREP")]]
     for mode in Mode:
-        scores = prf(system, gold, mode, lexicon)
+        scores = prf(system, gold, mode, lexicon.known_lemma_pos())
         assert scores.precision == 100.0
         assert scores.recall == 100.0
         assert scores.f1 == 100.0
@@ -113,8 +113,9 @@ def test_prf_modes_and_denominators(lexicon):
         [("min_1", "PREP")],
         [],
     ]
-    top = prf(system, gold, Mode.TOP_RANKED, lexicon)
-    any_ = prf(system, gold, Mode.ANY, lexicon)
+    covered = lexicon.known_lemma_pos()
+    top = prf(system, gold, Mode.TOP_RANKED, covered)
+    any_ = prf(system, gold, Mode.ANY, covered)
     # three analyzed tokens; gold coverage excludes the ghost lemma
     assert top.precision == pytest.approx(100 * 1 / 3)
     assert any_.precision == pytest.approx(100 * 2 / 3)
@@ -149,10 +150,11 @@ def test_any_mode_dominates_top_mode_on_the_corpus(lexicon, rules, freq,
 def test_report_rendering_smoke():
     report = EvalReport(
         unknown_rates={"CA": 3.4},
-        modes={Mode.TOP_RANKED: prf([[("kitAb_1", "N")]],
-                                    _gold(1), Mode.TOP_RANKED, _FakeLex()),
-               Mode.ANY: prf([[("kitAb_1", "N")]],
-                             _gold(1), Mode.ANY, _FakeLex())},
+        modes={Mode.TOP_RANKED: prf([[("kitAb_1", "N")]], _gold(1),
+                                    Mode.TOP_RANKED,
+                                    _FakeLex().known_lemma_pos()),
+               Mode.ANY: prf([[("kitAb_1", "N")]], _gold(1), Mode.ANY,
+                             _FakeLex().known_lemma_pos())},
     )
     table = report_table(report)
     assert "CA" in table and "Top-ranked" in table
@@ -181,5 +183,6 @@ def test_evaluate_collects_the_covered_pairs_once(lexicon):
     counting = _CountingLex()
     report = evaluate(system, gold, counting)
     assert counting.calls == 1
-    assert report.modes == {mode: prf(system, gold, mode, _FakeLex())
-                            for mode in Mode}
+    assert report.modes == {
+        mode: prf(system, gold, mode, _FakeLex().known_lemma_pos())
+        for mode in Mode}

@@ -11,6 +11,7 @@ import logging
 import pytest
 from hypothesis import given, strategies as st
 
+import arabmorph.analyzer as analyzer
 import arabmorph.teixml as teixml
 from arabmorph.analyzer import (Analysis, TokenReadings, TypeCache,
                                 analyze_text, analyze_type, token_lookup_key,
@@ -204,7 +205,7 @@ def test_each_distinct_run_is_checked_for_a_letter_once(corpus_text):
     # Bare diacritics and tatweel make runs that hold no letter.
     text = (corpus_text + " \u064e\u0640 ") * 20
     tokens = tokenize(text, table)
-    assert [(t.surface, t.offset, t.index) for t in tokens] == \
+    assert [(t.surface, t.offset) for t in tokens] == \
         reference_tokenize(text, table)
     runs = table.runs.findall(text)
     assert sorted(table.arabic_letters.calls) == sorted(set(runs))
@@ -216,7 +217,7 @@ def test_the_cache_is_asked_once_per_surface_and_counts_per_token(
     tokens = tokenize(corpus_text * 20)
     cache = TypeCache()
     analyze_text(tokenize("كاتب"), lexicon, ALL_FLAGS, cache)
-    calls = _counting(monkeypatch, TypeCache, "get_or_compute")
+    calls = _counting(monkeypatch, analyzer, "token_lookup_key")
     sets = analyze_text(tokens, lexicon, ALL_FLAGS, cache)
     surfaces = {t.surface for t in tokens}
     assert len(calls) == len(surfaces) < len(tokens)

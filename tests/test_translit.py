@@ -38,11 +38,8 @@ def test_buck_to_arabic_rejects_invalid_character():
         buck_to_arabic("kAXib")
 
 
-def test_unmapped_characters_pass_through_and_are_reported():
-    collected = []
-    out = arabic_to_buck("مع!x", unmapped=collected)
-    assert out == "mE!x"
-    assert collected == [(2, "!"), (3, "x")]
+def test_unmapped_characters_pass_through():
+    assert arabic_to_buck("مع!x") == "mE!x"
 
 
 def test_strip_diacritics_examples():
