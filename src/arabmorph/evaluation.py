@@ -11,7 +11,7 @@ equals the top reading (TopRanked mode) or appears anywhere in the list
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import IO, AbstractSet, Iterable, Sequence
 
 from .lexicon import Flag, Lexicon, LexiconError
@@ -25,10 +25,10 @@ class GoldToken:
     surface: str
     ana: str          # voc/lemma/pos
     genre: str        # one of the nine flag names
+    lemma_pos: Reading = field(init=False, repr=False, compare=False)
 
-    @property
-    def lemma_pos(self) -> Reading:
-        return _lemma_pos(self.ana)
+    def __post_init__(self):
+        object.__setattr__(self, "lemma_pos", _lemma_pos(self.ana))
 
 
 def _lemma_pos(ana: str) -> Reading:
@@ -53,9 +53,11 @@ def readings_from_doc(doc: TeiDoc) -> list[list[Reading]]:
 def load_gold(stream: IO[str] | Iterable[str],
               filename: str = "<gold>") -> list[list[GoldToken]]:
     """Sentences of gold tokens; rows are surface<TAB>voc/lemma/pos<TAB>genre,
-    sentences separated by blank lines."""
+    sentences separated by blank lines.  Equal rows give one shared
+    ``GoldToken``, checked at the first occurrence."""
     sentences: list[list[GoldToken]] = []
     current: list[GoldToken] = []
+    built: dict[str, GoldToken] = {}
     for lineno, line in enumerate(stream, 1):
         line = line.rstrip("\n")
         if line.startswith("#"):
@@ -64,6 +66,10 @@ def load_gold(stream: IO[str] | Iterable[str],
             if current:
                 sentences.append(current)
                 current = []
+            continue
+        token = built.get(line)
+        if token is not None:
+            current.append(token)
             continue
         fields = line.split("\t")
         if len(fields) != 3:
@@ -77,7 +83,8 @@ def load_gold(stream: IO[str] | Iterable[str],
         except KeyError:
             raise LexiconError(f"{filename}:{lineno}: unknown genre "
                                f"{genre!r}") from None
-        current.append(GoldToken(surface, ana, genre))
+        token = built[line] = GoldToken(surface, ana, genre)
+        current.append(token)
     if current:
         sentences.append(current)
     return sentences

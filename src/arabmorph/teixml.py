@@ -119,14 +119,23 @@ def emit_tei(doc: TeiDoc) -> str:
 
 
 def parse_tei(xml: str) -> TeiDoc:
-    """Read an annotated document back; preserves ``ed="correct"`` markers."""
+    """Read an annotated document back; preserves ``ed="correct"`` markers.
+
+    Every ``<w>`` passes its element checks in document order; equal raw
+    content (``ana``, text, each note's ``ana``, mark and tail) then gives
+    one shared ``TeiWord``, built and checked at its first occurrence, so
+    an invalid word is reported with its own ``word #N``."""
     try:
         root = ET.fromstring(xml)
     except ET.ParseError as exc:
         raise TeiError(f"not well-formed XML at line {exc.position[0]}, "
                        f"column {exc.position[1]}") from exc
+    except UnicodeEncodeError as exc:
+        raise TeiError(f"not encodable as UTF-8 at character "
+                       f"{exc.start + 1} ({exc.reason})") from None
     if root.tag != "text":
         raise TeiError(f"expected <text> root, got <{root.tag}>")
+    built: dict[tuple, TeiWord] = {}
     words = []
     for w in root.iter("w"):
         # iter("w") includes the element itself; more than one hit means
@@ -136,22 +145,26 @@ def parse_tei(xml: str) -> TeiDoc:
         ana = w.get("ana")
         if ana is None:
             raise TeiError(f"<w> without ana attribute near {w.text!r}")
-        notes = []
-        surface_parts = [w.text or ""]
+        key = [ana, w.text]            # then (ana, marked, tail) per note
         for child in w:
-            if child.tag == "note":
-                note_ana = child.get("ana")
-                if note_ana is None:
-                    raise TeiError(f"<note> without ana attribute in word "
-                                   f"with ana {ana!r}")
-                notes.append(Note(ana=note_ana,
-                                  corrected=child.get("ed") == "correct"))
-            else:
+            if child.tag != "note":
                 raise TeiError(f"unexpected <{child.tag}> inside <w>")
-            surface_parts.append(child.tail or "")
-        word = TeiWord(surface="".join(surface_parts).strip(), ana=ana,
-                       notes=tuple(notes))
-        _check_word(word, where=f"word #{len(words) + 1}")
+            note_ana = child.get("ana")
+            if note_ana is None:
+                raise TeiError(f"<note> without ana attribute in word "
+                               f"with ana {ana!r}")
+            key += (note_ana, child.get("ed") == "correct", child.tail)
+        key = tuple(key)
+        word = built.get(key)
+        if word is None:
+            # built from the key alone, so equal keys give equal words
+            notes, marks, tails = key[2::3], key[3::3], key[4::3]
+            word = built[key] = TeiWord(
+                surface="".join([w.text or ""]
+                                + [t or "" for t in tails]).strip(),
+                ana=ana,
+                notes=tuple([Note(a, c) for a, c in zip(notes, marks)]))
+            _check_word(word, where=f"word #{len(words) + 1}")
         words.append(word)
     return TeiDoc(source=root.get("source", ""),
                   flags=root.get("flags", ""),
@@ -162,16 +175,26 @@ def parse_tei(xml: str) -> TeiDoc:
 def apply_corrections(doc: TeiDoc) -> TeiDoc:
     """Promote each ``ed="correct"`` note to the default analysis and demote
     the former default to the first note; markers are cleared, so applying
-    the transform twice equals applying it once."""
+    the transform twice equals applying it once.
+
+    Each distinct word object is checked at its first occurrence and
+    transformed once per call (keyed by ``id`` as ``TokenReadings``
+    allows); its later occurrences share the result."""
+    done: dict[int, TeiWord] = {}
     words = []
     for i, word in enumerate(doc.words):
-        _check_word(word, where=f"word #{i + 1}")
-        marked = [n for n in word.notes if n.corrected]
-        if not marked:
-            words.append(word)
-            continue
-        chosen = marked[0]
-        rest = tuple(Note(n.ana) for n in word.notes if n is not chosen)
-        words.append(TeiWord(surface=word.surface, ana=chosen.ana,
-                             notes=(Note(word.ana),) + rest))
+        fixed = done.get(id(word))
+        if fixed is None:
+            _check_word(word, where=f"word #{i + 1}")
+            marked = [n for n in word.notes if n.corrected]
+            if marked:
+                chosen = marked[0]
+                rest = tuple(Note(n.ana) for n in word.notes
+                             if n is not chosen)
+                fixed = TeiWord(surface=word.surface, ana=chosen.ana,
+                                notes=(Note(word.ana),) + rest)
+            else:
+                fixed = word
+            done[id(word)] = fixed
+        words.append(fixed)
     return replace(doc, words=tuple(words))
