@@ -216,19 +216,24 @@ class LmModel:
     trigram: dict[tuple[Tuple, Tuple, Tuple], int]
     bigram: dict[tuple[Tuple, Tuple], int]
     unigram: dict[Tuple, int]
-    total: int                      # unigram mass, boundary symbols included
     freq: dict[Tuple, int]
     lam: float
-    vocab: frozenset[Tuple]
-    # Normalisers of the smoothed distributions, constant per model.
+    # Derived from the counts, once per model: the unigram mass (boundary
+    # symbols included), the vocabulary and the smoothing normalisers.
+    total: int = field(init=False, repr=False, compare=False)
+    vocab: frozenset[Tuple] = field(init=False, repr=False, compare=False)
     freq_total: int = field(init=False, repr=False, compare=False)
     v1: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not 0.0 <= self.lam <= 1.0:
             raise LmError(f"lambda must be in [0, 1], got {self.lam}")
+        vocab = frozenset(t for t in self.unigram if t != BOS) \
+            | frozenset(self.freq)
+        object.__setattr__(self, "total", sum(self.unigram.values()))
+        object.__setattr__(self, "vocab", vocab)
         object.__setattr__(self, "freq_total", sum(self.freq.values()))
-        object.__setattr__(self, "v1", len(self.vocab) + 1)
+        object.__setattr__(self, "v1", len(vocab) + 1)
 
     def backoff(self, ctx: tuple[Tuple, Tuple]) -> tuple[Tuple, ...]:
         """The part of ``ctx`` that ``score`` reads: the pair (t2, t1) if
@@ -273,22 +278,18 @@ def train_lm(sentences: Sequence[Sequence[Tuple]],
     trigram: dict = {}
     bigram: dict = {}
     unigram: dict = {}
-    total = 0
     for sent in sentences:
         seq = [BOS, BOS] + sent
         for t in seq:
             unigram[t] = unigram.get(t, 0) + 1
-            total += 1
         for i in range(1, len(seq)):
             pair = (seq[i - 1], seq[i])
             bigram[pair] = bigram.get(pair, 0) + 1
         for i in range(2, len(seq)):
             tri = (seq[i - 2], seq[i - 1], seq[i])
             trigram[tri] = trigram.get(tri, 0) + 1
-    freq = dict(freq or {})
-    vocab = frozenset(t for t in unigram if t != BOS) | frozenset(freq)
     return LmModel(trigram=trigram, bigram=bigram, unigram=unigram,
-                   total=total, freq=freq, lam=lam, vocab=vocab)
+                   freq=dict(freq or {}), lam=lam)
 
 
 def load_freq_table(stream: IO[str] | Iterable[str],
@@ -428,20 +429,22 @@ def load_lm(stream: IO[str] | Iterable[str], filename: str = "<lm>") -> LmModel:
     if any(line.strip() for line in lines):
         raise LmError(f"{filename}:{pos + 1}: trailing content")
 
-    vocab = frozenset(t for t in unigram if t != BOS) | frozenset(freq)
-    if len(vocab) != vocab_size:
+    model = LmModel(trigram=trigram, bigram=bigram, unigram=unigram,
+                    freq=freq, lam=lam)
+    if len(model.vocab) != vocab_size:
         raise LmError(f"{filename}: vocab size mismatch: header says "
-                      f"{vocab_size}, counted {len(vocab)}")
-    return LmModel(trigram=trigram, bigram=bigram, unigram=unigram,
-                   total=total, freq=freq, lam=lam, vocab=vocab)
+                      f"{vocab_size}, counted {len(model.vocab)}")
+    if model.total != total:
+        raise LmError(f"{filename}: total mismatch: header says {total}, "
+                      f"counted {model.total}")
+    return model
 
 
 def empty_lm(lam: float = 0.7, freq: dict[Tuple, int] | None = None) -> LmModel:
     """Degenerate model: every candidate scores the same smoothed floor,
     modulated only by the frequency table when one is given."""
-    freq = dict(freq or {})
-    return LmModel(trigram={}, bigram={}, unigram={}, total=0,
-                   freq=freq, lam=lam, vocab=frozenset(freq))
+    return LmModel(trigram={}, bigram={}, unigram={}, freq=dict(freq or {}),
+                   lam=lam)
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ import enum
 import logging
 import re
 import xml.etree.ElementTree as ET
+from contextlib import ExitStack
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import IO, Iterable, Iterator
@@ -135,10 +136,6 @@ class LexEntry:
         return fold_tag(units[0]) if units else ""
 
 
-def _dedup_key(e: LexEntry) -> tuple:
-    return (e.kind, e.surface, e.voc, e.cat, e.lemma)
-
-
 def _default_pos(voc: str, cat: str) -> str:
     return f"{voc}/{cat}" if voc else ""
 
@@ -248,7 +245,6 @@ class Lexicon:
         self.tables: dict[Kind, dict[str, list[LexEntry]]] = {k: {} for k in Kind}
         self.prefixes, self.stems, self.suffixes = self.tables.values()
         self.compat = compat
-        self._by_key: dict[tuple, LexEntry] = {}
         self._view_key: tuple[int, bool] | None = None
         self._view: dict[Kind, dict[str, list[LexEntry]]] = {}
         self._known: frozenset[tuple[str, str]] | None = None
@@ -262,26 +258,25 @@ class Lexicon:
                 yield from bucket
 
     def __len__(self) -> int:
-        return len(self._by_key)
+        return sum(len(bucket) for table in self.tables.values()
+                   for bucket in table.values())
 
     def add(self, entry: LexEntry) -> bool:
-        """Insert an entry, collapsing duplicates by flag union.
+        """Insert an entry, collapsing duplicates by flag union: a row of
+        the entry's bucket with the same voc, cat and lemma is one.
 
         Returns True when a new row was created, False when an existing
         row absorbed the entry's flags.
         """
         self._view_key = self._known = None
-        key = _dedup_key(entry)
-        existing = self._by_key.get(key)
-        if existing is not None:
-            if existing.flags | entry.flags != existing.flags:
-                merged = replace(existing, flags=existing.flags | entry.flags)
-                bucket = self.tables[entry.kind][entry.surface]
-                bucket[bucket.index(existing)] = merged
-                self._by_key[key] = merged
-            return False
-        self.tables[entry.kind].setdefault(entry.surface, []).append(entry)
-        self._by_key[key] = entry
+        bucket = self.tables[entry.kind].setdefault(entry.surface, [])
+        for i, row in enumerate(bucket):
+            if (row.voc == entry.voc and row.cat == entry.cat
+                    and row.lemma == entry.lemma):
+                if row.flags | entry.flags != row.flags:
+                    bucket[i] = replace(row, flags=row.flags | entry.flags)
+                return False
+        bucket.append(entry)
         return True
 
     def lookup(self, surface: str, kind: Kind, active: Flag,
@@ -330,17 +325,13 @@ class Lexicon:
         for kind, table in self.tables.items():
             clone.tables[kind].update(
                 (surface, list(bucket)) for surface, bucket in table.items())
-        clone._by_key = dict(self._by_key)
         return clone
 
 
 def _load_entry_file(lex: Lexicon, stream: IO[str] | Iterable[str], kind: Kind,
-                     filename: str) -> int:
-    count = 0
+                     filename: str) -> None:
     for lineno, line in data_lines(stream):
         lex.add(parse_entry_line(line, kind, lineno, filename))
-        count += 1
-    return count
 
 
 def load_lexicon(prefix_stream, stem_stream, suffix_stream,
@@ -356,9 +347,9 @@ def load_lexicon(prefix_stream, stem_stream, suffix_stream,
     )
     lex = Lexicon(compat)
     _load_entry_file(lex, prefix_stream, Kind.PREFIX, names[0])
-    n_stems = _load_entry_file(lex, stem_stream, Kind.STEM, names[1])
+    _load_entry_file(lex, stem_stream, Kind.STEM, names[1])
     _load_entry_file(lex, suffix_stream, Kind.SUFFIX, names[2])
-    if n_stems == 0:
+    if not lex.stems:
         raise LexiconError(f"{names[1]}: stem file contains no entries")
     _warn_unanchored_categories(lex)
     return lex
@@ -378,16 +369,10 @@ LEXICON_FILES = ("prefixes.tsv", "stems.tsv", "suffixes.tsv",
 def load_lexicon_dir(path) -> Lexicon:
     path = Path(path)
     names = tuple(str(path / n) for n in LEXICON_FILES)
-    files = []
-    try:
-        for name in names:
-            files.append(open(name, encoding="utf-8"))
-        lines = [utf8_lines(f, name) for f, name in zip(files, names)]
-        return load_lexicon(lines[0], lines[1], lines[2],
-                            (lines[3], lines[4], lines[5]), filenames=names)
-    finally:
-        for f in files:
-            f.close()
+    with ExitStack() as stack:
+        lines = [utf8_lines(stack.enter_context(open(name, encoding="utf-8")),
+                            name) for name in names]
+        return load_lexicon(*lines[:3], tuple(lines[3:]), filenames=names)
 
 
 def serialize_lexicon(lex: Lexicon) -> dict[str, str]:

@@ -11,6 +11,7 @@ LF line endings) so byte-level golden comparisons are stable.
 
 from __future__ import annotations
 
+import re
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass, replace
 from typing import Sequence
@@ -20,6 +21,10 @@ from . import __version__
 from .analyzer import TokenReadings
 
 UNKNOWN_ANA = "UNK//UNK"
+
+# A character outside XML 1.0's Char production.
+_NOT_XML_CHAR = re.compile(
+    "[^\t\n\r\x20-\ud7ff\ue000-\ufffd\U00010000-\U0010ffff]")
 
 
 class TeiError(ValueError):
@@ -93,7 +98,13 @@ def emit_tei(doc: TeiDoc) -> str:
 
     Each distinct word object is checked and rendered once per call, and
     its ``<w>`` block repeated for every later occurrence (keyed by
-    ``id`` as ``TokenReadings`` allows)."""
+    ``id`` as ``TokenReadings`` allows).  A header field holding a
+    character that XML 1.0 cannot carry is a ``TeiError``."""
+    for name in ("source", "flags", "version"):
+        bad = _NOT_XML_CHAR.search(getattr(doc, name))
+        if bad:
+            raise TeiError(f"{name} holds U+{ord(bad.group()):04X}, which "
+                           "XML 1.0 cannot carry")
     head = (f'<?xml version="1.0" encoding="UTF-8"?>\n'
             f"<text source={quoteattr(doc.source)} "
             f"flags={quoteattr(doc.flags)} "

@@ -9,10 +9,11 @@ input and output edges.
 from __future__ import annotations
 
 import re
+import sys
 from importlib import resources
 from typing import IO, Iterable
 
-from .textio import open_utf8
+from .textio import data_lines, open_utf8
 
 # Characters removed when reducing a vocalized form to its written surface:
 # short vowels, sukun, shadda and the three tanwin signs.
@@ -52,24 +53,27 @@ class BuckTable:
 
     @classmethod
     def from_stream(cls, stream: IO[str] | Iterable[str]) -> "BuckTable":
+        """Rows ``U+XXXX<TAB>chars``, the TSV rule skipping blank and
+        comment lines."""
         mapping = {}
-        for lineno, line in enumerate(stream, 1):
-            line = line.rstrip("\n")
-            if not line or line.startswith("#"):
-                continue
+        for lineno, line in data_lines(stream):
             fields = line.split("\t")
             if len(fields) != 2 or not fields[1]:
                 raise TranslitError(f"line {lineno}: expected codepoint<TAB>char")
             m = _CODEPOINT_RE.match(fields[0])
-            if not m:
+            if not m or int(m.group(1), 16) > sys.maxunicode:
                 raise TranslitError(f"line {lineno}: bad codepoint {fields[0]!r}")
             mapping[chr(int(m.group(1), 16))] = fields[1]
         return cls(mapping)
 
     @classmethod
     def from_file(cls, path) -> "BuckTable":
+        """``from_stream`` of the file, its errors naming ``path``."""
         with open_utf8(path) as f:
-            return cls.from_stream(f)
+            try:
+                return cls.from_stream(f)
+            except TranslitError as exc:
+                raise TranslitError(f"{path}: {exc}") from None
 
     def to_buck(self, text: str) -> str:
         """Transliterate Arabic script to Buckwalter; characters outside

@@ -1,5 +1,6 @@
 """Independent brute-force references the fast paths are checked against."""
 
+from dataclasses import replace
 from xml.sax.saxutils import escape, quoteattr
 
 from arabmorph import __version__
@@ -89,10 +90,10 @@ def one_lookup_per_split_analyses(surface, lex, active, fold_alif,
     return out
 
 
-def licensed_surfaces(lex):
-    """The surface of every prefix+stem+suffix entry triple whose three
-    categories are pairwise compatible, sorted and deduplicated."""
-    surfaces = set()
+def licensed_triples(lex):
+    """Every prefix+stem+suffix entry triple whose three categories are
+    pairwise compatible, by direct enumeration of the three tables."""
+    triples = []
     for pres in lex.prefixes.values():
         for a in pres:
             for stems in lex.stems.values():
@@ -102,15 +103,51 @@ def licensed_surfaces(lex):
                     for sufs in lex.suffixes.values():
                         for c in sufs:
                             if compatible(lex.compat, a.cat, b.cat, c.cat):
-                                surfaces.add(a.surface + b.surface + c.surface)
-    return sorted(surfaces)
+                                triples.append((a, b, c))
+    return triples
+
+
+def licensed_surfaces(lex):
+    """The surface of every licensed entry triple, sorted and
+    deduplicated."""
+    return sorted({a.surface + b.surface + c.surface
+                   for a, b, c in licensed_triples(lex)})
+
+
+def reference_adds(entries):
+    """What adding ``entries`` in turn to an empty ``Lexicon`` gives, from
+    one dict keyed by (kind, surface, voc, cat, lemma): each ``add``'s
+    return value (True for a new row) and the rows in ``entries()``
+    order, that is by kind, then by surface in order of first addition,
+    then in order of addition.  A repeated key keeps its first row's
+    place and fields and unions the flags."""
+    rows, returns = {}, []
+    for e in entries:
+        key = (e.kind, e.surface, e.voc, e.cat, e.lemma)
+        old = rows.get(key)
+        returns.append(old is None)
+        rows[key] = e if old is None else replace(old,
+                                                  flags=old.flags | e.flags)
+    first = {}
+    for kind, surface, *_ in rows:
+        first.setdefault((kind, surface), len(first))
+    kinds = list(Kind)
+    order = sorted(rows, key=lambda k: (kinds.index(k[0]), first[k[:2]]))
+    return returns, [rows[k] for k in order]
+
+
+def reference_vocab(model):
+    """The (lemma, tag) tuples a model's unigram counts or frequency table
+    name, the boundary symbol of the counts left out."""
+    return set(model.freq) | (set(model.unigram) - {BOS})
 
 
 def resummed_score(model, ctx, cand):
-    """``LmModel.score`` with the frequency mass and the vocabulary size
-    counted again from the model's tables on every call."""
+    """``LmModel.score`` with the unigram mass, the frequency mass and the
+    vocabulary size counted again from the model's tables on every
+    call."""
     t2, t1 = ctx
-    v1 = len(set(model.vocab)) + 1
+    v1 = len(reference_vocab(model)) + 1
     freq_total = sum(model.freq.values())
     ctx_count = model.bigram.get((t2, t1), 0)
     if ctx_count > 0:
@@ -118,7 +155,8 @@ def resummed_score(model, ctx, cand):
     elif model.unigram.get(t1, 0) > 0:
         p = (model.bigram.get((t1, cand), 0) + 1) / (model.unigram[t1] + v1)
     else:
-        p = (model.unigram.get(cand, 0) + 1) / (model.total + v1)
+        p = ((model.unigram.get(cand, 0) + 1)
+             / (sum(model.unigram.values()) + v1))
     pf = (model.freq.get(cand, 0) + 1) / (freq_total + v1)
     return model.lam * p + (1.0 - model.lam) * pf
 

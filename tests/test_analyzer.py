@@ -13,7 +13,8 @@ from arabmorph.translit import (DEFAULT_TABLE, DIACRITICS, TATWEEL, BuckTable,
                                 strip_diacritics)
 
 from oracles import (brute_force_analyses, brute_force_segmentation_count,
-                     licensed_surfaces, one_lookup_per_split_analyses,
+                     licensed_surfaces, licensed_triples,
+                     one_lookup_per_split_analyses,
                      reference_to_buck, reference_tokenize, segmentations)
 
 MSA = parse_flagset(["MSA"])
@@ -219,6 +220,43 @@ def test_analyze_type_lists_readings_in_reference_order_under_any_flags(
         st.lists(st.sampled_from([f.name for f in Flag]), max_size=9)))
     _agrees_with_one_lookup_per_split([surface], lexicon, active,
                                       data.draw(st.booleans()))
+
+
+def _triples_by_active_set(triples, seed, n):
+    """All triples under ``ALL_FLAGS``, then each triple under ``n`` seeded
+    active sets its three entries meet: each the union of one flag drawn
+    from every entry's flags.  Maps active set -> triples."""
+    rng = random.Random(seed)
+    members = {mask: [f for f in Flag if f & mask]
+               for mask in {e.flags for triple in triples for e in triple}}
+    groups = {ALL_FLAGS: list(triples)}
+    for triple in triples:
+        for _ in range(n):
+            active = Flag(0)
+            for entry in triple:
+                active |= rng.choice(members[entry.flags])
+            groups.setdefault(active, []).append(triple)
+    return groups
+
+
+@pytest.mark.parametrize("fold_alif", [False, True])
+def test_analyze_type_finds_the_reading_of_every_licensed_triple(
+        lexicon, fold_alif):
+    """A generative oracle: the joined surface of each licensed entry
+    triple has the (voc, lemma, primary tag) built from the three entries
+    among its readings, under active sets the three entries meet."""
+    groups = _triples_by_active_set(licensed_triples(lexicon), seed=3, n=2)
+    for active, triples in groups.items():
+        readings: dict[str, set] = {}
+        for a, b, c in triples:
+            surface = a.surface + b.surface + c.surface
+            if surface not in readings:
+                readings[surface] = {
+                    (x.voc, x.lemma, x.pos)
+                    for x in analyze_type(surface, lexicon, active, fold_alif)}
+            voc = "+".join(e.voc for e in (a, b, c) if e.voc)
+            assert (voc, b.lemma, b.head_tag()) in readings[surface], \
+                (surface, active)
 
 
 @pytest.mark.parametrize("fold_alif", [False, True])

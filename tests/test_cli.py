@@ -297,6 +297,32 @@ def test_surface_rules_match_the_key_under_the_pipeline_table(tmp_path,
         assert ("كاتب\tkAtab+a/kAtab_1/V" in lines) == verb_kept
 
 
+def test_a_translit_codepoint_past_the_unicode_range_exits_2(tmp_path,
+                                                             capsys):
+    table = tmp_path / "t.tsv"
+    table.write_text("U+110000\tx\n", encoding="utf-8")
+    assert main(["analyze", _write_phrase(tmp_path), "--flags", "all",
+                 "--translit-table", str(table)]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == (f"arabmorph: error: {table}: line 1: bad codepoint "
+                       "'U+110000'\n")
+
+
+@pytest.mark.parametrize("name,codepoint", [("a\x1fb.txt", "U+001F"),
+                                            ("a\udcffb.txt", "U+DCFF")])
+def test_analyze_of_a_file_name_xml_cannot_carry_exits_2(tmp_path, capsys,
+                                                         name, codepoint):
+    """A file name with a control character, or with the byte 0xFF,
+    which the file system's encoding gives as a lone surrogate."""
+    path = _write_phrase(tmp_path, name=name)
+    assert main(["analyze", path, "--flags", "all"]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == (f"arabmorph: error: source holds {codepoint}, which "
+                       "XML 1.0 cannot carry\n")
+
+
 def test_merge_with_a_bad_review_kind_exits_2(tmp_path, capsys):
     review = tmp_path / "review.tsv"
     review.write_text("#! kind=bogus\tsource=x\n"

@@ -16,7 +16,7 @@ from arabmorph.lexicon import ALL_FLAGS, parse_flagset
 from arabmorph.translit import DEFAULT_TABLE, BuckTable
 
 from oracles import (reference_apply_rules, reference_rank,
-                     resummed_score)
+                     reference_vocab, resummed_score)
 
 MSA = parse_flagset(["MSA"])
 
@@ -88,6 +88,28 @@ def test_parse_rules_rejects_a_repeated_target_key():
         with pytest.raises(RuleError,
                            match=f"^rules.txt:2: repeated target key '{key}'"):
             parse_rules(io.StringIO(f"# ok\n{line}\n"), "rules.txt")
+
+
+_RULE_PIECES = st.sampled_from(
+    ["DROP", "WHEN", " DROP ", " WHEN ", "pos=", "lemma=", "prev.", "next.",
+     "surface=", "lemma=", "pos=", "V", "kAtab_1", "مع", " ", "  ", "\t",
+     "\n", "\n", "#", "=", ".", "\r", "\x0c", "\u2028", "\x85"])
+_ANY_CHARS = st.text(st.characters(blacklist_categories=()), max_size=3)
+
+
+@given(st.lists(st.one_of(_RULE_PIECES, _ANY_CHARS), max_size=30)
+       .map("".join))
+def test_any_text_parses_as_rules_or_raises_rule_error(text):
+    for source in (io.StringIO(text), text.splitlines(keepends=True)):
+        try:
+            rules = parse_rules(source)
+        except RuleError:
+            continue
+        for rule in rules:
+            assert rule.offset in (-1, 1)
+            assert rule.context_attr in ("surface", "lemma", "pos")
+            assert rule.target_pos is not None or \
+                rule.target_lemma is not None
 
 
 # --- rule application ----------------------------------------------------------
@@ -404,6 +426,13 @@ def test_score_equals_a_score_that_recounts_its_normalisers(model, queries):
             resummed_score(model, (t2, t1), cand)
 
 
+@given(_models())
+def test_a_model_derives_its_total_and_vocabulary_from_its_counts(model):
+    assert model.total == sum(model.unigram.values())
+    assert model.vocab == reference_vocab(model)
+    assert model.v1 == len(model.vocab) + 1
+
+
 # --- model serialization ---------------------------------------------------------
 
 def test_lm_serialization_round_trips_bit_exactly(freq, gold_sentences):
@@ -520,6 +549,21 @@ def test_load_lm_reports_bad_numbers_with_file_and_line():
         with pytest.raises(LmError, match=f"^m.lm:{lineno}: {what}"):
             load_lm(io.StringIO(_with_last_field(text, lineno, value)),
                     "m.lm")
+
+
+@pytest.mark.parametrize("header,value,message", [
+    ("total", "5", "total mismatch: header says 5, counted 7"),
+    ("vocab", "7", "vocab size mismatch: header says 7, counted 3"),
+])
+def test_load_lm_rejects_a_header_its_counts_do_not_give(header, value,
+                                                          message):
+    model = train_lm([[("a_1", "N"), ("b_1", "V")], [("a_1", "N")]],
+                     freq={("c_1", "A"): 4}, lam=0.25)
+    text = serialize_lm(model)
+    lineno = next(i for i, line in enumerate(text.splitlines(), 1)
+                  if line.startswith(header + "\t"))
+    with pytest.raises(LmError, match=f"^m.lm: {message}$"):
+        load_lm(io.StringIO(_with_last_field(text, lineno, value)), "m.lm")
 
 
 @given(st.integers(min_value=0), st.text(max_size=12))

@@ -14,12 +14,15 @@ from arabmorph.cli import default_lexicon_dir
 from arabmorph.lexicon import (ALL_FLAGS, Candidate, CompatTables, Flag,
                                Kind, LexEntry, Lexicon, LexiconError,
                                ReviewBatch, Status, classical_preset,
-                               compatible, flag_names, import_tei_dictionary,
-                               import_wordlist, load_lexicon,
+                               compatible, flag_names, format_entry_line,
+                               import_tei_dictionary, import_wordlist,
+                               load_lexicon,
                                load_lexicon_dir, load_review,
                                merge_reviewed, parse_entry_line, parse_flagset,
                                save_review, serialize_lexicon)
 from arabmorph.translit import normalize, strip_diacritics
+
+from oracles import reference_adds
 
 flag_lists = st.lists(st.sampled_from([f.name for f in Flag]), max_size=9)
 
@@ -175,6 +178,27 @@ def test_len_counts_rows_after_adds_copies_and_merges(added, reviewed):
     merged = merge_reviewed(lex, batch)
     assert len(merged) == _rows_counted(merged)
     assert len(lex) == _rows_counted(lex) == len(clone)
+
+
+@given(st.lists(_entries(), min_size=1, max_size=5), st.data())
+def test_adds_equal_a_reference_keyed_by_row(pool, data):
+    """Rows drawn from a small pool, repeated with other flags: return
+    values, ``len``, row order and serialization match the reference."""
+    picks = data.draw(st.lists(st.tuples(st.integers(0, len(pool) - 1),
+                                         _FLAG_SETS), max_size=16))
+    added = [replace(pool[i], flags=flags) for i, flags in picks]
+    lex = Lexicon(CompatTables(frozenset(), frozenset(), frozenset()))
+    returns, rows = reference_adds(added)
+    assert [lex.add(e) for e in added] == returns
+    files = serialize_lexicon(lex)
+    for copy in (lex, lex.copy()):
+        assert len(copy) == len(rows)
+        assert list(copy.entries()) == rows
+        assert serialize_lexicon(copy) == files
+    for kind, name in zip(Kind, ("prefixes.tsv", "stems.tsv",
+                                 "suffixes.tsv")):
+        assert files[name] == "".join(format_entry_line(e) + "\n"
+                                      for e in rows if e.kind is kind)
 
 
 def _pad(text, pads):
@@ -541,3 +565,25 @@ def test_review_file_rejects_bad_kind():
     with pytest.raises(LexiconError, match="^r.tsv:2: bad kind 'bogus'"):
         load_review(io.StringIO("# comment\n#! kind=bogus\tsource=x\n"),
                     "r.tsv")
+
+
+_REVIEW_PIECES = st.sampled_from(
+    ["#!", "#! ", "kind=", "stem", "prefix", "suffix", "bogus", "source=",
+     "\t", "\t", "\t", "\n", "\n", "A", "P", "R", "X", "#", " ", "0",
+     "ktAb", "kitAb", "N", "kitAb_1", "MSA", "CA|MSA", "|", "<pos>",
+     "</pos>", "\r", "\x85"])
+_ANY_CHARS = st.text(st.characters(blacklist_categories=()), max_size=3)
+
+
+@given(st.lists(st.one_of(_REVIEW_PIECES, _ANY_CHARS), max_size=40)
+       .map("".join))
+def test_any_text_loads_as_a_review_or_raises_lexicon_error(text):
+    for source in (io.StringIO(text), text.splitlines(keepends=True)):
+        try:
+            batch = load_review(source)
+        except LexiconError:
+            continue
+        assert isinstance(batch.kind, Kind)
+        for cand in batch.candidates:
+            assert isinstance(cand.status, Status)
+            assert strip_diacritics(cand.entry.voc) == cand.entry.surface

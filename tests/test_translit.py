@@ -1,4 +1,5 @@
 import io
+import re
 
 import pytest
 from hypothesis import given, strategies as st
@@ -94,3 +95,46 @@ def test_table_rejects_bad_rows():
         BuckTable.from_stream(io.StringIO("0645\tm\n"))
     with pytest.raises(TranslitError, match="duplicate"):
         BuckTable.from_stream(io.StringIO("U+0645\tm\nU+0646\tm\n"))
+
+
+def test_table_rejects_a_codepoint_past_the_unicode_range():
+    with pytest.raises(TranslitError,
+                       match=r"^line 2: bad codepoint 'U\+110000'$"):
+        BuckTable.from_stream(io.StringIO("U+0645\tm\nU+110000\tx\n"))
+    table = BuckTable.from_stream(io.StringIO("U+10FFFF\tx\n"))
+    assert table.to_buck("\U0010ffff") == "x"
+
+
+def test_table_file_errors_name_the_file(tmp_path):
+    path = tmp_path / "t.tsv"
+    path.write_text("# a table\nU+110000\tx\n", encoding="utf-8")
+    with pytest.raises(TranslitError, match=(
+            f"^{re.escape(str(path))}: line 2: bad codepoint 'U\\+110000'$")):
+        BuckTable.from_file(path)
+
+
+def test_table_skips_blank_and_comment_lines_by_the_tsv_rule():
+    rows = "U+0645\tm\nU+0639\tE\n"
+    padded = " \t\n# comment\nU+0645\tm\n\n  \nU+0639\tE\n\t\n"
+    assert BuckTable.from_stream(io.StringIO(padded)).a2b == \
+        BuckTable.from_stream(io.StringIO(rows)).a2b
+    with pytest.raises(TranslitError, match="^line 1: bad codepoint"):
+        BuckTable.from_stream(io.StringIO(" #U+0645\tm\n"))
+
+
+_HEX = st.text("0123456789abcdefABCDEF", min_size=4, max_size=6)
+_ANY = st.text(st.characters(blacklist_categories=()), max_size=3)
+_TABLE_PIECES = st.one_of(
+    st.sampled_from(["U+", "\t", "\t", "\n", "\n", "#", " ", "\r", "m"]),
+    _HEX.map("U+{}".format), _HEX, _ANY,
+    st.builds("U+{}\t{}\n".format, _HEX, _ANY))
+
+
+@given(st.lists(_TABLE_PIECES, max_size=24).map("".join))
+def test_any_text_loads_as_a_table_or_raises_translit_error(text):
+    for source in (io.StringIO(text), text.splitlines(keepends=True)):
+        try:
+            table = BuckTable.from_stream(source)
+        except TranslitError:
+            continue
+        assert {bw: ar for ar, bw in table.a2b.items()} == table.b2a
