@@ -263,20 +263,25 @@ class Lexicon:
 
     def add(self, entry: LexEntry) -> bool:
         """Insert an entry, collapsing duplicates by flag union: a row of
-        the entry's bucket with the same voc, cat and lemma is one.
+        the entry's bucket with the same voc, cat and lemma is one.  The
+        bucket is replaced, never changed in place, so copies can share
+        the buckets that neither changes.
 
         Returns True when a new row was created, False when an existing
         row absorbed the entry's flags.
         """
         self._view_key = self._known = None
-        bucket = self.tables[entry.kind].setdefault(entry.surface, [])
+        table = self.tables[entry.kind]
+        bucket = table.get(entry.surface, ())
         for i, row in enumerate(bucket):
             if (row.voc == entry.voc and row.cat == entry.cat
                     and row.lemma == entry.lemma):
                 if row.flags | entry.flags != row.flags:
-                    bucket[i] = replace(row, flags=row.flags | entry.flags)
+                    merged = replace(row, flags=row.flags | entry.flags)
+                    table[entry.surface] = [*bucket[:i], merged,
+                                            *bucket[i + 1:]]
                 return False
-        bucket.append(entry)
+        table[entry.surface] = [*bucket, entry]
         return True
 
     def lookup(self, surface: str, kind: Kind, active: Flag,
@@ -319,12 +324,11 @@ class Lexicon:
         return self._known
 
     def copy(self) -> "Lexicon":
-        """An independent lexicon with the same rows.  Buckets are copied;
-        the frozen entries are shared."""
+        """An independent lexicon with the same rows.  It shares the
+        buckets, which ``add`` replaces rather than changes."""
         clone = Lexicon(self.compat)
         for kind, table in self.tables.items():
-            clone.tables[kind].update(
-                (surface, list(bucket)) for surface, bucket in table.items())
+            clone.tables[kind].update(table)
         return clone
 
 

@@ -9,7 +9,6 @@ input and output edges.
 from __future__ import annotations
 
 import re
-import sys
 from importlib import resources
 from typing import IO, Iterable
 
@@ -61,7 +60,7 @@ class BuckTable:
             if len(fields) != 2 or not fields[1]:
                 raise TranslitError(f"line {lineno}: expected codepoint<TAB>char")
             m = _CODEPOINT_RE.match(fields[0])
-            if not m or int(m.group(1), 16) > sys.maxunicode:
+            if not m or int(m.group(1), 16) > 0x10FFFF:
                 raise TranslitError(f"line {lineno}: bad codepoint {fields[0]!r}")
             mapping[chr(int(m.group(1), 16))] = fields[1]
         return cls(mapping)

@@ -182,23 +182,32 @@ def test_len_counts_rows_after_adds_copies_and_merges(added, reviewed):
 
 @given(st.lists(_entries(), min_size=1, max_size=5), st.data())
 def test_adds_equal_a_reference_keyed_by_row(pool, data):
-    """Rows drawn from a small pool, repeated with other flags: return
-    values, ``len``, row order and serialization match the reference."""
-    picks = data.draw(st.lists(st.tuples(st.integers(0, len(pool) - 1),
-                                         _FLAG_SETS), max_size=16))
-    added = [replace(pool[i], flags=flags) for i, flags in picks]
+    """Rows drawn from a small pool, repeated with other flags, added to a
+    lexicon and then to a copy of it: return values, ``len``, row order
+    and serialization match the reference, and the copy's adds leave the
+    original as it was."""
+    pool += [replace(e, cat=e.cat + "2") for e in pool]   # shared buckets
+
+    def adds():
+        picks = data.draw(st.lists(st.tuples(st.integers(0, len(pool) - 1),
+                                             _FLAG_SETS), max_size=10))
+        return [replace(pool[i], flags=flags) for i, flags in picks]
+
+    first, then = adds(), adds()
     lex = Lexicon(CompatTables(frozenset(), frozenset(), frozenset()))
-    returns, rows = reference_adds(added)
-    assert [lex.add(e) for e in added] == returns
-    files = serialize_lexicon(lex)
-    for copy in (lex, lex.copy()):
-        assert len(copy) == len(rows)
-        assert list(copy.entries()) == rows
-        assert serialize_lexicon(copy) == files
-    for kind, name in zip(Kind, ("prefixes.tsv", "stems.tsv",
-                                 "suffixes.tsv")):
-        assert files[name] == "".join(format_entry_line(e) + "\n"
-                                      for e in rows if e.kind is kind)
+    assert [lex.add(e) for e in first] == reference_adds(first)[0]
+    clone = lex.copy()
+    assert [clone.add(e) for e in then] == \
+        reference_adds(first + then)[0][len(first):]
+    for lexicon, added in ((lex, first), (clone, first + then)):
+        rows = reference_adds(added)[1]
+        assert len(lexicon) == len(rows)
+        assert list(lexicon.entries()) == rows
+        files = serialize_lexicon(lexicon)
+        for kind, name in zip(Kind, ("prefixes.tsv", "stems.tsv",
+                                     "suffixes.tsv")):
+            assert files[name] == "".join(format_entry_line(e) + "\n"
+                                          for e in rows if e.kind is kind)
 
 
 def _pad(text, pads):
