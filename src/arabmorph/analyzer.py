@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 from .lexicon import Flag, Kind, LexEntry, Lexicon, compatible
 from .translit import BuckTable, DEFAULT_TABLE, normalize, strip_diacritics
@@ -23,7 +23,7 @@ MAX_PREFIX_LEN = 4
 MAX_SUFFIX_LEN = 6
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class Token:
     surface: str    # Arabic script, possibly with diacritics
     offset: int     # character index into the source text
@@ -86,9 +86,10 @@ class TokenReadings:
     Records of one word type share their ``analyses``, ``dropped`` and
     ``ranked`` objects, so treat them as read-only.  A stage may key its
     per-call work by the ``id`` of such an object, or of one it builds
-    per such object: the input it is given keeps every keyed object
-    alive for the call, so no id is reused, and the sharing makes the
-    ids repeat."""
+    per such object, if the memo holds the keyed object in its value:
+    a stage's input may be lazy and free each record once read, and the
+    held object keeps its id from being reused while the memo lives.
+    The sharing makes the ids repeat."""
 
     token: Token
     analyses: Sequence[Analysis]
@@ -181,22 +182,25 @@ def had_diacritics(token: Token, table: BuckTable | None = None) -> bool:
     return not table.arabic_diacritics.isdisjoint(token.surface)
 
 
-def analyze_text(tokens: list[Token], lex: Lexicon, active: Flag,
+def analyze_text(tokens: Iterable[Token], lex: Lexicon, active: Flag,
                  cache: TypeCache | None = None,
                  table: BuckTable | None = None,
-                 fold_alif: bool = False) -> list[TokenReadings]:
-    """One record per token, in token order; repeated types are served
-    from the cache and share its tuple of analyses.
+                 fold_alif: bool = False) -> Iterator[TokenReadings]:
+    """Yield one record per token, in token order, as the tokens are read;
+    repeated types are served from the cache and share its tuple of
+    analyses.
 
     Each distinct surface is transliterated and looked up in the cache
     once per call; ``found`` maps it to its analyses.  A later token of
-    the same surface would be a cache hit, so the cache's hit count grows
-    by those tokens and its hit and miss counts stay per token.
+    the same surface would be a cache hit, so once the input runs out the
+    cache's hit count grows by those tokens and its hit and miss counts
+    stay per token.
     """
     cache = cache if cache is not None else TypeCache()
     found: dict[str, tuple[Analysis, ...]] = {}
-    out = []
+    n = 0
     for token in tokens:
+        n += 1
         analyses = found.get(token.surface)
         if analyses is None:
             key = (token_lookup_key(token, table), int(active), fold_alif)
@@ -208,6 +212,5 @@ def analyze_text(tokens: list[Token], lex: Lexicon, active: Flag,
             else:
                 cache.hits += 1
             found[token.surface] = analyses
-        out.append(TokenReadings(token, analyses))
-    cache.hits += len(tokens) - len(found)
-    return out
+        yield TokenReadings(token, analyses)
+    cache.hits += n - len(found)

@@ -15,7 +15,8 @@ import logging
 import re
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
-from typing import IO, Iterable, Sequence
+from itertools import chain
+from typing import IO, Iterable, Iterator, Sequence
 
 from .analyzer import Analysis, TokenReadings, token_lookup_key
 from .textio import data_lines
@@ -110,9 +111,10 @@ def parse_rules(stream: IO[str] | Iterable[str],
     return rules
 
 
-def apply_rules(sets: Sequence[TokenReadings], rules: Sequence[FilterRule],
-                table: BuckTable = DEFAULT_TABLE) -> list[TokenReadings]:
-    """Move rule-matched analyses to the drop list, per token.
+def apply_rules(sets: Iterable[TokenReadings], rules: Sequence[FilterRule],
+                table: BuckTable = DEFAULT_TABLE) -> Iterator[TokenReadings]:
+    """Move rule-matched analyses to the drop list, per token; yield each
+    token's record once its right neighbor has been read.
 
     Rules act in file order, each a filter over the readings that earlier
     rules left: it drops its matching survivors unless that would empty a
@@ -127,18 +129,20 @@ def apply_rules(sets: Sequence[TokenReadings], rules: Sequence[FilterRule],
     A token with no armed rule gets its input record itself back when
     that record has no ``dropped`` and no ``ranked``, as ``analyze_text``'s
     records have; any other record is rebuilt.
-    Each skipped (rule, surface) pair is logged once, with its token count.
+    Once the input runs out, each skipped (rule, surface) pair is logged
+    once, with its token count.
 
     Work is done once per distinct input in one call.  Bit ``k`` stands
     for ``rules[k]``.  A record's context bits, the rules whose context it
     satisfies, are computed once per (surface, analyses object) from an
     index of the rules by context.  A token's armed rules are the
     ``prev.`` rules its left neighbor satisfies and the ``next.`` rules
-    its right neighbor satisfies.  A token with none armed enters no rule
-    loop.  An armed token's survivors, drops and skipped rules depend only
-    on its analyses and its armed rules, so they are computed once per
-    (analyses object, armed bits) and shared as tuples, keyed by ``id``
-    as ``TokenReadings`` allows.
+    its right neighbor satisfies, so the input is read one record ahead.
+    A token with none armed enters no rule loop.  An armed token's
+    survivors, drops and skipped rules depend only on its analyses and
+    its armed rules, so they are computed once per (analyses object,
+    armed bits) and shared as tuples.  Both memos key by ``id`` and hold
+    the keyed analyses, as ``TokenReadings`` asks.
     """
     index = {attr: defaultdict(int) for attr in ("surface", "lemma", "pos")}
     for k, rule in enumerate(rules):
@@ -146,59 +150,67 @@ def apply_rules(sets: Sequence[TokenReadings], rules: Sequence[FilterRule],
     surfaces, lemmas, tags = index["surface"], index["lemma"], index["pos"]
     prev_rules = sum(1 << k for k, rule in enumerate(rules) if rule.offset < 0)
     next_rules = (1 << len(rules)) - 1 - prev_rules
-    context: dict[tuple[str, int], int] = {}
-    bits = []
-    for rec in sets:
-        key = (rec.token.surface, id(rec.analyses))
-        b = context.get(key)
-        if b is None:
-            b = 0
-            if surfaces:
-                b = (surfaces.get(rec.token.surface, 0)
-                     | surfaces.get(token_lookup_key(rec.token, table), 0))
-            for a in rec.analyses:
-                b |= lemmas.get(a.lemma, 0) | tags.get(a.pos, 0)
-            context[key] = b
-        bits.append(b)
-    armed_bits = [(left & prev_rules) | (right & next_rules)
-                  for left, right in zip([0] + bits, bits[1:] + [0])]
-
+    context: dict[tuple[str, int], tuple[int, Sequence[Analysis]]] = {}
     outcomes: dict[tuple[int, int], tuple] = {}
     skipped: Counter[tuple[FilterRule, str]] = Counter()
-    out = []
-    for rec, armed in zip(sets, armed_bits):
-        if not armed:
-            out.append(rec if not (rec.dropped or rec.ranked)
+    # rec waits for its right neighbor; left and here are the context
+    # bits of its left neighbor and of itself.  None ends the input.
+    rec = None
+    left = here = 0
+    for nxt in chain(sets, (None,)):
+        right = 0
+        if nxt is not None:
+            key = (nxt.token.surface, id(nxt.analyses))
+            entry = context.get(key)
+            if entry is None:
+                b = 0
+                if surfaces:
+                    b = (surfaces.get(nxt.token.surface, 0)
+                         | surfaces.get(token_lookup_key(nxt.token, table), 0))
+                for a in nxt.analyses:
+                    b |= lemmas.get(a.lemma, 0) | tags.get(a.pos, 0)
+                entry = context[key] = (b, nxt.analyses)
+            right = entry[0]
+        if rec is not None:
+            armed = (left & prev_rules) | (right & next_rules)
+            if not armed:
+                yield (rec if not (rec.dropped or rec.ranked)
                        else TokenReadings(rec.token, rec.analyses))
-            continue
-        outcome = outcomes.get((id(rec.analyses), armed))
-        if outcome is None:
-            survivors = rec.analyses
-            dropped: list[tuple[Analysis, FilterRule]] = []
-            skips = []
-            for k, rule in enumerate(rules):
-                if not armed >> k & 1:
-                    continue
-                hit = [a for a in survivors if rule.matches_target(a)]
-                if not hit:
-                    continue
-                if len(hit) == len(survivors):
-                    skips.append(rule)
-                    continue
-                dropped.extend((a, rule) for a in hit)
-                survivors = tuple(a for a in survivors
-                                  if not rule.matches_target(a))
-            outcome = outcomes[id(rec.analyses), armed] = (
-                survivors, tuple(dropped), skips)
-        survivors, dropped, skips = outcome
-        for rule in skips:
-            skipped[rule, rec.token.surface] += 1
-        out.append(TokenReadings(rec.token, survivors, dropped))
+            else:
+                outcome = outcomes.get((id(rec.analyses), armed))
+                if outcome is None:
+                    outcome = outcomes[id(rec.analyses), armed] = (
+                        *_filter(rec.analyses, rules, armed), rec.analyses)
+                survivors, dropped, skips, _ = outcome
+                for rule in skips:
+                    skipped[rule, rec.token.surface] += 1
+                yield TokenReadings(rec.token, survivors, dropped)
+        rec, left, here = nxt, here, right
     for (rule, surface), count in skipped.items():
         log.warning("rule %r would remove every analysis of %r; "
                     "application skipped on %d token(s)",
                     rule.text, surface, count)
-    return out
+
+
+def _filter(analyses: Sequence[Analysis], rules: Sequence[FilterRule],
+            armed: int) -> tuple[Sequence[Analysis], tuple, list]:
+    """The survivors, drops and skipped rules of ``analyses`` under the
+    rules whose bits are set in ``armed``, in file order."""
+    survivors = analyses
+    dropped: list[tuple[Analysis, FilterRule]] = []
+    skips = []
+    for k, rule in enumerate(rules):
+        if not armed >> k & 1:
+            continue
+        hit = [a for a in survivors if rule.matches_target(a)]
+        if not hit:
+            continue
+        if len(hit) == len(survivors):
+            skips.append(rule)
+            continue
+        dropped.extend((a, rule) for a in hit)
+        survivors = tuple(a for a in survivors if not rule.matches_target(a))
+    return survivors, tuple(dropped), skips
 
 
 # ---------------------------------------------------------------------------
@@ -219,11 +231,13 @@ class LmModel:
     freq: dict[Tuple, int]
     lam: float
     # Derived from the counts, once per model: the unigram mass (boundary
-    # symbols included), the vocabulary and the smoothing normalisers.
+    # symbols included), the vocabulary, the smoothing normalisers, and
+    # whether any context can be seen (a positive bigram or unigram).
     total: int = field(init=False, repr=False, compare=False)
     vocab: frozenset[Tuple] = field(init=False, repr=False, compare=False)
     freq_total: int = field(init=False, repr=False, compare=False)
     v1: int = field(init=False, repr=False, compare=False)
+    contextual: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not 0.0 <= self.lam <= 1.0:
@@ -234,12 +248,15 @@ class LmModel:
         object.__setattr__(self, "vocab", vocab)
         object.__setattr__(self, "freq_total", sum(self.freq.values()))
         object.__setattr__(self, "v1", len(vocab) + 1)
+        object.__setattr__(self, "contextual", any(
+            c > 0 for table in (self.bigram, self.unigram)
+            for c in table.values()))
 
     def backoff(self, ctx: tuple[Tuple, Tuple]) -> tuple[Tuple, ...]:
         """The part of ``ctx`` that ``score`` reads: the pair (t2, t1) if
         it was observed as a bigram, else (t1,) if t1 was observed, else
         (); so contexts with equal backoff score every candidate equally.
-        A frequency-only model maps every context to ()."""
+        A model that is not ``contextual`` maps every context to ()."""
         if self.bigram.get(ctx, 0) > 0:
             return ctx
         t1 = ctx[1]
@@ -252,7 +269,7 @@ class LmModel:
         used only when its context was observed (``backoff``); each level
         applies add-one smoothing over |vocab| + 1 outcomes.
         """
-        seen = self.backoff(ctx)
+        seen = self.backoff(ctx) if self.contextual else ()
         if len(seen) == 2:
             count, total = (self.trigram.get(seen + (cand,), 0),
                             self.bigram[seen])
@@ -450,9 +467,10 @@ def empty_lm(lam: float = 0.7, freq: dict[Tuple, int] | None = None) -> LmModel:
 # ---------------------------------------------------------------------------
 # Ranking
 
-def rank(sets: Sequence[TokenReadings],
+def rank(sets: Iterable[TokenReadings],
          model: LmModel) -> list[TokenReadings]:
-    """Greedy left-to-right ranking.
+    """Greedy left-to-right ranking; the one stage whose records the
+    caller keeps, so it returns a list.
 
     The context for token t is the pair of top-ranked tuples chosen at
     t-2 and t-1 (boundary symbols at the edges).  An unknown neighbor
@@ -464,27 +482,32 @@ def rank(sets: Sequence[TokenReadings],
 
     A ranking depends only on the context's ``model.backoff`` and the
     readings, so it is computed once per (backoff, analyses object) in
-    one call (keyed by ``id`` as ``TokenReadings`` allows) and the list
-    is shared, kept with its top tuple (``UNK`` for an empty list) that
-    the next contexts take.
+    one call and the list is shared, kept with its top tuple (``UNK`` for
+    an empty list) that the next contexts take.  A model that is not
+    ``contextual`` backs every context off to (), so its rankings are
+    keyed by the analyses object alone and no context is built.  The memo
+    keys by ``id`` and holds the keyed analyses, as ``TokenReadings``
+    asks.
     """
-    backoff = model.backoff
-    t2 = t1 = BOS
-    memo: dict[tuple, tuple[list[tuple[Analysis, float]], Tuple]] = {}
+    contextual, backoff = model.contextual, model.backoff
+    ctx = (BOS, BOS)
+    memo: dict[object, tuple[list[tuple[Analysis, float]], Tuple,
+                             Sequence[Analysis]]] = {}
     out = []
     for rec in sets:
-        ctx = (t2, t1)
-        key = (backoff(ctx), id(rec.analyses))
+        analyses = rec.analyses
+        key = (backoff(ctx), id(analyses)) if contextual else id(analyses)
         entry = memo.get(key)
         if entry is None:
-            ranked = [(a, model.score(ctx, a.lemma_pos))
-                      for a in rec.analyses]
+            ranked = [(a, model.score(ctx, a.lemma_pos)) for a in analyses]
             if len(ranked) > 1:
                 ranked.sort(key=lambda pair: (
                     -pair[1], -model.freq.get(pair[0].lemma_pos, 0)))
             entry = memo[key] = (ranked,
-                                 ranked[0][0].lemma_pos if ranked else UNK)
-        ranked, top = entry
-        out.append(TokenReadings(rec.token, rec.analyses, rec.dropped, ranked))
-        t2, t1 = t1, top
+                                 ranked[0][0].lemma_pos if ranked else UNK,
+                                 analyses)
+        ranked, top, _ = entry
+        out.append(TokenReadings(rec.token, analyses, rec.dropped, ranked))
+        if contextual:
+            ctx = (ctx[1], top)
     return out

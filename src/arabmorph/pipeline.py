@@ -72,7 +72,10 @@ class Pipeline:
         analyses, and one ranked record per token."""
         tokens = tokenize(text, self.table)
         cache = TypeCache()
-        sets = analyze_text(tokens, self.lexicon, self.config.flags, cache,
-                            self.table, fold_alif=self.config.normalize_alif)
-        ranked = rank(apply_rules(sets, self.rules, self.table), self.model)
+        # The stages are lazy: each record is freed once the next stage
+        # has read it, so only the tokens and ranked records stay alive.
+        ranked = rank(apply_rules(
+            analyze_text(tokens, self.lexicon, self.config.flags, cache,
+                         self.table, fold_alif=self.config.normalize_alif),
+            self.rules, self.table), self.model)
         return tokens, cache, ranked

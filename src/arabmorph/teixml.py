@@ -149,9 +149,12 @@ def parse_tei(xml: str) -> TeiDoc:
     built: dict[tuple, TeiWord] = {}
     words = []
     for w in root.iter("w"):
-        # iter("w") includes the element itself; more than one hit means
-        # a <w> nested inside a <w>, which the format forbids.
-        if sum(1 for _ in w.iter("w")) > 1:
+        # iter("w") yields the element itself first; a second hit is a
+        # <w> nested inside it, which the format forbids.  The walk stops
+        # at that hit.
+        below = w.iter("w")
+        next(below)
+        if next(below, None) is not None:
             raise TeiError("nested <w> elements are not allowed")
         ana = w.get("ana")
         if ana is None:

@@ -33,7 +33,7 @@ def _pass(number, message):
 
 
 def _pipeline(text, lexicon, rules, freq, flags=MSA, source="phrase.txt"):
-    sets = analyze_text(tokenize(text), lexicon, flags, TypeCache())
+    sets = list(analyze_text(tokenize(text), lexicon, flags, TypeCache()))
     return sets, rank(apply_rules(sets, rules), empty_lm(freq=freq))
 
 
@@ -186,7 +186,7 @@ def test_criterion_8_lm_endpoints(lexicon, freq):
         [("malik_1", "N"), ("qAl_1", "V")],
         [("malak_1", "V"), ("kitAb_1", "N")],
     ]
-    sets = analyze_text(tokenize("ملك"), lexicon, MSA)
+    sets = list(analyze_text(tokenize("ملك"), lexicon, MSA))
     candidates = [a.lemma_pos for a in sets[0].analyses]
 
     freq_order = [c for _, c in sorted(

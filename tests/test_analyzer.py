@@ -302,14 +302,14 @@ def test_flag_monotonicity_lifts_to_analyses(lexicon):
 # --- analyze_text and the type cache ------------------------------------------
 
 def test_analyze_text_phrase_set_sizes(lexicon):
-    sets = analyze_text(tokenize("مع كاتب"), lexicon, MSA)
+    sets = list(analyze_text(tokenize("مع كاتب"), lexicon, MSA))
     assert [len(s.analyses) for s in sets] == [1, 3]
     assert [s.unknown for s in sets] == [False, False]
 
 
 def test_analyze_text_serves_repeats_from_cache(lexicon):
     cache = TypeCache()
-    sets = analyze_text(tokenize("كاتب كاتب كاتب"), lexicon, MSA, cache)
+    sets = list(analyze_text(tokenize("كاتب كاتب كاتب"), lexicon, MSA, cache))
     assert len(sets) == 3
     assert cache.misses == 1
     assert cache.hits == 2
@@ -317,7 +317,7 @@ def test_analyze_text_serves_repeats_from_cache(lexicon):
 
 
 def test_analyze_text_unknown_token_flagged(lexicon):
-    sets = analyze_text(tokenize("قهوة"), lexicon, ALL_FLAGS)
+    sets = list(analyze_text(tokenize("قهوة"), lexicon, ALL_FLAGS))
     assert len(sets) == 1
     assert sets[0].unknown
 
@@ -333,7 +333,7 @@ def test_cache_transparency(lexicon, corpus_text):
 
 def test_cache_keys_include_flags(lexicon):
     cache = TypeCache()
-    analyze_text(tokenize("دا"), lexicon, ALL_FLAGS, cache)
-    analyze_text(tokenize("دا"), lexicon, MSA, cache)
+    list(analyze_text(tokenize("دا"), lexicon, ALL_FLAGS, cache))
+    list(analyze_text(tokenize("دا"), lexicon, MSA, cache))
     assert cache.misses == 2
     assert len(cache) == 2

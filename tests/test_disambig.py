@@ -54,11 +54,11 @@ def test_conjoined_target_predicates_must_both_match(lexicon):
     # pos=V lemma=kAtab_1 only drops the one reading matching both
     (rule,) = parse_rules(io.StringIO(
         "DROP pos=V lemma=kAtab_1 WHEN prev.surface=mE"))
-    filtered = apply_rules(_phrase_sets(lexicon), [rule])
+    filtered = list(apply_rules(_phrase_sets(lexicon), [rule]))
     assert [a.lemma for a, _ in filtered[1].dropped] == ["kAtab_1"]
     (other,) = parse_rules(io.StringIO(
         "DROP pos=V lemma=other_1 WHEN prev.surface=mE"))
-    filtered = apply_rules(_phrase_sets(lexicon), [other])
+    filtered = list(apply_rules(_phrase_sets(lexicon), [other]))
     assert filtered[1].dropped == ()
 
 
@@ -66,7 +66,7 @@ def test_surface_context_matches_arabic_or_buckwalter(lexicon):
     for value in ("mE", "مع"):
         (rule,) = parse_rules(io.StringIO(
             f"DROP pos=V WHEN prev.surface={value}"))
-        filtered = apply_rules(_phrase_sets(lexicon), [rule])
+        filtered = list(apply_rules(_phrase_sets(lexicon), [rule]))
         assert [a.lemma for a, _ in filtered[1].dropped] == ["kAtab_1"]
 
 
@@ -115,11 +115,11 @@ def test_any_text_parses_as_rules_or_raises_rule_error(text):
 # --- rule application ----------------------------------------------------------
 
 def _phrase_sets(lexicon, text="مع كاتب", flags=MSA):
-    return analyze_text(tokenize(text), lexicon, flags)
+    return list(analyze_text(tokenize(text), lexicon, flags))
 
 
 def test_maea_rule_drops_the_verb_reading(lexicon, rules):
-    filtered = apply_rules(_phrase_sets(lexicon), rules)
+    filtered = list(apply_rules(_phrase_sets(lexicon), rules))
     katib = filtered[1]
     assert [a.pos for a in katib.analyses] == ["N", "A"]
     assert [a.lemma for a, _ in katib.dropped] == ["kAtab_1"]
@@ -127,7 +127,7 @@ def test_maea_rule_drops_the_verb_reading(lexicon, rules):
 
 
 def test_rules_do_not_fire_past_sequence_edges(lexicon, rules):
-    filtered = apply_rules(_phrase_sets(lexicon, "كاتب"), rules)
+    filtered = list(apply_rules(_phrase_sets(lexicon, "كاتب"), rules))
     assert [a.pos for a in filtered[0].analyses] == ["V", "N", "A"]
     assert filtered[0].dropped == ()
 
@@ -137,7 +137,7 @@ def test_safeguard_skips_application_that_would_empty_a_set(lexicon, rules,
     sets = _phrase_sets(lexicon, "مع شرب", flags=ALL_FLAGS)
     assert [a.pos for a in sets[1].analyses] == ["V"]
     with caplog.at_level(logging.WARNING, logger="arabmorph.disambig"):
-        filtered = apply_rules(sets, rules)
+        filtered = list(apply_rules(sets, rules))
     assert [a.pos for a in filtered[1].analyses] == ["V"]
     assert filtered[1].dropped == ()
     assert any("skipped" in r.message for r in caplog.records)
@@ -148,7 +148,7 @@ def test_safeguard_warns_once_per_rule_and_surface(lexicon, corpus_text,
     sets = analyze_text(tokenize(corpus_text * 10), lexicon, ALL_FLAGS)
     rules = parse_rules(io.StringIO("DROP pos=N WHEN next.surface=ktAb\n"))
     with caplog.at_level(logging.WARNING, logger="arabmorph.disambig"):
-        apply_rules(sets, rules)
+        list(apply_rules(sets, rules))
     (record,) = caplog.records
     assert "would remove every analysis of 'الحكيم'" in record.message
     assert "skipped on 10 token(s)" in record.message
@@ -159,15 +159,15 @@ def test_rules_match_against_original_neighbor_sets(lexicon):
     # both orderings of the two rules below yield the same result.
     text = "مع كاتب"
     for rule_text in (MAEA_RULE + "\n" + PREP_RULE, PREP_RULE + "\n" + MAEA_RULE):
-        filtered = apply_rules(_phrase_sets(lexicon, text),
-                               parse_rules(io.StringIO(rule_text)))
+        filtered = list(apply_rules(_phrase_sets(lexicon, text),
+                                    parse_rules(io.StringIO(rule_text))))
         assert [a.pos for a in filtered[1].analyses] == ["N", "A"]
 
 
 def test_tokens_of_one_type_share_their_readings(lexicon, rules):
     sets = _phrase_sets(lexicon, "كاتب مع كاتب")
     assert sets[0].analyses is sets[2].analyses
-    filtered = apply_rules(sets, rules)
+    filtered = list(apply_rules(sets, rules))
     assert filtered[0].analyses is sets[0].analyses
     assert filtered[2].analyses is not sets[2].analyses
     assert [a.pos for a in filtered[2].analyses] == ["N", "A"]
@@ -175,7 +175,7 @@ def test_tokens_of_one_type_share_their_readings(lexicon, rules):
 
 def test_surface_rules_transliterate_each_token_at_most_once(
         lexicon, rules, corpus_text, monkeypatch):
-    sets = analyze_text(tokenize(corpus_text * 10), lexicon, ALL_FLAGS)
+    sets = list(analyze_text(tokenize(corpus_text * 10), lexicon, ALL_FLAGS))
     surface_rules = parse_rules(io.StringIO(
         "DROP pos=V WHEN prev.surface=mE\n"
         "DROP pos=N WHEN next.surface=ktAb\n"
@@ -188,14 +188,14 @@ def test_surface_rules_transliterate_each_token_at_most_once(
         return to_buck(self, *args, **kwargs)
 
     monkeypatch.setattr(BuckTable, "to_buck", counting)
-    apply_rules(sets, rules)
+    list(apply_rules(sets, rules))
     assert len(calls) == 0
-    apply_rules(sets, surface_rules)
+    list(apply_rules(sets, surface_rules))
     assert 0 < len(calls) <= len(sets)
 
 
 def test_filter_conservation_over_the_corpus(lexicon, rules, corpus_text):
-    sets = analyze_text(tokenize(corpus_text), lexicon, ALL_FLAGS)
+    sets = list(analyze_text(tokenize(corpus_text), lexicon, ALL_FLAGS))
     filtered = apply_rules(sets, rules)
     for before, after in zip(sets, filtered):
         kept = Counter(a.ana for a in after.analyses)
@@ -207,7 +207,7 @@ def test_filter_conservation_over_the_corpus(lexicon, rules, corpus_text):
 
 @pytest.fixture(scope="module")
 def corpus_sets(lexicon, corpus_text):
-    return analyze_text(tokenize(corpus_text), lexicon, ALL_FLAGS)
+    return list(analyze_text(tokenize(corpus_text), lexicon, ALL_FLAGS))
 
 
 @st.composite
@@ -267,7 +267,7 @@ def test_ranked_rule_output_equals_the_references(corpus_sets, ranking_models,
     warnings = _Warnings()
     logger.addHandler(warnings)
     try:
-        filtered = apply_rules(window, rules)
+        filtered = list(apply_rules(window, rules))
     finally:
         logger.removeHandler(warnings)
     ranked = rank(filtered, model)
@@ -285,7 +285,7 @@ def test_ranked_rule_output_equals_the_references(corpus_sets, ranking_models,
 def test_preposition_rule_never_drops_a_gold_analysis(lexicon, rules,
                                                       corpus_text,
                                                       gold_sentences):
-    sets = analyze_text(tokenize(corpus_text), lexicon, ALL_FLAGS)
+    sets = list(analyze_text(tokenize(corpus_text), lexicon, ALL_FLAGS))
     gold = [tok for sent in gold_sentences for tok in sent]
     # skip the corpus header noise tokens before aligning
     sets = sets[len(sets) - len(gold):]
@@ -627,7 +627,7 @@ def test_rank_tie_break_prefers_higher_frequency_count(lexicon, freq):
 
 
 def test_rank_is_deterministic(lexicon, rules, freq, corpus_text):
-    sets = analyze_text(tokenize(corpus_text), lexicon, ALL_FLAGS)
+    sets = list(analyze_text(tokenize(corpus_text), lexicon, ALL_FLAGS))
     model = empty_lm(freq=freq)
     first = rank(apply_rules(sets, rules), model)
     second = rank(apply_rules(sets, rules), model)

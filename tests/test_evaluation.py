@@ -130,7 +130,7 @@ def test_prf_modes_and_denominators(lexicon):
 def test_any_mode_dominates_top_mode_on_the_corpus(lexicon, rules, freq,
                                                    corpus_text, gold_sentences):
     gold = [t for s in gold_sentences for t in s]
-    sets = analyze_text(tokenize(corpus_text), lexicon, ALL_FLAGS)
+    sets = list(analyze_text(tokenize(corpus_text), lexicon, ALL_FLAGS))
     ranked = rank(apply_rules(sets[len(sets) - len(gold):], rules),
                   empty_lm(freq=freq))
     system = readings_from_ranked(ranked)

@@ -216,9 +216,9 @@ def test_the_cache_is_asked_once_per_surface_and_counts_per_token(
         lexicon, corpus_text, monkeypatch):
     tokens = tokenize(corpus_text * 20)
     cache = TypeCache()
-    analyze_text(tokenize("كاتب"), lexicon, ALL_FLAGS, cache)
+    list(analyze_text(tokenize("كاتب"), lexicon, ALL_FLAGS, cache))
     calls = _counting(monkeypatch, analyzer, "token_lookup_key")
-    sets = analyze_text(tokens, lexicon, ALL_FLAGS, cache)
+    sets = list(analyze_text(tokens, lexicon, ALL_FLAGS, cache))
     surfaces = {t.surface for t in tokens}
     assert len(calls) == len(surfaces) < len(tokens)
     keys = {token_lookup_key(t) for t in tokens}
@@ -231,14 +231,14 @@ def test_the_cache_is_asked_once_per_surface_and_counts_per_token(
 
 def test_apply_rules_passes_records_without_armed_rules_through(lexicon,
                                                                 rules):
-    sets = analyze_text(tokenize("مع كاتب مع كاتب كاتب"), lexicon, ALL_FLAGS)
-    out = apply_rules(sets, rules)
+    sets = list(analyze_text(tokenize("مع كاتب مع كاتب كاتب"), lexicon, ALL_FLAGS))
+    out = list(apply_rules(sets, rules))
     # The verb reading after مع is dropped; no rule is armed elsewhere.
     assert [len(r.dropped) for r in out] == [0, 1, 0, 1, 0]
     assert [o is s for o, s in zip(out, sets)] == [True, False, True, False,
                                                    True]
     # Records that carry a ranking are rebuilt without it.
-    again = apply_rules(rank(out, empty_lm()), [])
+    again = list(apply_rules(rank(out, empty_lm()), []))
     assert all(r.ranked == () and r.dropped == () for r in again)
     assert [r.analyses for r in again] == [r.analyses for r in out]
 

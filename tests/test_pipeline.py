@@ -35,8 +35,8 @@ def test_unknown_agrees_across_the_stages(lexicon, rules):
     rules = rules + parse_rules(io.StringIO(
         "".join(f"DROP pos={pos} WHEN prev.surface=قهوة\n"
                 for pos in ("V", "N", "A"))))
-    analyzed = analyze_text(tokenize("قهوة كاتب"), lexicon, ALL_FLAGS)
-    filtered = apply_rules(analyzed, rules)
+    analyzed = list(analyze_text(tokenize("قهوة كاتب"), lexicon, ALL_FLAGS))
+    filtered = list(apply_rules(analyzed, rules))
     ranked = rank(filtered, empty_lm())
     assert len(filtered[1].analyses) == 1 and len(filtered[1].dropped) == 2
     for stage in (analyzed, filtered, ranked):

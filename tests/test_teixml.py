@@ -99,6 +99,17 @@ def test_parse_rejects_nested_words():
         parse_tei(xml)
 
 
+@pytest.mark.parametrize("inner", [
+    '<w ana="c/d_1/N">x</w>',
+    '<note ana="c/d_1/N"><w ana="e/f_1/N">x</w></note>',
+])
+def test_parse_names_a_nested_word_at_any_depth(inner):
+    xml = f'<text><body><w ana="a/b_1/N">{inner}y</w></body></text>'
+    with pytest.raises(TeiError, match="^nested <w> elements are not "
+                                       "allowed$"):
+        parse_tei(xml)
+
+
 def test_apply_corrections_swaps_marked_note():
     marked = TeiDoc(words=(MAEA, TeiWord(
         surface="كاتب", ana="kAtib/kAtib_1/N",

@@ -1,6 +1,7 @@
 """The names the benchmark's tracer wraps from outside the program: each
 distinct type of a run reaches ``arabmorph.analyzer.analyze_type`` by its
-module-level name, and every traced name still exists."""
+module-level name, ``Pipeline.run`` calls each stage once by its name in
+``arabmorph.pipeline``, and every traced name still exists."""
 
 import importlib
 from pathlib import Path
@@ -29,6 +30,25 @@ def test_run_calls_analyze_type_once_per_distinct_type(monkeypatch,
     pipeline.run(corpus_text)
     types = {token_lookup_key(t) for t in tokenize(corpus_text)}
     assert sorted(calls) == sorted(types)
+
+
+def test_run_calls_each_traced_stage_once_by_module_name(monkeypatch,
+                                                         corpus_text):
+    import arabmorph.pipeline as pipeline_mod
+    pipeline = PipelineConfig(lexicon_dir=default_lexicon_dir(),
+                              flags=ALL_FLAGS).load()
+    stages = ["tokenize", "analyze_text", "apply_rules", "rank"]
+    calls = []
+    for name in stages:
+        def counting(*args, _name=name, _stage=getattr(pipeline_mod, name),
+                     **kwargs):
+            calls.append(_name)
+            return _stage(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline_mod, name, counting)
+    _, _, ranked = pipeline.run(corpus_text)
+    assert calls == stages
+    assert len(ranked) == len(tokenize(corpus_text))
 
 
 class _StubTracer:
