@@ -20,8 +20,8 @@ from pathlib import Path
 
 from . import __version__
 from .analyzer import had_diacritics
-from .disambig import (LmError, RuleError, load_freq_table, serialize_lm,
-                       train_lm)
+from .disambig import (DEFAULT_LAMBDA, LmError, RuleError, load_freq_table,
+                       serialize_lm, train_lm)
 from .evaluation import (evaluate, load_gold, readings_from_doc,
                          report_table, report_tsv)
 from .lexicon import (ALL_FLAGS, Flag, Kind, LexiconError, classical_preset,
@@ -94,6 +94,17 @@ def _read_text(path: str) -> str:
         return f.read()
 
 
+def _write_stdout(text: str) -> None:
+    """Write ``text`` to stdout as UTF-8 whatever the locale; a stdout
+    without a byte buffer, such as an ``io.StringIO``, takes the text."""
+    buffer = getattr(sys.stdout, "buffer", None)
+    if buffer is None:
+        sys.stdout.write(text)
+    else:
+        sys.stdout.flush()
+        buffer.write(text.encode("utf-8"))
+
+
 def _add_lexicon_opts(p: argparse.ArgumentParser) -> None:
     p.add_argument("--lexicon", metavar="DIR",
                    help="lexicon directory (default: $%s or the bundled "
@@ -120,7 +131,7 @@ def cmd_analyze(args) -> int:
         source = "-" if args.input == "-" else Path(args.input).name
         doc = doc_from_ranked(ranked, source=source,
                               flags="|".join(flag_names(pipeline.config.flags)))
-        sys.stdout.write(emit_tei(doc))
+        _write_stdout(emit_tei(doc))
     else:
         lines = []
         for rec in ranked:
@@ -131,7 +142,7 @@ def cmd_analyze(args) -> int:
             else:
                 for analysis, _score in rec.ranked:
                     lines.append(f"{rec.token.surface}\t{analysis.ana}")
-        sys.stdout.write("".join(line + "\n" for line in lines))
+        _write_stdout("".join(line + "\n" for line in lines))
 
     unknown = sum(1 for r in ranked if r.unknown)
     print(f"{len(tokens)} tokens, {len(cache)} types, {unknown} unknown, "
@@ -141,7 +152,7 @@ def cmd_analyze(args) -> int:
 
 def cmd_correct(args) -> int:
     doc = apply_corrections(parse_tei(_read_text(args.input)))
-    sys.stdout.write(emit_tei(doc))
+    _write_stdout(emit_tei(doc))
     return 0
 
 
@@ -166,7 +177,7 @@ def cmd_eval(args) -> int:
     with open_utf8(args.gold) as f:
         gold = [tok for sent in load_gold(f, args.gold) for tok in sent]
     report = evaluate(readings_from_doc(doc), gold, lex)
-    sys.stdout.write(report_table(report))
+    _write_stdout(report_table(report))
     if args.tsv:
         _atomic_write(Path(args.tsv), report_tsv(report))
     return 0
@@ -240,7 +251,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train-lm", help="train the ranking model")
     p.add_argument("gold", help="gold corpus TSV")
     p.add_argument("--freq", metavar="FILE", help="frequency table TSV")
-    p.add_argument("--lambda", dest="lam", type=float, default=0.7,
+    p.add_argument("--lambda", dest="lam", type=float, default=DEFAULT_LAMBDA,
                    metavar="X")
     p.add_argument("--output", required=True, metavar="FILE")
     p.set_defaults(func=cmd_train_lm)

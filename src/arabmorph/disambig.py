@@ -29,6 +29,8 @@ Tuple = tuple[str, str]            # (lemma, primary tag)
 BOS: Tuple = ("<s>", "<s>")        # sequence-initial boundary symbol
 UNK: Tuple = ("<unk>", "<unk>")    # stand-in for an unanalyzable neighbor
 
+DEFAULT_LAMBDA = 0.7               # trigram weight when none is given
+
 
 class RuleError(ValueError):
     """Syntax error in the rule DSL."""
@@ -286,27 +288,20 @@ class LmModel:
 
 def train_lm(sentences: Sequence[Sequence[Tuple]],
              freq: dict[Tuple, int] | None = None,
-             lam: float = 0.7) -> LmModel:
+             lam: float = DEFAULT_LAMBDA) -> LmModel:
     """Count n-grams over gold (lemma, tag) sequences, two boundary symbols
     prepended per sentence."""
-    sentences = [list(s) for s in sentences if s]
+    sentences = [s for s in sentences if s]
     if not sentences:
         raise LmError("empty training corpus")
-    trigram: dict = {}
-    bigram: dict = {}
-    unigram: dict = {}
+    unigram, bigram, trigram = Counter(), Counter(), Counter()
     for sent in sentences:
-        seq = [BOS, BOS] + sent
-        for t in seq:
-            unigram[t] = unigram.get(t, 0) + 1
-        for i in range(1, len(seq)):
-            pair = (seq[i - 1], seq[i])
-            bigram[pair] = bigram.get(pair, 0) + 1
-        for i in range(2, len(seq)):
-            tri = (seq[i - 2], seq[i - 1], seq[i])
-            trigram[tri] = trigram.get(tri, 0) + 1
-    return LmModel(trigram=trigram, bigram=bigram, unigram=unigram,
-                   freq=dict(freq or {}), lam=lam)
+        seq = [BOS, BOS, *sent]
+        unigram.update(seq)
+        bigram.update(zip(seq, seq[1:]))
+        trigram.update(zip(seq, seq[1:], seq[2:]))
+    return LmModel(trigram=dict(trigram), bigram=dict(bigram),
+                   unigram=dict(unigram), freq=dict(freq or {}), lam=lam)
 
 
 def load_freq_table(stream: IO[str] | Iterable[str],
@@ -343,17 +338,13 @@ def serialize_lm(model: LmModel) -> str:
              f"lambda\t{model.lam!r}",
              f"vocab\t{len(model.vocab)}",
              f"total\t{model.total}"]
-    lines.append(f"ngrams\t1\t{len(model.unigram)}")
-    for t in sorted(model.unigram):
-        lines.append(f"{_write_tuple(t)}\t{model.unigram[t]}")
-    lines.append(f"ngrams\t2\t{len(model.bigram)}")
-    for pair in sorted(model.bigram):
-        lines.append(f"{_write_tuple(pair[0])}\t{_write_tuple(pair[1])}"
-                     f"\t{model.bigram[pair]}")
-    lines.append(f"ngrams\t3\t{len(model.trigram)}")
-    for tri in sorted(model.trigram):
-        lines.append("\t".join(_write_tuple(t) for t in tri)
-                     + f"\t{model.trigram[tri]}")
+    for order, table in enumerate((model.unigram, model.bigram,
+                                   model.trigram), 1):
+        lines.append(f"ngrams\t{order}\t{len(table)}")
+        for key in sorted(table):
+            grams = (key,) if order == 1 else key
+            lines.append("\t".join(map(_write_tuple, grams))
+                         + f"\t{table[key]}")
     lines.append(f"freq\t{len(model.freq)}")
     for t in sorted(model.freq):
         lines.append(f"{_write_tuple(t)}\t{model.freq[t]}")
@@ -457,7 +448,8 @@ def load_lm(stream: IO[str] | Iterable[str], filename: str = "<lm>") -> LmModel:
     return model
 
 
-def empty_lm(lam: float = 0.7, freq: dict[Tuple, int] | None = None) -> LmModel:
+def empty_lm(lam: float = DEFAULT_LAMBDA,
+             freq: dict[Tuple, int] | None = None) -> LmModel:
     """Degenerate model: every candidate scores the same smoothed floor,
     modulated only by the frequency table when one is given."""
     return LmModel(trigram={}, bigram={}, unigram={}, freq=dict(freq or {}),

@@ -11,6 +11,7 @@ equals the top reading (TopRanked mode) or appears anywhere in the list
 from __future__ import annotations
 
 import enum
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import IO, AbstractSet, Iterable, Sequence
 
@@ -127,13 +128,10 @@ def unknown_rates(system: Sequence[Sequence[Reading]],
     tokens are omitted.  Depends only on analysis-set emptiness, so it is
     invariant under re-ranking."""
     _check_aligned(system, gold)
-    totals: dict[str, int] = {}
-    unknown: dict[str, int] = {}
-    for readings, gtok in zip(system, gold):
-        totals[gtok.genre] = totals.get(gtok.genre, 0) + 1
-        if not readings:
-            unknown[gtok.genre] = unknown.get(gtok.genre, 0) + 1
-    return {genre: 100.0 * unknown.get(genre, 0) / total
+    totals = Counter(gtok.genre for gtok in gold)
+    unknown = Counter(gtok.genre for readings, gtok in zip(system, gold)
+                      if not readings)
+    return {genre: 100.0 * unknown[genre] / total
             for genre, total in totals.items()}
 
 
@@ -180,15 +178,20 @@ def evaluate(system: Sequence[Sequence[Reading]], gold: Sequence[GoldToken],
     )
 
 
+# (TSV key, table label, ``ModeScores`` field) per reported score.
+_SCORES = (("error-rate", "Error rate", "error_rate"),
+           ("precision", "Precision", "precision"),
+           ("recall", "Recall", "recall"),
+           ("f1", "F1", "f1"))
+
+
 def report_tsv(report: EvalReport) -> str:
     lines = ["section\tkey\tvalue"]
     for genre in sorted(report.unknown_rates):
         lines.append(f"unknown\t{genre}\t{report.unknown_rates[genre]:.2f}")
     for mode, scores in report.modes.items():
-        lines.append(f"{mode.value}\terror-rate\t{scores.error_rate:.2f}")
-        lines.append(f"{mode.value}\tprecision\t{scores.precision:.2f}")
-        lines.append(f"{mode.value}\trecall\t{scores.recall:.2f}")
-        lines.append(f"{mode.value}\tf1\t{scores.f1:.2f}")
+        for key, _, attr in _SCORES:
+            lines.append(f"{mode.value}\t{key}\t{getattr(scores, attr):.2f}")
     return "".join(line + "\n" for line in lines)
 
 
@@ -203,8 +206,7 @@ def report_table(report: EvalReport) -> str:
     lines.append(f"{'':<12}{'Top-ranked':>12}{'Any':>12}")
     top = report.modes[Mode.TOP_RANKED]
     any_ = report.modes[Mode.ANY]
-    for label, attr in (("Error rate", "error_rate"), ("Precision", "precision"),
-                        ("Recall", "recall"), ("F1", "f1")):
+    for _, label, attr in _SCORES:
         lines.append(f"{label:<12}{getattr(top, attr):>12.2f}"
                      f"{getattr(any_, attr):>12.2f}")
     return "".join(line + "\n" for line in lines)

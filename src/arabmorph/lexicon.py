@@ -13,7 +13,6 @@ import enum
 import logging
 import re
 import xml.etree.ElementTree as ET
-from contextlib import ExitStack
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import IO, Iterable, Iterator
@@ -140,6 +139,22 @@ def _default_pos(voc: str, cat: str) -> str:
     return f"{voc}/{cat}" if voc else ""
 
 
+def _check_row(kind: Kind, surface: str, voc: str, cat: str, lemma: str,
+               where: str) -> None:
+    """The rules every lexicon row keeps, checked where a row is read and
+    where an import builds one."""
+    if not cat:
+        raise LexiconError(f"{where}: empty category")
+    if kind is Kind.STEM and not surface:
+        raise LexiconError(f"{where}: stem entries require a non-empty surface")
+    if strip_diacritics(voc) != surface:
+        raise LexiconError(
+            f"{where}: vocalized form {voc!r} does not reduce to surface "
+            f"{surface!r} when diacritics are stripped")
+    if lemma and not _LEMMA_RE.match(lemma):
+        raise LexiconError(f"{where}: lemma {lemma!r} is not of the form base_N")
+
+
 def parse_entry_line(line: str, kind: Kind, lineno: int = 0,
                      filename: str = "<lexicon>") -> LexEntry:
     """Parse one TSV lexicon row.
@@ -159,16 +174,7 @@ def parse_entry_line(line: str, kind: Kind, lineno: int = 0,
     surface, voc, cat, glosspos, lemma, flagtext = map(str.strip, fields)
     surface = "" if surface == "0" else surface
     voc = "" if voc == "0" else voc
-    if not cat:
-        raise LexiconError(f"{where}: empty category")
-    if kind is Kind.STEM and not surface:
-        raise LexiconError(f"{where}: stem entries require a non-empty surface")
-    if strip_diacritics(voc) != surface:
-        raise LexiconError(
-            f"{where}: vocalized form {voc!r} does not reduce to surface "
-            f"{surface!r} when diacritics are stripped")
-    if lemma and not _LEMMA_RE.match(lemma):
-        raise LexiconError(f"{where}: lemma {lemma!r} is not of the form base_N")
+    _check_row(kind, surface, voc, cat, lemma, where)
     m = _POS_FIELD_RE.search(glosspos)
     if m:
         pos = m.group(1).strip()
@@ -332,27 +338,20 @@ class Lexicon:
         return clone
 
 
-def _load_entry_file(lex: Lexicon, stream: IO[str] | Iterable[str], kind: Kind,
-                     filename: str) -> None:
-    for lineno, line in data_lines(stream):
-        lex.add(parse_entry_line(line, kind, lineno, filename))
+LEXICON_FILES = ("prefixes.tsv", "stems.tsv", "suffixes.tsv",
+                 "compat_ab.tsv", "compat_bc.tsv", "compat_ac.tsv")
 
 
 def load_lexicon(prefix_stream, stem_stream, suffix_stream,
                  compat_streams: tuple, filenames: tuple | None = None) -> Lexicon:
     """Build a Lexicon from the three entry streams and the (ab, bc, ac)
-    compatibility streams."""
-    names = filenames or ("prefixes", "stems", "suffixes",
-                          "compat_ab", "compat_bc", "compat_ac")
-    compat = CompatTables(
-        ab=_parse_pairs(compat_streams[0], names[3]),
-        bc=_parse_pairs(compat_streams[1], names[4]),
-        ac=_parse_pairs(compat_streams[2], names[5]),
-    )
-    lex = Lexicon(compat)
-    _load_entry_file(lex, prefix_stream, Kind.PREFIX, names[0])
-    _load_entry_file(lex, stem_stream, Kind.STEM, names[1])
-    _load_entry_file(lex, suffix_stream, Kind.SUFFIX, names[2])
+    compatibility streams, reading each to its end before the next."""
+    names = filenames or [n.removesuffix(".tsv") for n in LEXICON_FILES]
+    lex = Lexicon(CompatTables(*map(_parse_pairs, compat_streams, names[3:])))
+    for stream, kind, name in zip((prefix_stream, stem_stream, suffix_stream),
+                                  Kind, names):
+        for lineno, line in data_lines(stream):
+            lex.add(parse_entry_line(line, kind, lineno, name))
     if not lex.stems:
         raise LexiconError(f"{names[1]}: stem file contains no entries")
     _warn_unanchored_categories(lex)
@@ -366,17 +365,10 @@ def _warn_unanchored_categories(lex: Lexicon) -> None:
                     "entry carries", cat)
 
 
-LEXICON_FILES = ("prefixes.tsv", "stems.tsv", "suffixes.tsv",
-                 "compat_ab.tsv", "compat_bc.tsv", "compat_ac.tsv")
-
-
 def load_lexicon_dir(path) -> Lexicon:
-    path = Path(path)
-    names = tuple(str(path / n) for n in LEXICON_FILES)
-    with ExitStack() as stack:
-        lines = [utf8_lines(stack.enter_context(open(name, encoding="utf-8")),
-                            name) for name in names]
-        return load_lexicon(*lines[:3], tuple(lines[3:]), filenames=names)
+    names = tuple(str(Path(path) / n) for n in LEXICON_FILES)
+    lines = [utf8_lines(name) for name in names]
+    return load_lexicon(*lines[:3], tuple(lines[3:]), filenames=names)
 
 
 def serialize_lexicon(lex: Lexicon) -> dict[str, str]:
@@ -422,15 +414,17 @@ def _element_text(elem) -> str:
     return "".join(elem.itertext()).strip()
 
 
-def _candidate(word: str, kind: Kind, cat: str, gloss: str,
-               assign: Flag) -> LexEntry:
+def _candidate(word: str, kind: Kind, cat: str, gloss: str, assign: Flag,
+               where: str) -> LexEntry:
     """The entry an import proposes for an Arabic-script ``word``; a stem
-    gets the lemma ``<voc>_1``."""
+    gets the lemma ``<voc>_1``.  A row that breaks a row rule is a
+    ``LexiconError`` at ``where``."""
     voc = normalize(arabic_to_buck(word))
-    return LexEntry(kind=kind, surface=strip_diacritics(voc), voc=voc,
-                    cat=cat, gloss=gloss, pos=f"{voc}/{cat}",
-                    lemma=f"{voc}_1" if kind is Kind.STEM else "",
-                    flags=assign)
+    surface = strip_diacritics(voc)
+    lemma = f"{voc}_1" if kind is Kind.STEM else ""
+    _check_row(kind, surface, voc, cat, lemma, where)
+    return LexEntry(kind=kind, surface=surface, voc=voc, cat=cat, gloss=gloss,
+                    pos=_default_pos(voc, cat), lemma=lemma, flags=assign)
 
 
 def import_tei_dictionary(stream, assign: Flag, lex: Lexicon | None = None,
@@ -454,20 +448,21 @@ def import_tei_dictionary(stream, assign: Flag, lex: Lexicon | None = None,
             continue
         orth = next((c for c in elem.iter() if _localname(c.tag) == "orth"), None)
         headword = _element_text(orth) if orth is not None else ""
-        if not headword:
-            batch.skipped += 1
-            continue
         sense = next((c for c in elem.iter()
                       if _localname(c.tag) in ("sense", "def")), None)
         gloss = _element_text(sense) if sense is not None else ""
-        entry = _candidate(headword, Kind.STEM, "N", gloss, assign)
+        try:
+            entry = _candidate(headword, Kind.STEM, "N", gloss, assign, source)
+        except LexiconError:
+            batch.skipped += 1
+            continue
         status = Status.PENDING
         if lex is not None and any(e.lemma == entry.lemma
                                    for e in lex.stems.get(entry.surface, [])):
             status = Status.REJECTED
         batch.candidates.append(Candidate(entry, status))
     if batch.skipped:
-        log.warning("%s: skipped %d entries without a headword",
+        log.warning("%s: skipped %d entries without a usable headword",
                     source, batch.skipped)
     return batch
 
@@ -484,8 +479,8 @@ def import_wordlist(stream, kind: Kind, assign: Flag,
             raise LexiconError(f"{source}:{lineno}: expected "
                                "surface<TAB>gloss<TAB>pos")
         word, gloss, tag = (f.strip() for f in fields)
-        batch.candidates.append(
-            Candidate(_candidate(word, kind, tag, gloss, assign)))
+        batch.candidates.append(Candidate(_candidate(
+            word, kind, tag, gloss, assign, f"{source}:{lineno}")))
     return batch
 
 

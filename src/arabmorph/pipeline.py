@@ -8,8 +8,9 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 
 from .analyzer import Token, TokenReadings, TypeCache, analyze_text, tokenize
-from .disambig import (FilterRule, LmError, LmModel, apply_rules, empty_lm,
-                       load_freq_table, load_lm, parse_rules, rank)
+from .disambig import (DEFAULT_LAMBDA, FilterRule, LmError, LmModel,
+                       apply_rules, empty_lm, load_freq_table, load_lm,
+                       parse_rules, rank)
 from .lexicon import Flag, Lexicon, LexiconError, load_lexicon_dir
 from .textio import open_utf8
 from .translit import BuckTable, DEFAULT_TABLE
@@ -53,8 +54,8 @@ class PipelineConfig:
             if self.lam is not None:
                 model = replace(model, lam=self.lam)
         else:
-            model = empty_lm(lam=self.lam if self.lam is not None else 0.7,
-                             freq=freq)
+            model = empty_lm(lam=DEFAULT_LAMBDA if self.lam is None
+                             else self.lam, freq=freq)
         return Pipeline(self, table, lex, rules, model)
 
 

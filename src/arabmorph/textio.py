@@ -41,8 +41,9 @@ def data_lines(stream: Iterable[str]) -> Iterator[tuple[int, str]]:
             yield lineno, line
 
 
-def utf8_lines(stream: Iterable[str], name: str) -> Iterator[str]:
-    """The lines of ``stream`` under ``decoding(name)``, for a reader that
-    holds several inputs open at once."""
-    with decoding(name):
-        yield from stream
+def utf8_lines(path) -> Iterator[str]:
+    """The lines of the file at ``path``, read under ``open_utf8``: the
+    file is opened when the first line is asked for and closed once the
+    lines run out."""
+    with open_utf8(path) as f:
+        yield from f

@@ -1,3 +1,4 @@
+import io
 import random
 import time
 
@@ -8,7 +9,7 @@ from arabmorph.analyzer import (MAX_PREFIX_LEN, MAX_SUFFIX_LEN, TokenReadings,
                                 TypeCache, analyze_text, analyze_type,
                                 token_lookup_key, tokenize)
 from arabmorph.lexicon import (ALL_FLAGS, Flag, Kind, compatible,
-                               parse_entry_line, parse_flagset)
+                               load_lexicon, parse_entry_line, parse_flagset)
 from arabmorph.translit import (DEFAULT_TABLE, DIACRITICS, TATWEEL, BuckTable,
                                 strip_diacritics)
 
@@ -337,3 +338,18 @@ def test_cache_keys_include_flags(lexicon):
     list(analyze_text(tokenize("دا"), lexicon, MSA, cache))
     assert cache.misses == 2
     assert len(cache) == 2
+
+
+def test_analyze_type_collapses_a_repeated_reading_onto_its_first_split():
+    # Two null suffixes of different categories give the same (voc,
+    # lemma, tag) twice; the reading keeps the first suffix's parts.
+    lex = load_lexicon(
+        io.StringIO("0\t0\tPref-0\n"),
+        io.StringIO("ktAb\tkitAb\tN\tbook\tkitAb_1\n"),
+        io.StringIO("0\t0\tSuff-0\n0\t0\tSuff-1\n"),
+        (io.StringIO("Pref-0\tN\n"),
+         io.StringIO("N\tSuff-0\nN\tSuff-1\n"),
+         io.StringIO("Pref-0\tSuff-0\nPref-0\tSuff-1\n")))
+    (reading,) = analyze_type("ktAb", lex, ALL_FLAGS)
+    assert reading.ana == "kitAb/kitAb_1/N"
+    assert [p.cat for p in reading.parts] == ["Pref-0", "N", "Suff-0"]

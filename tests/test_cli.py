@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from arabmorph.cli import _read_text, main
+from arabmorph.cli import _atomic_write, _read_text, main
 from arabmorph.disambig import BOS, load_lm, train_lm, load_freq_table
 from arabmorph.evaluation import load_gold
 from arabmorph.lexicon import load_lexicon_dir, load_review, Status
@@ -440,6 +440,39 @@ def test_stdin_is_strict_utf8_under_a_c_locale(tmp_path):
     assert from_stdin.returncode == from_file.returncode == 0
     assert from_stdin.stdout == from_file.stdout != b""
     assert from_stdin.stderr == from_file.stderr
+
+
+@pytest.mark.parametrize("command", [
+    ["analyze", "{text}", "--flags", "all", "--format", "tsv"],
+    ["analyze", "{text}", "--flags", "all"],
+    ["correct", "{xml}"],
+])
+def test_output_is_utf8_whatever_the_locale(tmp_path, command):
+    src = Path(__file__).parents[1] / "src"
+    xml = tmp_path / "in.xml"
+    xml.write_text(GOLDEN, encoding="utf-8")
+    argv = [arg.format(text=_write_phrase(tmp_path), xml=xml)
+            for arg in command]
+
+    def run(encoding):
+        return subprocess.run(
+            [sys.executable, "-m", "arabmorph.cli", *argv],
+            capture_output=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": str(src),
+                 "PYTHONIOENCODING": encoding})
+
+    latin, utf8 = run("latin-1"), run("utf-8")
+    assert latin.returncode == utf8.returncode == 0
+    assert b"Traceback" not in latin.stderr
+    assert latin.stdout == utf8.stdout
+    assert "كاتب" in utf8.stdout.decode("utf-8")
+
+
+def test_atomic_write_leaves_no_temp_file_when_the_write_fails(tmp_path):
+    target = tmp_path / "out.tsv"
+    with pytest.raises(UnicodeEncodeError):
+        _atomic_write(target, "ok\n\ud800\n")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_stdin_text_equals_a_files_whatever_stdin_was_set_up_with(

@@ -79,6 +79,13 @@ def test_parse_rules_syntax_errors_carry_line_numbers():
         parse_rules(io.StringIO("DROP tag=V WHEN prev.pos=PREP"))
     with pytest.raises(RuleError, match="bad context"):
         parse_rules(io.StringIO("DROP pos=V WHEN left.pos=PREP"))
+    with pytest.raises(RuleError, match="^<rules>:1: expected pos=... or "
+                                       "lemma=... before WHEN$"):
+        parse_rules(io.StringIO("DROP WHEN prev.pos=PREP"))
+    with pytest.raises(RuleError, match=r"^<rules>:1: expected a single "
+                       r"\(prev\|next\)\.\(surface\|lemma\|pos\)=value "
+                       "after WHEN$"):
+        parse_rules(io.StringIO("DROP pos=V WHEN prev.pos=PREP next.pos=N"))
 
 
 def test_parse_rules_rejects_a_repeated_target_key():
@@ -586,6 +593,8 @@ def test_load_freq_table_accumulates_and_validates():
         load_freq_table(io.StringIO("missing fields\n"))
     with pytest.raises(LmError, match="bad count"):
         load_freq_table(io.StringIO("a_1\tN\tmany\n"))
+    with pytest.raises(LmError, match="^f.tsv:2: negative count$"):
+        load_freq_table(io.StringIO("a_1\tN\t3\na_1\tN\t-1\n"), "f.tsv")
 
 
 # --- ranking ---------------------------------------------------------------------

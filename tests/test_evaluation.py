@@ -5,9 +5,10 @@ import pytest
 from arabmorph.analyzer import analyze_text, tokenize
 from arabmorph.disambig import apply_rules, empty_lm, rank
 from arabmorph.evaluation import (EvalReport, GoldToken, Mode, evaluate,
-                                  f1_score, load_gold, prf, report_table,
-                                  report_tsv, unknown_rates)
+                                  f1_score, load_gold, prf, readings_from_doc,
+                                  report_table, report_tsv, unknown_rates)
 from arabmorph.lexicon import ALL_FLAGS, LexiconError
+from arabmorph.teixml import UNKNOWN_ANA, Note, TeiDoc, TeiWord
 
 from oracles import readings_from_ranked
 
@@ -161,6 +162,24 @@ def test_report_rendering_smoke():
     tsv = report_tsv(report)
     assert "unknown\tCA\t3.40" in tsv
     assert "top-ranked\tf1\t100.00" in tsv
+
+
+def test_report_table_of_no_tokens():
+    assert report_table(evaluate([], [], _FakeLex())) == (
+        "Unknown-word rate by genre\n"
+        "  (no tokens)\n"
+        "\n"
+        "              Top-ranked         Any\n"
+        "Error rate          0.00        0.00\n"
+        "Precision           0.00        0.00\n"
+        "Recall              0.00        0.00\n"
+        "F1                  0.00        0.00\n")
+
+
+def test_readings_from_doc_gives_an_unknown_word_no_readings():
+    doc = TeiDoc(words=(TeiWord("x", UNKNOWN_ANA),
+                        TeiWord("y", "v/a_1/N", (Note("w/b_1/A"),))))
+    assert readings_from_doc(doc) == [[], [("a_1", "N"), ("b_1", "A")]]
 
 
 class _FakeLex:

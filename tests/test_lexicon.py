@@ -1,9 +1,11 @@
 import io
 import logging
+import re
 from collections import Counter
 from dataclasses import replace
 from itertools import cycle
 from pathlib import Path
+from xml.sax.saxutils import escape
 
 import pytest
 from hypothesis import given, strategies as st
@@ -14,7 +16,8 @@ from arabmorph.cli import default_lexicon_dir
 from arabmorph.lexicon import (ALL_FLAGS, Candidate, CompatTables, Flag,
                                Kind, LexEntry, Lexicon, LexiconError,
                                ReviewBatch, Status, classical_preset,
-                               compatible, flag_names, format_entry_line,
+                               compatible, flag_names, fold_tag,
+                               format_entry_line,
                                import_tei_dictionary, import_wordlist,
                                load_lexicon,
                                load_lexicon_dir, load_review,
@@ -103,6 +106,14 @@ def test_parse_entry_line_rejections():
         parse_entry_line("ktAb\tkitAb\tN\tbook\tkitAb\tCA", Kind.STEM)
     with pytest.raises(LexiconError, match="3 to 6"):
         parse_entry_line("ktAb\tkitAb", Kind.STEM)
+    with pytest.raises(LexiconError, match="^s.tsv:4: empty category$"):
+        parse_entry_line("ktAb\tkitAb\t \tbook", Kind.STEM, 4, "s.tsv")
+
+
+@pytest.mark.parametrize("tag,folded", [
+    ("PV", "V"), ("PREP", "PREP"), ("Ndu", "N"), ("Pref-Al", "Pref-Al")])
+def test_fold_tag_maps_categories_and_subtypes_onto_the_tag_set(tag, folded):
+    assert fold_tag(tag) == folded
 
 
 # Pieces of real rows, so that generated rows reach every check.
@@ -489,6 +500,9 @@ def test_import_tei_rejects_malformed_xml():
 def test_import_tei_requires_flags():
     with pytest.raises(LexiconError, match="non-empty flag"):
         import_tei_dictionary(io.StringIO(TEI), Flag(0))
+    with pytest.raises(LexiconError,
+                       match="^import requires a non-empty flag set$"):
+        import_wordlist(io.StringIO("جامد\tcool\tA\n"), Kind.STEM, Flag(0))
 
 
 def test_import_wordlist_examples():
@@ -510,6 +524,54 @@ def test_import_wordlist_empty_and_malformed():
     with pytest.raises(LexiconError, match=":2"):
         import_wordlist(io.StringIO("جامد\tcool\tA\nbroken line\n"),
                         Kind.STEM, Flag.ICA)
+
+
+def _through_review_file(batch):
+    buf = io.StringIO()
+    save_review(batch, buf)
+    return load_review(io.StringIO(buf.getvalue()), "r.tsv")
+
+
+def test_an_import_row_that_breaks_a_row_rule_is_refused():
+    fatha = "\u064e"
+    with pytest.raises(LexiconError) as exc:
+        import_wordlist(io.StringIO(f"جامد\tcool\tA\n{fatha}\tfatha\tN\n"),
+                        Kind.STEM, Flag.ICA, "w.tsv")
+    assert str(exc.value) == \
+        "w.tsv:2: stem entries require a non-empty surface"
+    tei = (f"<TEI><entry><orth>{fatha}</orth><sense>fatha</sense></entry>"
+           "<entry><orth>جامد</orth></entry></TEI>")
+    batch = import_tei_dictionary(io.StringIO(tei), Flag.ICA)
+    assert [c.entry.surface for c in batch.candidates] == ["jAmd"]
+    assert batch.skipped == 1
+
+
+# Arabic-block words, half of whose characters are harakat, so that
+# words without a letter are common.
+_ARABIC_WORDS = st.text(st.characters(min_codepoint=0x064B,
+                                      max_codepoint=0x0652)
+                        | st.characters(min_codepoint=0x0600,
+                                        max_codepoint=0x06FF),
+                        min_size=1, max_size=5)
+
+
+@given(st.sampled_from(list(Kind)), st.lists(_ARABIC_WORDS, max_size=6))
+def test_every_imported_candidate_survives_the_review_file(kind, words):
+    rows = "".join(f"{w}\tgloss\tN\n" for w in words)
+    try:
+        batch = import_wordlist(io.StringIO(rows), kind, Flag.ICA, "w.tsv")
+    except LexiconError as exc:
+        assert re.match(r"w\.tsv:[1-9][0-9]*: ", str(exc))
+    else:
+        reloaded = _through_review_file(batch)
+        assert reloaded.kind is kind
+        assert reloaded.candidates == batch.candidates
+    tei = "<TEI>%s</TEI>" % "".join(
+        f"<entry><orth>{escape(w)}</orth><sense>gloss</sense></entry>"
+        for w in words)
+    batch = import_tei_dictionary(io.StringIO(tei), Flag.ICA)
+    assert len(batch.candidates) + batch.skipped == len(words)
+    assert _through_review_file(batch).candidates == batch.candidates
 
 
 # --- review and merge --------------------------------------------------------

@@ -3,7 +3,8 @@ from pathlib import Path
 
 from arabmorph.analyzer import analyze_text, tokenize
 from arabmorph.cli import default_lexicon_dir, main
-from arabmorph.disambig import apply_rules, empty_lm, parse_rules, rank
+from arabmorph.disambig import (apply_rules, empty_lm, parse_rules, rank,
+                                serialize_lm, train_lm)
 from arabmorph.lexicon import ALL_FLAGS, flag_names
 from arabmorph.pipeline import PipelineConfig
 from arabmorph.teixml import doc_from_ranked, emit_tei
@@ -41,3 +42,15 @@ def test_unknown_agrees_across_the_stages(lexicon, rules):
     assert len(filtered[1].analyses) == 1 and len(filtered[1].dropped) == 2
     for stage in (analyzed, filtered, ranked):
         assert [r.unknown for r in stage] == [True, False]
+
+
+def test_a_lambda_given_with_a_model_replaces_the_models_own(tmp_path):
+    model = train_lm([[("kitAb_1", "N"), ("maEa_1", "PREP")]], lam=0.7)
+    path = tmp_path / "m.lm"
+    path.write_text(serialize_lm(model), encoding="utf-8")
+    loaded = PipelineConfig(lexicon_dir=default_lexicon_dir(),
+                            flags=ALL_FLAGS, lm_path=str(path),
+                            lam=0.25).load().model
+    assert loaded.lam == 0.25
+    assert (loaded.unigram, loaded.bigram, loaded.trigram, loaded.freq) == \
+        (model.unigram, model.bigram, model.trigram, model.freq)

@@ -153,3 +153,22 @@ def test_surface_text_is_invariant_under_the_emit_correct_cycle():
     cycled = parse_tei(emit_tei(apply_corrections(doc)))
     assert "".join(w.surface for w in cycled.words) == \
         "".join(w.surface for w in doc.words)
+
+
+@pytest.mark.parametrize("body,message", [
+    ('<TEI/>', "expected <text> root, got <TEI>"),
+    ('<text><w>x</w></text>', "<w> without ana attribute near 'x'"),
+    ('<text><w ana="a/b_1/N"><b/>x</w></text>', "unexpected <b> inside <w>"),
+    ('<text><w ana="a/b_1/N"><note/>x</w></text>',
+     "<note> without ana attribute in word with ana 'a/b_1/N'"),
+    ('<text><w ana="">x</w></text>',
+     "word 'x' (word #1) has an empty analysis"),
+    ('<text><w ana="a/b_1/N"><note ana="c"/>x</w></text>',
+     "word 'x' (word #1) has unrecognized note format 'c'"),
+    ('<text><w ana="UNK//UNK"><note ana="c/d_1/N"/>x</w></text>',
+     "unknown word 'x' (word #1) carries notes"),
+])
+def test_parse_names_each_malformed_element(body, message):
+    with pytest.raises(TeiError) as exc:
+        parse_tei(body)
+    assert str(exc.value) == message
