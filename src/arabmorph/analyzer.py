@@ -3,24 +3,23 @@
 A token's unvocalized Buckwalter surface is cut at every licensed split
 point (prefix up to 4 characters, suffix up to 6, stem never empty); the
 cross product of matching lexicon entries survives when the three
-categories are pairwise compatible.  Distinct tokens of one type share
-their analyses through a cache.
+categories are pairwise compatible.  The lexicon's view precompiles the
+affix side: which (prefix, suffix) surfaces can pair, and with which
+entries, so only those splits read a stem.  Distinct tokens of one type
+share their analyses through a cache.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
-from .lexicon import Flag, Kind, LexEntry, Lexicon, compatible
+# The lexicon's view applies the split caps; callers import them from here.
+from .lexicon import MAX_PREFIX_LEN, MAX_SUFFIX_LEN, Flag, LexEntry, Lexicon
 from .translit import BuckTable, DEFAULT_TABLE, normalize, strip_diacritics
 
 if TYPE_CHECKING:
     from .disambig import FilterRule
-
-MAX_PREFIX_LEN = 4
-MAX_SUFFIX_LEN = 6
 
 
 @dataclass(slots=True)
@@ -108,14 +107,16 @@ def analyze_type(surface: str, lex: Lexicon, active: Flag,
 
     ``surface`` is a lookup key as ``token_lookup_key`` returns it: it has
     no tatweel, so alif folding maps one character to one, and a slice of
-    the folded surface is the folded slice.  The lexicon's view is fetched
-    once and each prefix, stem and suffix is one read of it: each affix
-    length once per surface, a stem only where both affixes were found.
-    Splits are tried by prefix length, then by suffix length, each from
-    empty up to its cap (``MAX_PREFIX_LEN``, ``MAX_SUFFIX_LEN``), the stem
-    never empty.  Duplicates (same voc, lemma, primary tag) collapse onto
-    the first occurrence, so order is deterministic: segmentation order,
-    then lexicon load order.
+    the folded surface is the folded slice.  Splits are tried by prefix
+    length, then by suffix length, each from empty up to its cap
+    (``MAX_PREFIX_LEN``, ``MAX_SUFFIX_LEN``), the stem never empty.  The
+    lexicon's view is fetched once, and its pair table (``LexView``)
+    holds only the affix lengths that occur and only the (prefix, suffix)
+    surface pairs with a prefix-suffix licensed entry pair, so a stem is
+    sliced and read only for such a pair, and only the prefix-stem and
+    stem-suffix tables are checked.  Duplicates (same voc, lemma, primary
+    tag) collapse onto the first occurrence, so order is deterministic:
+    segmentation order, then lexicon load order.
     """
     seen: set[tuple[str, str, str]] = set()
     out: list[Analysis] = []
@@ -123,33 +124,42 @@ def analyze_type(surface: str, lex: Lexicon, active: Flag,
     if not n:
         return out
     view = lex.view(active, fold_alif)
-    prefixes, stems, suffixes = (view[Kind.PREFIX], view[Kind.STEM],
-                                 view[Kind.SUFFIX])
     if fold_alif:
         surface = normalize(surface, fold_alif=True)
-    compat = lex.compat
-    sufs_by_len = [suffixes.get(surface[n - s:])
-                   for s in range(min(MAX_SUFFIX_LEN, n - 1) + 1)]
-    for p in range(min(MAX_PREFIX_LEN, n - 1) + 1):
-        pres = prefixes.get(surface[:p])
-        if not pres:
+    pairs, stems, head_tags = view.pairs, view.stems, view.head_tags
+    suffix_lens = view.suffix_lens
+    ab, bc = lex.compat.ab, lex.compat.bc
+    for p in view.prefix_lens:
+        if p >= n:
+            break
+        by_suffix = pairs.get(surface[:p])
+        if by_suffix is None:
             continue
-        for s in range(min(MAX_SUFFIX_LEN, n - p - 1) + 1):
-            sufs = sufs_by_len[s]
-            if not sufs:
+        for s in suffix_lens:
+            if p + s >= n:
+                break
+            entries = by_suffix.get(surface[n - s:])
+            if entries is None:
                 continue
             stem_entries = stems.get(surface[p:n - s])
-            if not stem_entries:
+            if stem_entries is None:
                 continue
-            for a, b, c in product(pres, stem_entries, sufs):
-                if not compatible(compat, a.cat, b.cat, c.cat):
-                    continue
-                key = ("+".join([x.voc for x in (a, b, c) if x.voc]),
-                       b.lemma, b.head_tag())
-                if key in seen:
-                    continue
-                seen.add(key)
-                out.append(Analysis(*key, parts=(a, b, c)))
+            for a, sufs in entries:
+                for b in stem_entries:
+                    if (a.cat, b.cat) not in ab:
+                        continue
+                    tag = head_tags.get(id(b))
+                    if tag is None:
+                        tag = head_tags[id(b)] = b.head_tag()
+                    for c in sufs:
+                        if (b.cat, c.cat) not in bc:
+                            continue
+                        key = ("+".join([x.voc for x in (a, b, c) if x.voc]),
+                               b.lemma, tag)
+                        if key in seen:
+                            continue
+                        seen.add(key)
+                        out.append(Analysis(*key, parts=(a, b, c)))
     return out
 
 

@@ -236,7 +236,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--freq", metavar="FILE",
                    help="lemma/pos frequency table (used without --lm)")
     p.add_argument("--lambda", dest="lam", type=float, default=None,
-                   metavar="X", help="trigram interpolation weight in [0,1]")
+                   metavar="X",
+                   help="trigram interpolation weight in [0,1] (with --lm)")
     p.add_argument("--format", choices=("tei", "tsv"), default="tei")
     p.add_argument("--normalize-alif", action="store_true",
                    help="fold alif variants to bare alif before lookup")

@@ -242,8 +242,7 @@ class LmModel:
     contextual: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if not 0.0 <= self.lam <= 1.0:
-            raise LmError(f"lambda must be in [0, 1], got {self.lam}")
+        check_lambda(self.lam)
         vocab = frozenset(t for t in self.unigram if t != BOS) \
             | frozenset(self.freq)
         object.__setattr__(self, "total", sum(self.unigram.values()))
@@ -284,6 +283,12 @@ class LmModel:
         p = (count + 1) / (total + v1)
         pf = (self.freq.get(cand, 0) + 1) / (self.freq_total + v1)
         return self.lam * p + (1.0 - self.lam) * pf
+
+
+def check_lambda(lam: float) -> None:
+    """Raise ``LmError`` unless ``lam`` is a weight in [0, 1]."""
+    if not 0.0 <= lam <= 1.0:
+        raise LmError(f"lambda must be in [0, 1], got {lam}")
 
 
 def train_lm(sentences: Sequence[Sequence[Tuple]],

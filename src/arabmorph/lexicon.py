@@ -10,6 +10,7 @@ prefix-suffix category combinations.
 from __future__ import annotations
 
 import enum
+import functools
 import logging
 import re
 import xml.etree.ElementTree as ET
@@ -90,18 +91,28 @@ class Kind(enum.Enum):
 
 
 # Closed primary-tag inventory; morphotactic subtypes fold onto it by
-# longest-prefix match (Ndu -> N), verb stem categories map explicitly.
+# longest-prefix match (Ndu -> N).  Verb stem categories and AraMorph's
+# compound tags, which a prefix match would fold wrongly (NEG_PART would
+# give NE, NOUN_PROP N) or not at all, are looked up first: by name, then
+# by the marked part of a ``*_PRON*`` or ``*_PART`` tag.
 PRIMARY_TAGS = ("PREP", "PRON", "CONJ", "PART", "DET", "NUM", "ADV", "NE",
                 "N", "V", "A")
-_CAT_TO_TAG = {"PV": "V", "IV": "V", "CV": "V"}
+_TAG_TABLE = {"PV": "V", "IV": "V", "CV": "V", "PV_PASS": "V",
+              "IV_PASS": "V", "NEG_PART": "PART", "NOUN_PROP": "NE",
+              "SUB_CONJ": "CONJ"}
 
 
 def fold_tag(tag: str) -> str:
-    """Fold a category/tag label onto the closed primary-tag set."""
-    if tag in _CAT_TO_TAG:
-        return _CAT_TO_TAG[tag]
+    """Fold a category/tag label onto the closed primary-tag set; a label
+    that matches nothing is returned as it is."""
+    if tag in _TAG_TABLE:
+        return _TAG_TABLE[tag]
     if tag in PRIMARY_TAGS:
         return tag
+    if "_PRON" in tag:
+        return "PRON"
+    if tag.endswith("_PART"):
+        return "PART"
     for t in PRIMARY_TAGS:
         if tag.startswith(t):
             return t
@@ -155,6 +166,14 @@ def _check_row(kind: Kind, surface: str, voc: str, cat: str, lemma: str,
         raise LexiconError(f"{where}: lemma {lemma!r} is not of the form base_N")
 
 
+@functools.lru_cache(maxsize=1024)
+def _parse_flag_text(text: str) -> Flag:
+    """``parse_flagset`` of a row's flag column.  A lexicon repeats a few
+    dozen flag texts over all its rows; a text that raises is not cached,
+    so its error reads the same each time."""
+    return parse_flagset(text.split("|"))
+
+
 def parse_entry_line(line: str, kind: Kind, lineno: int = 0,
                      filename: str = "<lexicon>") -> LexEntry:
     """Parse one TSV lexicon row.
@@ -182,10 +201,7 @@ def parse_entry_line(line: str, kind: Kind, lineno: int = 0,
     else:
         gloss = glosspos
         pos = _default_pos(voc, cat)
-    if flagtext:
-        flags = parse_flagset(flagtext.split("|"))
-    else:
-        flags = ALL_FLAGS
+    flags = _parse_flag_text(flagtext) if flagtext else ALL_FLAGS
     return LexEntry(kind=kind, surface=surface, voc=voc, cat=cat,
                     gloss=gloss, pos=pos, lemma=lemma, flags=flags)
 
@@ -240,19 +256,83 @@ def _parse_pairs(stream: IO[str] | Iterable[str],
     return frozenset(pairs)
 
 
+# The analyzer's split caps: a split's prefix has at most 4 characters and
+# its suffix at most 6, so a longer affix surface never matches.
+MAX_PREFIX_LEN = 4
+MAX_SUFFIX_LEN = 6
+
+
+class LexView:
+    """The entries of one (active flags, alif folding) pair, as
+    ``Lexicon.view`` builds them, and the affix side of analysis
+    precompiled from them.
+
+    ``tables`` maps each kind to its entries whose flags intersect the
+    active set, keyed by surface, alif-folded under folding; table, then
+    load order.  ``pairs`` maps a prefix surface to a suffix surface to
+    the prefix entries ``a`` of that surface, in load order, each with the
+    suffix entries ``c`` of that surface, in load order, that ``compat.ac``
+    licenses for ``a``; a pair without such an (a, c) is absent, and so
+    is an affix longer than its cap.  ``prefix_lens`` and ``suffix_lens``
+    are the sorted lengths of its keys.  ``head_tags`` memoizes
+    ``LexEntry.head_tag`` by the ``id`` of an entry of ``tables``, which
+    the view keeps alive, so the ids stay its own.  Callers change only
+    ``head_tags``."""
+
+    __slots__ = ("tables", "stems", "pairs", "prefix_lens", "suffix_lens",
+                 "head_tags")
+
+    def __init__(self, tables: dict[Kind, dict[str, list[LexEntry]]],
+                 ac: frozenset[tuple[str, str]], mask: int, fold_alif: bool):
+        self.tables: dict[Kind, dict[str, list[LexEntry]]] = {}
+        for kind, table in tables.items():
+            self.tables[kind] = index = {}
+            for key, bucket in table.items():
+                if fold_alif:
+                    key = normalize(key, fold_alif=True)
+                for e in bucket:
+                    if int(e.flags) & mask:
+                        index.setdefault(key, []).append(e)
+        prefixes, self.stems, suffixes = self.tables.values()
+        # The licensed suffixes depend on the prefix's category alone, and
+        # there are far fewer categories than prefix entries.
+        by_cat: dict[str, dict[str, list[LexEntry]]] = {}
+        self.pairs: dict[str, dict[str, list[tuple[LexEntry,
+                                                   list[LexEntry]]]]] = {}
+        for key, bucket in prefixes.items():
+            if len(key) > MAX_PREFIX_LEN:
+                continue
+            row = {}
+            for a in bucket:
+                licensed = by_cat.get(a.cat)
+                if licensed is None:
+                    licensed = by_cat[a.cat] = {
+                        skey: cs for skey, sbucket in suffixes.items()
+                        if len(skey) <= MAX_SUFFIX_LEN
+                        if (cs := [c for c in sbucket if (a.cat, c.cat) in ac])}
+                for skey, cs in licensed.items():
+                    row.setdefault(skey, []).append((a, cs))
+            if row:
+                self.pairs[key] = row
+        self.prefix_lens = sorted({len(key) for key in self.pairs})
+        self.suffix_lens = sorted({len(skey) for row in self.pairs.values()
+                                   for skey in row})
+        self.head_tags: dict[int, str] = {}
+
+
 class Lexicon:
     """The surface-keyed entry tables of the three kinds, one ``tables``
     store, plus their compatibility tables.  Lookups read one ``view`` per
-    (flags, alif folding), and evaluation the ``known_lemma_pos`` set, each
-    built on first use; ``add``, the only mutator (merges return a new
-    Lexicon), drops both."""
+    (flags, alif folding), with its affix pair table, and evaluation the
+    ``known_lemma_pos`` set, each built on first use; ``add``, the only
+    mutator (merges return a new Lexicon), drops both."""
 
     def __init__(self, compat: CompatTables):
         self.tables: dict[Kind, dict[str, list[LexEntry]]] = {k: {} for k in Kind}
         self.prefixes, self.stems, self.suffixes = self.tables.values()
         self.compat = compat
         self._view_key: tuple[int, bool] | None = None
-        self._view: dict[Kind, dict[str, list[LexEntry]]] = {}
+        self._view: LexView | None = None
         self._known: frozenset[tuple[str, str]] | None = None
 
     def table(self, kind: Kind) -> dict[str, list[LexEntry]]:
@@ -276,7 +356,7 @@ class Lexicon:
         Returns True when a new row was created, False when an existing
         row absorbed the entry's flags.
         """
-        self._view_key = self._known = None
+        self._view_key = self._view = self._known = None
         table = self.tables[entry.kind]
         bucket = table.get(entry.surface, ())
         for i, row in enumerate(bucket):
@@ -297,27 +377,17 @@ class Lexicon:
         view = self.view(active, fold_alif)
         if fold_alif:
             surface = normalize(surface, fold_alif=True)
-        return list(view[kind].get(surface, ()))
+        return list(view.tables[kind].get(surface, ()))
 
-    def view(self, active: Flag, fold_alif: bool = False
-             ) -> dict[Kind, dict[str, list[LexEntry]]]:
-        """Per kind, the entries whose flags intersect ``active``, keyed by
-        surface, alif-folded under ``fold_alif``; table, then load order.
-        One view is kept, built on first use for its (flags, folding) pair
-        and dropped by ``add``.  Callers read its buckets and never change
-        them."""
+    def view(self, active: Flag, fold_alif: bool = False) -> LexView:
+        """The entries whose flags intersect ``active``, with surfaces
+        alif-folded under ``fold_alif``, and the affix pair table built
+        from them (see ``LexView``).  One view is kept, built on first use
+        for its (flags, folding) pair and dropped by ``add``."""
         mask = int(active)
         if (mask, fold_alif) != self._view_key:
-            view = {}
-            for kind, table in self.tables.items():
-                view[kind] = index = {}
-                for key, bucket in table.items():
-                    if fold_alif:
-                        key = normalize(key, fold_alif=True)
-                    for e in bucket:
-                        if int(e.flags) & mask:
-                            index.setdefault(key, []).append(e)
-            self._view, self._view_key = view, (mask, fold_alif)
+            self._view = LexView(self.tables, self.compat.ac, mask, fold_alif)
+            self._view_key = (mask, fold_alif)
         return self._view
 
     def known_lemma_pos(self) -> frozenset[tuple[str, str]]:

@@ -8,8 +8,8 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 
 from .analyzer import Token, TokenReadings, TypeCache, analyze_text, tokenize
-from .disambig import (DEFAULT_LAMBDA, FilterRule, LmError, LmModel,
-                       apply_rules, empty_lm, load_freq_table, load_lm,
+from .disambig import (FilterRule, LmError, LmModel, apply_rules,
+                       check_lambda, empty_lm, load_freq_table, load_lm,
                        parse_rules, rank)
 from .lexicon import Flag, Lexicon, LexiconError, load_lexicon_dir
 from .textio import open_utf8
@@ -37,6 +37,13 @@ class PipelineConfig:
         if self.lm_path and self.freq_path:
             raise LmError("a frequency table is used only without a language "
                           "model; the model carries its own (train-lm --freq)")
+        if self.lam is not None and not self.lm_path:
+            # Without a model every candidate's trigram side is the same,
+            # so a lambda would change no ranking; a value outside [0, 1]
+            # is reported as that first.
+            check_lambda(self.lam)
+            raise LmError("lambda weighs a language model's trigram side "
+                          "and is used only with one (--lm)")
         table = (BuckTable.from_file(self.translit_table)
                  if self.translit_table else DEFAULT_TABLE)
         lex = load_lexicon_dir(self.lexicon_dir)
@@ -54,8 +61,7 @@ class PipelineConfig:
             if self.lam is not None:
                 model = replace(model, lam=self.lam)
         else:
-            model = empty_lm(lam=DEFAULT_LAMBDA if self.lam is None
-                             else self.lam, freq=freq)
+            model = empty_lm(freq=freq)
         return Pipeline(self, table, lex, rules, model)
 
 

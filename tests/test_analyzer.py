@@ -270,6 +270,97 @@ def test_analyze_type_sees_a_stem_added_after_it_ran(lexicon, fold_alif):
             ] == ["qahowap/qahowap_1/N"]
 
 
+@pytest.mark.parametrize("kind,row,surface,reading", [
+    (Kind.PREFIX, "q\tqa\tPref-Conj\tand <pos>qa/CONJ</pos>", "qktAb",
+     "qa+kitAb/kitAb_1/N"),
+    # The bundled suffixes are at most two characters long.
+    (Kind.SUFFIX, "hmA\thumA\tSuff-POSS\ttheir (dual) <pos>humA/POSS</pos>",
+     "ktAbhmA", "kitAb+humA/kitAb_1/N"),
+])
+@pytest.mark.parametrize("fold_alif", [False, True])
+def test_analyze_type_sees_an_affix_added_after_it_ran(
+        lexicon, kind, row, surface, reading, fold_alif):
+    lex = lexicon.copy()
+    before = [a.ana for a in analyze_type(surface, lex, ALL_FLAGS, fold_alif)]
+    assert reading not in before
+    assert lex.add(parse_entry_line(row, kind))
+    assert reading in [a.ana for a in
+                       analyze_type(surface, lex, ALL_FLAGS, fold_alif)]
+
+
+# Letters that are no diacritic, with bare alif and two of its variants.
+_GEN_LETTERS = "bkA>{"
+
+
+@st.composite
+def generated_lexicons(draw):
+    """A small lexicon with several entries per affix and stem surface,
+    null affixes, affix surfaces longer than the split caps, alif
+    variants, random flags and random subsets of the three compatibility
+    tables; and the affix and stem surfaces it holds."""
+    cats = {kind: [f"{kind.name[0]}{i}" for i in range(2)] for kind in Kind}
+    surfaces = {
+        Kind.PREFIX: draw(st.lists(st.text(_GEN_LETTERS,
+                                           max_size=MAX_PREFIX_LEN + 1),
+                                   min_size=1, max_size=4, unique=True)),
+        Kind.STEM: draw(st.lists(st.text(_GEN_LETTERS, min_size=1,
+                                         max_size=3),
+                                 min_size=1, max_size=4, unique=True)),
+        Kind.SUFFIX: draw(st.lists(st.text(_GEN_LETTERS,
+                                           max_size=MAX_SUFFIX_LEN + 1),
+                                   min_size=1, max_size=4, unique=True)),
+    }
+    for kind in (Kind.PREFIX, Kind.SUFFIX):
+        if "" not in surfaces[kind] and draw(st.booleans()):
+            surfaces[kind].insert(0, "")
+    flag_texts = st.sampled_from(["", "", "CA", "MSA", "CA|MSA"])
+    files = {}
+    for kind in Kind:
+        rows = []
+        for surface in surfaces[kind]:
+            for _ in range(draw(st.integers(2, 4))):
+                voc = surface + draw(st.sampled_from(["", "a", "u", "i"]))
+                cat = draw(st.sampled_from(cats[kind]))
+                glosspos, lemma = "g", ""
+                if kind is Kind.STEM:
+                    tag = draw(st.sampled_from(["N", "V", "NEG_PART"]))
+                    glosspos = f"g <pos>{voc}/{tag}</pos>"
+                    lemma = f"{voc}_{draw(st.integers(1, 2))}"
+                rows.append("\t".join([surface or "0", voc or "0", cat,
+                                       glosspos, lemma,
+                                       draw(flag_texts)]) + "\n")
+        files[kind] = io.StringIO("".join(rows))
+    compat = []
+    for one, other in ((Kind.PREFIX, Kind.STEM), (Kind.STEM, Kind.SUFFIX),
+                       (Kind.PREFIX, Kind.SUFFIX)):
+        pairs = [(x, y) for x in cats[one] for y in cats[other]]
+        keep = draw(st.lists(st.booleans(), min_size=len(pairs),
+                             max_size=len(pairs)))
+        compat.append(io.StringIO("".join(
+            f"{x}\t{y}\n" for (x, y), k in zip(pairs, keep) if k)))
+    return load_lexicon(*files.values(), tuple(compat)), surfaces
+
+
+@given(st.data())
+def test_analyze_type_lists_readings_in_reference_order_over_generated_lexicons(
+        data):
+    lex, surfaces = data.draw(generated_lexicons())
+    picked = [a + b + c for a in surfaces[Kind.PREFIX]
+              for b in surfaces[Kind.STEM] for c in surfaces[Kind.SUFFIX]]
+    picked += data.draw(st.lists(st.text(_GEN_LETTERS, min_size=1,
+                                         max_size=8), max_size=4))
+    # The alifs of some surfaces become other variants, so that folding
+    # matters.
+    types = ["".join(data.draw(st.sampled_from("A><|{")) if ch in "A><|{"
+                     else ch for ch in surface)
+             if data.draw(st.booleans()) else surface for surface in picked]
+    active = parse_flagset(data.draw(
+        st.lists(st.sampled_from(["CA", "MSA", "ICA", "NE"]), min_size=1,
+                 max_size=3)))
+    _agrees_with_one_lookup_per_split(types, lex, active,
+                                      data.draw(st.booleans()))
+
+
 def test_analysis_invariants_hold_structurally(lexicon, corpus_text):
     seen = set()
     for token in tokenize(corpus_text):

@@ -275,6 +275,15 @@ def test_analyze_with_a_lambda_outside_the_unit_interval_exits_2(
     assert out.err.startswith("arabmorph: error: lambda must be in [0, 1]")
 
 
+def test_analyze_with_a_lambda_but_no_model_exits_2(tmp_path, capsys):
+    assert main(_analyze_args(_write_phrase(tmp_path),
+                              **{"lambda": "0.3"})) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == ("arabmorph: error: lambda weighs a language model's "
+                       "trigram side and is used only with one (--lm)\n")
+
+
 def test_surface_rules_match_the_key_under_the_pipeline_table(tmp_path,
                                                               capsys):
     """With ع mapped to c, مع has the lookup key mc, not the default mE."""

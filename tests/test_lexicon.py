@@ -108,10 +108,18 @@ def test_parse_entry_line_rejections():
         parse_entry_line("ktAb\tkitAb", Kind.STEM)
     with pytest.raises(LexiconError, match="^s.tsv:4: empty category$"):
         parse_entry_line("ktAb\tkitAb\t \tbook", Kind.STEM, 4, "s.tsv")
+    for _ in range(2):  # a flag text that fails is not memoized
+        with pytest.raises(LexiconError, match="^unknown flag 'BOGUS'; "):
+            parse_entry_line("ktAb\tkitAb\tN\tb\tkitAb_1\tCA|BOGUS",
+                             Kind.STEM)
 
 
 @pytest.mark.parametrize("tag,folded", [
-    ("PV", "V"), ("PREP", "PREP"), ("Ndu", "N"), ("Pref-Al", "Pref-Al")])
+    ("PV", "V"), ("PREP", "PREP"), ("Ndu", "N"), ("Pref-Al", "Pref-Al"),
+    # AraMorph's compound tags
+    ("NEG_PART", "PART"), ("NOUN_PROP", "NE"), ("DEM_PRON_MS", "PRON"),
+    ("REL_PRON", "PRON"), ("INTERROG_PART", "PART"), ("SUB_CONJ", "CONJ"),
+    ("FUT_PART", "PART"), ("PV_PASS", "V"), ("IV_PASS", "V")])
 def test_fold_tag_maps_categories_and_subtypes_onto_the_tag_set(tag, folded):
     assert fold_tag(tag) == folded
 
