@@ -121,8 +121,6 @@ def analyze_type(surface: str, lex: Lexicon, active: Flag,
     seen: set[tuple[str, str, str]] = set()
     out: list[Analysis] = []
     n = len(surface)
-    if not n:
-        return out
     view = lex.view(active, fold_alif)
     if fold_alif:
         surface = normalize(surface, fold_alif=True)

@@ -27,11 +27,12 @@ from .evaluation import (evaluate, load_gold, readings_from_doc,
 from .lexicon import (ALL_FLAGS, Flag, Kind, LexiconError, classical_preset,
                       flag_names, load_lexicon_dir, load_review,
                       import_tei_dictionary, import_wordlist, merge_reviewed,
-                      parse_flagset, save_review, serialize_lexicon)
+                      parse_flagset, reject_known, save_review,
+                      serialize_lexicon)
 from .pipeline import Pipeline, PipelineConfig
 from .teixml import (UNKNOWN_ANA, TeiError, apply_corrections, doc_from_ranked,
                      emit_tei, parse_tei)
-from .textio import EncodingError, decoding, open_utf8
+from .textio import EncodingError, decoding, open_utf8, read_with
 from .translit import TranslitError
 
 ENV_LEXICON = "ARABMORPH_LEXICON"
@@ -53,19 +54,15 @@ def _resolve_lexicon_dir(arg: str | None) -> Path:
     return default_lexicon_dir()
 
 
+_FLAG_PRESETS = {"ALL": ALL_FLAGS, "CLASSICAL": classical_preset()}
+
+
 def _parse_cli_flags(value: str) -> Flag:
-    """Comma-separated flag names; ``all`` and ``classical`` are presets."""
+    """Comma-separated flag names and presets (``_FLAG_PRESETS``), any
+    case; empty names are skipped."""
     mask = Flag(0)
-    for token in value.split(","):
-        token = token.strip()
-        if not token:
-            continue
-        if token.upper() == "ALL":
-            mask |= ALL_FLAGS
-        elif token.upper() == "CLASSICAL":
-            mask |= classical_preset()
-        else:
-            mask |= parse_flagset([token])
+    for token in filter(None, map(str.strip, value.split(","))):
+        mask |= _FLAG_PRESETS.get(token.upper()) or parse_flagset([token])
     return mask
 
 
@@ -157,12 +154,8 @@ def cmd_correct(args) -> int:
 
 
 def cmd_train_lm(args) -> int:
-    with open_utf8(args.gold) as f:
-        sentences = load_gold(f, args.gold)
-    freq = None
-    if args.freq:
-        with open_utf8(args.freq) as f:
-            freq = load_freq_table(f, args.freq)
+    sentences = read_with(load_gold, args.gold)
+    freq = read_with(load_freq_table, args.freq) if args.freq else None
     tuples = [[tok.lemma_pos for tok in sent] for sent in sentences]
     model = train_lm(tuples, freq, args.lam)
     _atomic_write(Path(args.output), serialize_lm(model))
@@ -174,8 +167,7 @@ def cmd_train_lm(args) -> int:
 def cmd_eval(args) -> int:
     lex = load_lexicon_dir(_resolve_lexicon_dir(args.lexicon))
     doc = parse_tei(_read_text(args.system))
-    with open_utf8(args.gold) as f:
-        gold = [tok for sent in load_gold(f, args.gold) for tok in sent]
+    gold = [tok for sent in read_with(load_gold, args.gold) for tok in sent]
     report = evaluate(readings_from_doc(doc), gold, lex)
     _write_stdout(report_table(report))
     if args.tsv:
@@ -185,17 +177,17 @@ def cmd_eval(args) -> int:
 
 def cmd_import(args) -> int:
     assign = _parse_cli_flags(args.flags)
-    lex = None
-    if args.dedup:
-        lex = load_lexicon_dir(_resolve_lexicon_dir(args.lexicon))
     if args.tei:
         with open_utf8(args.tei) as f:
-            batch = import_tei_dictionary(f, assign, lex,
+            batch = import_tei_dictionary(f, assign,
                                           source=Path(args.tei).name)
     else:
         with open_utf8(args.wordlist) as f:
             batch = import_wordlist(f, Kind(args.kind), assign,
                                     source=Path(args.wordlist).name)
+    if args.dedup:
+        lexdir = _resolve_lexicon_dir(args.lexicon)
+        reject_known(batch, load_lexicon_dir(lexdir))
     buf = io.StringIO()
     save_review(batch, buf)
     _atomic_write(Path(args.output), buf.getvalue())
@@ -207,8 +199,7 @@ def cmd_import(args) -> int:
 def cmd_merge(args) -> int:
     lexdir = _resolve_lexicon_dir(args.lexicon)
     lex = load_lexicon_dir(lexdir)
-    with open_utf8(args.review) as f:
-        batch = load_review(f, args.review)
+    batch = read_with(load_review, args.review)
     merged = merge_reviewed(lex, batch)
     outdir = Path(args.output) if args.output else lexdir
     for name, text in serialize_lexicon(merged).items():

@@ -368,7 +368,10 @@ def load_lm(stream: IO[str] | Iterable[str], filename: str = "<lm>") -> LmModel:
         t = (lemma, tag)
         return shared.setdefault(t, t)
 
-    def take(expect: str, n_fields: int) -> list[str]:
+    def take(expect: str, n_fields: int, what: str = ""):
+        """The fields of the next line, a header labelled ``expect`` with
+        ``n_fields`` fields; under ``what``, its last field parsed as that
+        count instead."""
         nonlocal pos
         line = next(lines, None)
         if line is None:
@@ -380,16 +383,13 @@ def load_lm(stream: IO[str] | Iterable[str], filename: str = "<lm>") -> LmModel:
         if fields[0] != expect or len(fields) != n_fields:
             raise LmError(f"{filename}:{pos}: expected {expect} "
                           f"with {n_fields} fields, got {line!r}")
-        return fields
+        return count(fields[-1], pos, what) if what else fields
 
     def count(text: str, lineno: int, what: str) -> int:
         if not (text.isascii() and text.isdigit()):
             raise LmError(f"{filename}:{lineno}: bad {what} {text!r}, "
                           "expected a non-negative integer")
         return int(text)
-
-    def header_count(expect: str, what: str) -> int:
-        return count(take(expect, 2)[1], pos, what)
 
     def records(n: int, n_fields: int, what: str):
         """The next ``n`` lines of ``n_fields`` fields; each is yielded
@@ -429,15 +429,15 @@ def load_lm(stream: IO[str] | Iterable[str], filename: str = "<lm>") -> LmModel:
     if not 0.0 <= lam <= 1.0:
         raise LmError(f"{filename}:{pos}: bad lambda value {text!r}, "
                       "expected a number in [0, 1]")
-    vocab_size = header_count("vocab", "vocab size")
-    total = header_count("total", "total")
+    vocab_size = take("vocab", 2, "vocab size")
+    total = take("total", 2, "total")
 
     unigram = {pair(f[0], f[1]): f[2] for f in section(1, 3, "unigram")}
     bigram = {(pair(f[0], f[1]), pair(f[2], f[3])): f[4]
               for f in section(2, 5, "bigram")}
     trigram = {(pair(f[0], f[1]), pair(f[2], f[3]), pair(f[4], f[5])):
                f[6] for f in section(3, 7, "trigram")}
-    n_freq = header_count("freq", "freq section size")
+    n_freq = take("freq", 2, "freq section size")
     freq = {pair(f[0], f[1]): f[2] for f in records(n_freq, 3, "freq")}
     if any(line.strip() for line in lines):
         raise LmError(f"{filename}:{pos + 1}: trailing content")

@@ -44,7 +44,6 @@ class Flag(enum.IntFlag):
 
 ALL_FLAGS = Flag.CA | Flag.MSA | Flag.ICA | Flag.SPEC_MED | Flag.SPEC_ALCH \
     | Flag.SPEC_GRAM | Flag.NE | Flag.FNE | Flag.CAP
-NO_FLAGS = Flag(0)
 # (name, bit) per flag: flag_names tests plain ints, not IntFlag members.
 _FLAG_BITS = tuple((f.name, int(f)) for f in Flag)
 
@@ -54,7 +53,7 @@ _FLAG_PREFIX = "XRAM_"
 
 def parse_flagset(names: Iterable[str]) -> Flag:
     """Union of the named flag bits; names are case-insensitive."""
-    mask = NO_FLAGS
+    mask = Flag(0)
     for raw in names:
         key = raw.strip().upper()
         if key.startswith(_FLAG_PREFIX):
@@ -90,6 +89,9 @@ class Kind(enum.Enum):
     __hash__ = object.__hash__
 
 
+# Each kind's place in a (prefix, stem, suffix) category triple.
+_KIND_PLACES = tuple(Kind)
+
 # Closed primary-tag inventory; morphotactic subtypes fold onto it by
 # longest-prefix match (Ndu -> N).  Verb stem categories and AraMorph's
 # compound tags, which a prefix match would fold wrongly (NEG_PART would
@@ -107,8 +109,6 @@ def fold_tag(tag: str) -> str:
     that matches nothing is returned as it is."""
     if tag in _TAG_TABLE:
         return _TAG_TABLE[tag]
-    if tag in PRIMARY_TAGS:
-        return tag
     if "_PRON" in tag:
         return "PRON"
     if tag.endswith("_PART"):
@@ -150,10 +150,12 @@ def _default_pos(voc: str, cat: str) -> str:
     return f"{voc}/{cat}" if voc else ""
 
 
-def _check_row(kind: Kind, surface: str, voc: str, cat: str, lemma: str,
-               where: str) -> None:
+def _check_row(kind: Kind, surface: str, voc: str, cat: str, gloss: str,
+               lemma: str, where: str) -> None:
     """The rules every lexicon row keeps, checked where a row is read and
-    where an import builds one."""
+    where an import builds one.  A gloss that a row could not carry back,
+    one holding a tab or line break or ending in ``<pos>...</pos>``, comes
+    only from an import."""
     if not cat:
         raise LexiconError(f"{where}: empty category")
     if kind is Kind.STEM and not surface:
@@ -164,6 +166,10 @@ def _check_row(kind: Kind, surface: str, voc: str, cat: str, lemma: str,
             f"{surface!r} when diacritics are stripped")
     if lemma and not _LEMMA_RE.match(lemma):
         raise LexiconError(f"{where}: lemma {lemma!r} is not of the form base_N")
+    if ("\t" in gloss or "\r" in gloss or "\n" in gloss
+            or "</pos>" in gloss and _POS_FIELD_RE.search(gloss)):
+        raise LexiconError(f"{where}: gloss {gloss!r} would not read back "
+                           "from a row")
 
 
 @functools.lru_cache(maxsize=1024)
@@ -193,7 +199,6 @@ def parse_entry_line(line: str, kind: Kind, lineno: int = 0,
     surface, voc, cat, glosspos, lemma, flagtext = map(str.strip, fields)
     surface = "" if surface == "0" else surface
     voc = "" if voc == "0" else voc
-    _check_row(kind, surface, voc, cat, lemma, where)
     m = _POS_FIELD_RE.search(glosspos)
     if m:
         pos = m.group(1).strip()
@@ -201,7 +206,11 @@ def parse_entry_line(line: str, kind: Kind, lineno: int = 0,
     else:
         gloss = glosspos
         pos = _default_pos(voc, cat)
-    flags = _parse_flag_text(flagtext) if flagtext else ALL_FLAGS
+    _check_row(kind, surface, voc, cat, gloss, lemma, where)
+    try:
+        flags = _parse_flag_text(flagtext) if flagtext else ALL_FLAGS
+    except LexiconError as exc:
+        raise LexiconError(f"{where}: {exc}") from None
     return LexEntry(kind=kind, surface=surface, voc=voc, cat=cat,
                     gloss=gloss, pos=pos, lemma=lemma, flags=flags)
 
@@ -223,11 +232,19 @@ def format_entry_line(e: LexEntry) -> str:
 @dataclass(frozen=True)
 class CompatTables:
     """Licensed category pairs: prefix-stem (ab), stem-suffix (bc),
-    prefix-suffix (ac)."""
+    prefix-suffix (ac), and the category triples they license together."""
 
     ab: frozenset[tuple[str, str]]
     bc: frozenset[tuple[str, str]]
     ac: frozenset[tuple[str, str]]
+
+    @functools.cached_property
+    def triples(self) -> frozenset[tuple[str, str, str]]:
+        """The (prefix, stem, suffix) category triples whose three pairs
+        are all licensed, BAMA's rule for a reading; worked out on first
+        use."""
+        return frozenset((p, s, u) for p, s in self.ab for s2, u in self.bc
+                         if s2 == s and (p, u) in self.ac)
 
     def categories(self) -> set[str]:
         cats = set()
@@ -240,9 +257,7 @@ class CompatTables:
 
 def compatible(tables: CompatTables, pcat: str, scat: str, sucat: str) -> bool:
     """True iff all three pairwise combinations are licensed."""
-    return ((pcat, scat) in tables.ab
-            and (scat, sucat) in tables.bc
-            and (pcat, sucat) in tables.ac)
+    return (pcat, scat, sucat) in tables.triples
 
 
 def _parse_pairs(stream: IO[str] | Iterable[str],
@@ -473,7 +488,7 @@ class ReviewBatch:
     candidates: list[Candidate] = field(default_factory=list)
     source: str = ""
     kind: Kind = Kind.STEM
-    skipped: int = 0      # import records dropped for missing data
+    skipped: int = 0      # import records that give no row
 
 
 def _localname(tag: str) -> str:
@@ -481,29 +496,33 @@ def _localname(tag: str) -> str:
 
 
 def _element_text(elem) -> str:
-    return "".join(elem.itertext()).strip()
+    """The element's text with each whitespace run made one space."""
+    return " ".join("".join(elem.itertext()).split())
 
 
 def _candidate(word: str, kind: Kind, cat: str, gloss: str, assign: Flag,
                where: str) -> LexEntry:
     """The entry an import proposes for an Arabic-script ``word``; a stem
-    gets the lemma ``<voc>_1``.  A row that breaks a row rule is a
+    gets the lemma ``<voc>_1``.  A row that breaks a row rule, or whose
+    surface or voc is the row format's null marker ``0``, is a
     ``LexiconError`` at ``where``."""
     voc = normalize(arabic_to_buck(word))
     surface = strip_diacritics(voc)
+    if "0" in (surface, voc):
+        raise LexiconError(f"{where}: {word!r} reads as the null marker 0")
     lemma = f"{voc}_1" if kind is Kind.STEM else ""
-    _check_row(kind, surface, voc, cat, lemma, where)
+    _check_row(kind, surface, voc, cat, gloss, lemma, where)
     return LexEntry(kind=kind, surface=surface, voc=voc, cat=cat, gloss=gloss,
                     pos=_default_pos(voc, cat), lemma=lemma, flags=assign)
 
 
-def import_tei_dictionary(stream, assign: Flag, lex: Lexicon | None = None,
+def import_tei_dictionary(stream, assign: Flag,
                           source: str = "tei-dictionary") -> ReviewBatch:
     """Extract stem candidates from a TEI-encoded dictionary.
 
-    One Pending candidate per entry headword, glossed from the first sense;
-    the category is a placeholder pending human review.  Candidates whose
-    surface and lemma already exist in ``lex`` are auto-Rejected.
+    One Pending candidate per entry headword, glossed from the first sense,
+    whitespace runs of both made one space; the category is a placeholder
+    pending human review.  An entry that gives no row is skipped.
     """
     if not assign:
         raise LexiconError("import requires a non-empty flag set")
@@ -526,14 +545,10 @@ def import_tei_dictionary(stream, assign: Flag, lex: Lexicon | None = None,
         except LexiconError:
             batch.skipped += 1
             continue
-        status = Status.PENDING
-        if lex is not None and any(e.lemma == entry.lemma
-                                   for e in lex.stems.get(entry.surface, [])):
-            status = Status.REJECTED
-        batch.candidates.append(Candidate(entry, status))
+        batch.candidates.append(Candidate(entry))
     if batch.skipped:
-        log.warning("%s: skipped %d entries without a usable headword",
-                    source, batch.skipped)
+        log.warning("%s: skipped %d entries without a usable headword "
+                    "or gloss", source, batch.skipped)
     return batch
 
 
@@ -554,17 +569,21 @@ def import_wordlist(stream, kind: Kind, assign: Flag,
     return batch
 
 
+def reject_known(batch: ReviewBatch, lex: Lexicon) -> None:
+    """Mark Rejected each candidate whose surface and lemma ``lex``
+    already holds for the candidate's kind."""
+    for cand in batch.candidates:
+        e = cand.entry
+        if any(row.lemma == e.lemma
+               for row in lex.tables[e.kind].get(e.surface, ())):
+            cand.status = Status.REJECTED
+
+
 def _can_surface(lex: Lexicon, entry: LexEntry) -> bool:
-    ab, bc, ac = lex.compat.ab, lex.compat.bc, lex.compat.ac
-    c = entry.cat
-    if entry.kind is Kind.STEM:
-        return any((p, c) in ab and (c, u) in bc and (p, u) in ac
-                   for p, _ in ab for _, u in bc)
-    if entry.kind is Kind.PREFIX:
-        return any((c, s) in ab and (s, u) in bc and (c, u) in ac
-                   for _, s in ab for _, u in bc)
-    return any((p, s) in ab and (s, c) in bc and (p, c) in ac
-               for p, s in ab)
+    """Whether some licensed category triple holds the entry's category
+    at its kind's place (prefix, stem, suffix)."""
+    i = _KIND_PLACES.index(entry.kind)
+    return any(t[i] == entry.cat for t in lex.compat.triples)
 
 
 def merge_reviewed(lex: Lexicon, batch: ReviewBatch) -> Lexicon:

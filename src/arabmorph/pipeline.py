@@ -12,7 +12,7 @@ from .disambig import (FilterRule, LmError, LmModel, apply_rules,
                        check_lambda, empty_lm, load_freq_table, load_lm,
                        parse_rules, rank)
 from .lexicon import Flag, Lexicon, LexiconError, load_lexicon_dir
-from .textio import open_utf8
+from .textio import read_with
 from .translit import BuckTable, DEFAULT_TABLE
 
 
@@ -47,17 +47,12 @@ class PipelineConfig:
         table = (BuckTable.from_file(self.translit_table)
                  if self.translit_table else DEFAULT_TABLE)
         lex = load_lexicon_dir(self.lexicon_dir)
-        rules = []
-        if self.rules_path:
-            with open_utf8(self.rules_path) as f:
-                rules = parse_rules(f, self.rules_path)
-        freq = None
-        if self.freq_path:
-            with open_utf8(self.freq_path) as f:
-                freq = load_freq_table(f, self.freq_path)
+        rules = (read_with(parse_rules, self.rules_path)
+                 if self.rules_path else [])
+        freq = (read_with(load_freq_table, self.freq_path)
+                if self.freq_path else None)
         if self.lm_path:
-            with open_utf8(self.lm_path) as f:
-                model = load_lm(f, self.lm_path)
+            model = read_with(load_lm, self.lm_path)
             if self.lam is not None:
                 model = replace(model, lam=self.lam)
         else:

@@ -5,7 +5,9 @@ inputs share one rule for blank and comment lines."""
 from __future__ import annotations
 
 from contextlib import contextmanager
-from typing import IO, Iterable, Iterator
+from typing import IO, Callable, Iterable, Iterator, TypeVar
+
+_T = TypeVar("_T")
 
 
 class EncodingError(ValueError):
@@ -28,6 +30,13 @@ def open_utf8(path) -> Iterator[IO[str]]:
     around the block."""
     with open(path, encoding="utf-8") as f, decoding(str(path)):
         yield f
+
+
+def read_with(load: Callable[[IO[str], str], _T], path) -> _T:
+    """``load(stream, name)`` over the file at ``path``, opened under
+    ``open_utf8``; the name is ``str(path)``, for its messages."""
+    with open_utf8(path) as f:
+        return load(f, str(path))
 
 
 def data_lines(stream: Iterable[str]) -> Iterator[tuple[int, str]]:

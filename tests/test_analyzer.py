@@ -173,6 +173,11 @@ def test_analyze_type_unknown_surface(lexicon):
     assert analyze_type("qhwp", lexicon, ALL_FLAGS) == []
 
 
+@pytest.mark.parametrize("fold_alif", [False, True])
+def test_analyze_type_of_the_empty_surface_is_empty(lexicon, fold_alif):
+    assert analyze_type("", lexicon, ALL_FLAGS, fold_alif) == []
+
+
 # --- oracle agreement and invariants ------------------------------------------
 
 def test_analyze_type_agrees_with_uncapped_brute_force(lexicon):

@@ -8,10 +8,11 @@ from pathlib import Path
 
 import pytest
 
-from arabmorph.cli import _atomic_write, _read_text, main
+from arabmorph.cli import _atomic_write, _parse_cli_flags, _read_text, main
 from arabmorph.disambig import BOS, load_lm, train_lm, load_freq_table
 from arabmorph.evaluation import load_gold
-from arabmorph.lexicon import load_lexicon_dir, load_review, Status
+from arabmorph.lexicon import (ALL_FLAGS, Flag, classical_preset,
+                               load_lexicon_dir, load_review, Status)
 
 DATA = Path(__file__).parent / "data"
 RULES = str(DATA.parent.parent / "src" / "arabmorph" / "data" / "rules.txt")
@@ -599,3 +600,88 @@ def test_every_command_exits_2_with_one_error_line_on_bad_input(
     assert len(lines) == 1
     if kind in ("non-UTF-8", "missing file"):
         assert str(named) in lines[0]
+
+
+@pytest.mark.parametrize("value,flags", [
+    ("msa", Flag.MSA), ("Msa,,ca, ", Flag.MSA | Flag.CA),
+    ("all,classical", ALL_FLAGS), ("ClAsSiCaL", classical_preset()),
+    ("classical,msa", classical_preset() | Flag.MSA),
+    ("xram_ne, All", ALL_FLAGS), (" , ,", Flag(0))])
+def test_cli_flags_mix_presets_and_names_in_any_case(value, flags):
+    assert _parse_cli_flags(value) == flags
+
+
+def test_an_unknown_lexicon_flag_names_its_row(tmp_path, capsys):
+    lexdir = tmp_path / "lex"
+    shutil.copytree(LEXICON, lexdir)
+    stems = lexdir / "stems.tsv"
+    rows = stems.read_text(encoding="utf-8").count("\n")
+    with open(stems, "a", encoding="utf-8") as f:
+        f.write("ktAb\tkitAb\tN\tbook\tkitAb_1\tMSA|BOGUS\n")
+    code = main(["analyze", _write_phrase(tmp_path), "--flags", "MSA",
+                 "--lexicon", str(lexdir)])
+    assert code == 2
+    assert f"stems.tsv:{rows + 1}: unknown flag 'BOGUS'" in \
+        capsys.readouterr().err
+
+
+def test_an_unknown_review_flag_names_its_line(tmp_path, capsys):
+    review = tmp_path / "review.tsv"
+    review.write_text("#! kind=stem\tsource=x\n"
+                      "A\tjAmd\tjAmid\tN\tcool\tjAmid_1\tICA|BOGUS\n",
+                      encoding="utf-8")
+    assert main(["merge", str(review), "--output", str(tmp_path / "out")]) == 2
+    assert "review.tsv:2: unknown flag 'BOGUS'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("source,text", [
+    ("--tei", "<TEI><entry><orth>كِتاب</orth><sense>book</sense></entry>"
+              "<entry><orth>جامد</orth><sense>cool</sense></entry></TEI>"),
+    ("--wordlist", "كِتاب\tbook\tN\nجامد\tcool\tN\n")],
+    ids=["tei", "wordlist"])
+def test_import_dedup_rejects_what_the_lexicon_holds_from_either_source(
+        tmp_path, capsys, source, text):
+    infile = tmp_path / "in"
+    infile.write_text(text, encoding="utf-8")
+    review = tmp_path / "review.tsv"
+    for dedup, statuses in (([], [Status.PENDING] * 2),
+                            (["--dedup"], [Status.REJECTED, Status.PENDING])):
+        assert main(["import", source, str(infile), "--flags", "CA",
+                     "--output", str(review), *dedup]) == 0
+        batch = load_review(io.StringIO(review.read_text(encoding="utf-8")))
+        assert [c.entry.voc for c in batch.candidates] == ["kitAb", "jAmd"]
+        assert [c.status for c in batch.candidates] == statuses
+    capsys.readouterr()
+
+
+def _accept_all(review):
+    text = review.read_text(encoding="utf-8")
+    review.write_text(text.replace("\nP\t", "\nA\t"), encoding="utf-8")
+
+
+def test_a_tei_sense_over_two_lines_merges_and_reads_back(tmp_path, capsys):
+    tei = tmp_path / "dict.xml"
+    tei.write_text("<TEI><entry><orth>قلم</orth><sense>pen,\n"
+                   "      reed pen</sense></entry></TEI>", encoding="utf-8")
+    review = tmp_path / "review.tsv"
+    assert main(["import", "--tei", str(tei), "--flags", "CA",
+                 "--output", str(review)]) == 0
+    _accept_all(review)
+    outdir = tmp_path / "merged"
+    assert main(["merge", str(review), "--output", str(outdir)]) == 0
+    capsys.readouterr()
+    [entry] = [e for e in load_lexicon_dir(outdir).stems["qlm"]
+               if e.lemma == "qlm_1"]
+    assert entry.gloss == "pen, reed pen"
+
+
+def test_a_wordlist_gloss_ending_in_a_pos_annotation_is_refused(tmp_path,
+                                                                capsys):
+    wordlist = tmp_path / "w.tsv"
+    wordlist.write_text("# new words\nقلم\tpen <pos>x/N</pos>\tN\n",
+                        encoding="utf-8")
+    review = tmp_path / "review.tsv"
+    assert main(["import", "--wordlist", str(wordlist), "--flags", "CA",
+                 "--output", str(review)]) == 2
+    assert "w.tsv:2: gloss 'pen <pos>x/N</pos>'" in capsys.readouterr().err
+    assert not review.exists()

@@ -3,7 +3,7 @@ import logging
 import re
 from collections import Counter
 from dataclasses import replace
-from itertools import cycle
+from itertools import cycle, product
 from pathlib import Path
 from xml.sax.saxutils import escape
 
@@ -13,16 +13,18 @@ from hypothesis import given, strategies as st
 DATA = Path(__file__).parent / "data"
 
 from arabmorph.cli import default_lexicon_dir
-from arabmorph.lexicon import (ALL_FLAGS, Candidate, CompatTables, Flag,
+from arabmorph.lexicon import (ALL_FLAGS, LEXICON_FILES, PRIMARY_TAGS,
+                               Candidate, CompatTables, Flag,
                                Kind, LexEntry, Lexicon, LexiconError,
-                               ReviewBatch, Status, classical_preset,
+                               ReviewBatch, Status, _can_surface,
+                               classical_preset,
                                compatible, flag_names, fold_tag,
                                format_entry_line,
                                import_tei_dictionary, import_wordlist,
                                load_lexicon,
                                load_lexicon_dir, load_review,
                                merge_reviewed, parse_entry_line, parse_flagset,
-                               save_review, serialize_lexicon)
+                               reject_known, save_review, serialize_lexicon)
 from arabmorph.translit import normalize, strip_diacritics
 
 from oracles import reference_adds
@@ -109,9 +111,10 @@ def test_parse_entry_line_rejections():
     with pytest.raises(LexiconError, match="^s.tsv:4: empty category$"):
         parse_entry_line("ktAb\tkitAb\t \tbook", Kind.STEM, 4, "s.tsv")
     for _ in range(2):  # a flag text that fails is not memoized
-        with pytest.raises(LexiconError, match="^unknown flag 'BOGUS'; "):
+        with pytest.raises(LexiconError,
+                           match="^s.tsv:5: unknown flag 'BOGUS'; "):
             parse_entry_line("ktAb\tkitAb\tN\tb\tkitAb_1\tCA|BOGUS",
-                             Kind.STEM)
+                             Kind.STEM, 5, "s.tsv")
 
 
 @pytest.mark.parametrize("tag,folded", [
@@ -122,6 +125,10 @@ def test_parse_entry_line_rejections():
     ("FUT_PART", "PART"), ("PV_PASS", "V"), ("IV_PASS", "V")])
 def test_fold_tag_maps_categories_and_subtypes_onto_the_tag_set(tag, folded):
     assert fold_tag(tag) == folded
+
+
+def test_fold_tag_keeps_every_primary_tag():
+    assert [fold_tag(t) for t in PRIMARY_TAGS] == list(PRIMARY_TAGS)
 
 
 # Pieces of real rows, so that generated rows reach every check.
@@ -486,7 +493,8 @@ def test_import_tei_entry_without_live_lexicon_is_pending():
 def test_import_tei_dedups_against_live_lexicon(lexicon, caplog):
     with open(DATA / "tei_dict.xml", encoding="utf-8") as f:
         with caplog.at_level(logging.WARNING, logger="arabmorph.lexicon"):
-            batch = import_tei_dictionary(f, Flag.CA, lexicon)
+            batch = import_tei_dictionary(f, Flag.CA)
+    reject_known(batch, lexicon)
     by_surface = {c.entry.surface: c.status for c in batch.candidates}
     assert by_surface == {"ktAb": Status.REJECTED, "dynAr": Status.PENDING,
                           "qmr": Status.REJECTED}
@@ -613,6 +621,48 @@ def test_merge_never_removes_entries(lexicon):
     assert Counter(lexicon.entries()) - Counter(merged.entries()) == Counter()
 
 
+_CATS = "abc"
+_CAT_PAIRS = st.frozensets(st.tuples(st.sampled_from(_CATS),
+                                     st.sampled_from(_CATS)), max_size=9)
+
+
+def _three_branch_can_surface(compat, entry):
+    """Whether an entry's category appears in a licensed triple, written
+    per kind over the three pair tables."""
+    ab, bc, ac = compat.ab, compat.bc, compat.ac
+    c = entry.cat
+    if entry.kind is Kind.STEM:
+        return any((p, c) in ab and (c, u) in bc and (p, u) in ac
+                   for p, _ in ab for _, u in bc)
+    if entry.kind is Kind.PREFIX:
+        return any((c, s) in ab and (s, u) in bc and (c, u) in ac
+                   for _, s in ab for _, u in bc)
+    return any((p, s) in ab and (s, c) in bc and (p, c) in ac
+               for p, s in ab)
+
+
+@given(_CAT_PAIRS, _CAT_PAIRS, _CAT_PAIRS)
+def test_licensing_is_the_conjunction_of_the_three_pair_tables(ab, bc, ac):
+    compat = CompatTables(ab, bc, ac)
+    lex = Lexicon(compat)
+    for p, s, u in product(_CATS, repeat=3):
+        assert compatible(compat, p, s, u) == \
+            ((p, s) in ab and (s, u) in bc and (p, u) in ac)
+    for kind, cat in product(Kind, _CATS):
+        entry = LexEntry(kind, "k", "k", cat, "", "", "", Flag.CA)
+        assert _can_surface(lex, entry) == \
+            _three_branch_can_surface(compat, entry)
+
+
+def test_the_bundled_tables_license_142_category_triples(lexicon):
+    t = lexicon.compat
+    cats = t.categories()
+    assert t.triples == {(p, s, u) for p, s, u in product(cats, repeat=3)
+                         if (p, s) in t.ab and (s, u) in t.bc
+                         and (p, u) in t.ac}
+    assert len(t.triples) == 142
+
+
 def test_merge_warns_on_unreachable_category(lexicon, caplog):
     rows = io.StringIO("يلا\tcome on\tINTERJ\n")
     batch = import_wordlist(rows, Kind.STEM, Flag.ICA)
@@ -666,3 +716,100 @@ def test_any_text_loads_as_a_review_or_raises_lexicon_error(text):
         for cand in batch.candidates:
             assert isinstance(cand.status, Status)
             assert strip_diacritics(cand.entry.voc) == cand.entry.surface
+
+
+# --- the import -> review -> merge -> lexicon loop ---------------------------
+
+def test_an_import_gloss_that_a_row_cannot_carry_is_refused():
+    for gloss in ("pen <pos>x/N</pos>", "pen\rquill"):
+        with pytest.raises(LexiconError) as exc:
+            import_wordlist(io.StringIO(f"جامد\tcool\tA\nقلم\t{gloss}\tN\n"),
+                            Kind.STEM, Flag.ICA, "w.tsv")
+        assert str(exc.value) == \
+            f"w.tsv:2: gloss {gloss!r} would not read back from a row"
+
+
+def test_an_import_word_that_reads_as_the_null_marker_is_refused():
+    with pytest.raises(LexiconError,
+                       match="^w.tsv:1: '0' reads as the null marker 0$"):
+        import_wordlist(io.StringIO("0\tzero\tN\n"), Kind.PREFIX, Flag.ICA,
+                        "w.tsv")
+    tei = ("<TEI><entry><orth>0</orth><sense>zero</sense></entry>"
+           "<entry><orth>0َ</orth><sense>zero</sense></entry></TEI>")
+    batch = import_tei_dictionary(io.StringIO(tei), Flag.ICA)
+    assert (batch.candidates, batch.skipped) == ([], 2)
+
+
+def test_tei_import_makes_whitespace_runs_one_space():
+    tei = ("<TEI><entry><orth> قلم\n</orth><sense>pen,\n      reed\tpen"
+           "</sense></entry><entry><orth>جامد</orth>"
+           "<sense>cool &lt;pos&gt;x/N&lt;/pos&gt;</sense></entry></TEI>")
+    batch = import_tei_dictionary(io.StringIO(tei), Flag.ICA)
+    assert [(c.entry.surface, c.entry.gloss) for c in batch.candidates] == \
+        [("qlm", "pen, reed pen")]
+    assert batch.skipped == 1
+
+
+def test_reject_known_rejects_what_the_lexicon_holds_whatever_the_source(
+        lexicon):
+    rows = io.StringIO("كِتاب\tbook\tN\nجامد\tcool\tA\n")
+    batch = import_wordlist(rows, Kind.STEM, Flag.CA)
+    reject_known(batch, lexicon)
+    assert [c.status for c in batch.candidates] == \
+        [Status.REJECTED, Status.PENDING]
+
+
+def _xml_char(c):
+    return (c in "\t\n\r" or " " <= c <= "\ud7ff"
+            or "\ue000" <= c <= "\ufffd" or c >= "\U00010000")
+
+
+# Glosses built from the pieces that break a row, and from any text.
+_GLOSSES = (st.lists(st.sampled_from(
+    ["pen", " ", "  ", "\t", "\n", "\r", "\r\n", "<pos>", "</pos>", "x/N",
+     "#", "0", "|", "\x85", "\u2028", "&"]), max_size=8).map("".join)
+    | st.text(st.characters(blacklist_categories=("Cs",)), max_size=12))
+
+
+def _accept_merge_and_reload(batch):
+    """The batch through a review file, every candidate accepted, merged
+    into a small lexicon, serialized and loaded back."""
+    reviewed = _through_review_file(batch)
+    assert reviewed.candidates == batch.candidates
+    for cand in reviewed.candidates:
+        cand.status = Status.ACCEPTED
+    base = _mini_lexicon(["ktAb\tkitAb\tN\tbook\tkitAb_1\tCA"])
+    files = serialize_lexicon(merge_reviewed(base, reviewed))
+    streams = [io.StringIO(files[name]) for name in LEXICON_FILES]
+    return load_lexicon(*streams[:3], tuple(streams[3:]))
+
+
+def _assert_each_candidate_reads_back(batch):
+    reloaded = _accept_merge_and_reload(batch)
+    seen = set()
+    for cand in batch.candidates:
+        e = cand.entry
+        key = (e.kind, e.surface, e.voc, e.cat, e.lemma)
+        if key in seen:
+            continue    # a repeated row merges onto the first by design
+        seen.add(key)
+        assert e in reloaded.table(e.kind)[e.surface]
+
+
+@given(st.sampled_from(list(Kind)),
+       st.lists(st.tuples(_ARABIC_WORDS, _GLOSSES), max_size=5))
+def test_every_import_reads_back_from_the_merged_lexicon(kind, rows):
+    text = "".join(f"{word}\t{gloss}\tN\n" for word, gloss in rows)
+    try:
+        batch = import_wordlist(io.StringIO(text), kind, Flag.ICA, "w.tsv")
+    except LexiconError as exc:
+        assert re.match(r"w\.tsv:[1-9][0-9]*: ", str(exc))
+    else:
+        _assert_each_candidate_reads_back(batch)
+    tei = "<TEI>%s</TEI>" % "".join(
+        f"<entry><orth>{escape(word)}</orth>"
+        f"<sense>{escape(''.join(filter(_xml_char, gloss)))}</sense></entry>"
+        for word, gloss in rows)
+    batch = import_tei_dictionary(io.StringIO(tei), Flag.ICA)
+    assert len(batch.candidates) + batch.skipped == len(rows)
+    _assert_each_candidate_reads_back(batch)
