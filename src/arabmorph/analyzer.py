@@ -1,7 +1,7 @@
 """Tokenization and exhaustive prefix/stem/suffix analysis of word types.
 
 A token's unvocalized Buckwalter surface is cut at every licensed split
-point (prefix up to 4 characters, suffix up to 6, stem never empty); the
+point (an affix as long as the lexicon's affixes, stem never empty); the
 cross product of matching lexicon entries survives when the three
 categories are pairwise compatible.  The lexicon's view precompiles the
 affix side: which (prefix, suffix) surfaces can pair, and with which
@@ -14,8 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
-# The lexicon's view applies the split caps; callers import them from here.
-from .lexicon import MAX_PREFIX_LEN, MAX_SUFFIX_LEN, Flag, LexEntry, Lexicon
+from .lexicon import Flag, LexEntry, Lexicon
 from .translit import BuckTable, DEFAULT_TABLE, normalize, strip_diacritics
 
 if TYPE_CHECKING:
@@ -28,11 +27,10 @@ class Token:
     offset: int     # character index into the source text
 
 
-def tokenize(text: str, table: BuckTable | None = None) -> list[Token]:
+def tokenize(text: str, table: BuckTable = DEFAULT_TABLE) -> list[Token]:
     """Maximal runs of Arabic script become tokens; everything else
     (punctuation, digits, Latin, whitespace) is skipped.  Offsets point
     into the original text so output can be realigned with the source."""
-    table = table or DEFAULT_TABLE
     letters = table.arabic_letters
     is_word: dict[str, bool] = {}   # per distinct run: does it hold a letter
     tokens: list[Token] = []
@@ -108,18 +106,17 @@ def analyze_type(surface: str, lex: Lexicon, active: Flag,
     ``surface`` is a lookup key as ``token_lookup_key`` returns it: it has
     no tatweel, so alif folding maps one character to one, and a slice of
     the folded surface is the folded slice.  Splits are tried by prefix
-    length, then by suffix length, each from empty up to its cap
-    (``MAX_PREFIX_LEN``, ``MAX_SUFFIX_LEN``), the stem never empty.  The
-    lexicon's view is fetched once, and its pair table (``LexView``)
-    holds only the affix lengths that occur and only the (prefix, suffix)
-    surface pairs with a prefix-suffix licensed entry pair, so a stem is
-    sliced and read only for such a pair, and only the prefix-stem and
-    stem-suffix tables are checked.  Duplicates (same voc, lemma, primary
-    tag) collapse onto the first occurrence, so order is deterministic:
-    segmentation order, then lexicon load order.
+    length, then by suffix length, over the lengths the lexicon's view
+    holds (``view.prefix_lens``, ``view.suffix_lens``), the stem never
+    empty.  The view is fetched once, and its pair table (``LexView``)
+    holds only the (prefix, suffix) surface pairs with a prefix-suffix
+    licensed entry pair, so a stem is sliced and read only for such a
+    pair, and only the prefix-stem and stem-suffix tables are checked.
+    Duplicates (same voc, lemma, primary tag) collapse onto the first
+    occurrence, so order is deterministic: segmentation order, then
+    lexicon load order.
     """
-    seen: set[tuple[str, str, str]] = set()
-    out: list[Analysis] = []
+    out: dict[tuple[str, str, str], Analysis] = {}
     n = len(surface)
     view = lex.view(active, fold_alif)
     if fold_alif:
@@ -154,17 +151,15 @@ def analyze_type(surface: str, lex: Lexicon, active: Flag,
                             continue
                         key = ("+".join([x.voc for x in (a, b, c) if x.voc]),
                                b.lemma, tag)
-                        if key in seen:
-                            continue
-                        seen.add(key)
-                        out.append(Analysis(*key, parts=(a, b, c)))
-    return out
+                        if key not in out:
+                            out[key] = Analysis(*key, parts=(a, b, c))
+    return list(out.values())
 
 
 class TypeCache(dict):
     """Per-type analyses keyed by (lookup key, active flag bits, alif
     folding); tuple values, shared by tokens.  ``analyze_text`` fills it
-    and counts its hits and misses per token."""
+    and counts its hits and misses per token (see there)."""
 
     hits = 0
     misses = 0
@@ -175,36 +170,35 @@ class TypeCache(dict):
         return self.hits / total if total else 0.0
 
 
-def token_lookup_key(token: Token, table: BuckTable | None = None) -> str:
+def token_lookup_key(token: Token, table: BuckTable = DEFAULT_TABLE) -> str:
     """Unvocalized normalized Buckwalter surface used for lexicon lookup.
 
     Alif folding is not applied here; when enabled, ``analyze_type`` and
     ``Lexicon.lookup`` fold the query, and the lexicon's view its keys.
     """
-    buck = (table or DEFAULT_TABLE).to_buck(token.surface)
-    return strip_diacritics(normalize(buck))
+    return strip_diacritics(normalize(table.to_buck(token.surface)))
 
 
-def had_diacritics(token: Token, table: BuckTable | None = None) -> bool:
-    table = table or DEFAULT_TABLE
+def had_diacritics(token: Token, table: BuckTable = DEFAULT_TABLE) -> bool:
     return not table.arabic_diacritics.isdisjoint(token.surface)
 
 
 def analyze_text(tokens: Iterable[Token], lex: Lexicon, active: Flag,
                  cache: TypeCache | None = None,
-                 table: BuckTable | None = None,
+                 table: BuckTable = DEFAULT_TABLE,
                  fold_alif: bool = False) -> Iterator[TokenReadings]:
     """Yield one record per token, in token order, as the tokens are read;
     repeated types are served from the cache and share its tuple of
     analyses.
 
     Each distinct surface is transliterated and looked up in the cache
-    once per call; ``found`` maps it to its analyses.  A later token of
-    the same surface would be a cache hit, so once the input runs out the
-    cache's hit count grows by those tokens and its hit and miss counts
-    stay per token.
+    once per call; ``found`` maps it to its analyses.  Each miss adds one
+    key to the cache and every other token is a hit, so once the input
+    runs out the cache's miss count grows by the keys this call added and
+    its hit count by the remaining tokens: both stay per token.
     """
     cache = cache if cache is not None else TypeCache()
+    size = len(cache)
     found: dict[str, tuple[Analysis, ...]] = {}
     n = 0
     for token in tokens:
@@ -216,9 +210,7 @@ def analyze_text(tokens: Iterable[Token], lex: Lexicon, active: Flag,
             if analyses is None:
                 analyses = cache[key] = tuple(
                     analyze_type(key[0], lex, active, fold_alif))
-                cache.misses += 1
-            else:
-                cache.hits += 1
             found[token.surface] = analyses
         yield TokenReadings(token, analyses)
-    cache.hits += n - len(found)
+    cache.misses += len(cache) - size
+    cache.hits += n - (len(cache) - size)

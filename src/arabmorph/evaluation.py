@@ -15,7 +15,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import IO, AbstractSet, Iterable, Sequence
 
-from .lexicon import Flag, Lexicon, LexiconError
+from .lexicon import Lexicon, LexiconError, parse_flagset
 from .teixml import UNKNOWN_ANA, TeiDoc
 
 Reading = tuple[str, str]
@@ -25,7 +25,7 @@ Reading = tuple[str, str]
 class GoldToken:
     surface: str
     ana: str          # voc/lemma/pos
-    genre: str        # one of the nine flag names
+    genre: str        # one of the nine flag names, canonical spelling
     lemma_pos: Reading = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -54,11 +54,16 @@ def readings_from_doc(doc: TeiDoc) -> list[list[Reading]]:
 def load_gold(stream: IO[str] | Iterable[str],
               filename: str = "<gold>") -> list[list[GoldToken]]:
     """Sentences of gold tokens; rows are surface<TAB>voc/lemma/pos<TAB>genre,
-    sentences separated by blank lines.  Equal rows give one shared
+    sentences separated by blank lines.  A genre is one flag name in any
+    spelling ``parse_flagset`` takes (``ca``, ``XRAM_CA``), kept as its
+    canonical name (``CA``).  Equal rows give one shared
     ``GoldToken``, checked at the first occurrence."""
     sentences: list[list[GoldToken]] = []
     current: list[GoldToken] = []
     built: dict[str, GoldToken] = {}
+    # Genre as written -> canonical name: a corpus spells a few genres
+    # over many distinct rows, and parse_flagset costs ~2.5 us a call.
+    genres: dict[str, str] = {}
     for lineno, line in enumerate(stream, 1):
         line = line.rstrip("\n")
         if line.startswith("#"):
@@ -79,12 +84,14 @@ def load_gold(stream: IO[str] | Iterable[str],
         surface, ana, genre = (f.strip() for f in fields)
         if ana.count("/") != 2 or not ana.split("/")[1]:
             raise LexiconError(f"{filename}:{lineno}: bad analysis {ana!r}")
-        try:
-            Flag[genre]
-        except KeyError:
-            raise LexiconError(f"{filename}:{lineno}: unknown genre "
-                               f"{genre!r}") from None
-        token = built[line] = GoldToken(surface, ana, genre)
+        name = genres.get(genre)
+        if name is None:
+            try:
+                name = genres[genre] = parse_flagset([genre]).name
+            except LexiconError:
+                raise LexiconError(f"{filename}:{lineno}: unknown genre "
+                                   f"{genre!r}") from None
+        token = built[line] = GoldToken(surface, ana, name)
         current.append(token)
     if current:
         sentences.append(current)

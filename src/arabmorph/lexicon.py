@@ -42,8 +42,8 @@ class Flag(enum.IntFlag):
     CAP = enum.auto()         # colloquial aspectual preverbs
 
 
-ALL_FLAGS = Flag.CA | Flag.MSA | Flag.ICA | Flag.SPEC_MED | Flag.SPEC_ALCH \
-    | Flag.SPEC_GRAM | Flag.NE | Flag.FNE | Flag.CAP
+# The members are distinct bits, so their sum is their union.
+ALL_FLAGS = Flag(sum(Flag))
 # (name, bit) per flag: flag_names tests plain ints, not IntFlag members.
 _FLAG_BITS = tuple((f.name, int(f)) for f in Flag)
 
@@ -96,7 +96,9 @@ _KIND_PLACES = tuple(Kind)
 # longest-prefix match (Ndu -> N).  Verb stem categories and AraMorph's
 # compound tags, which a prefix match would fold wrongly (NEG_PART would
 # give NE, NOUN_PROP N) or not at all, are looked up first: by name, then
-# by the marked part of a ``*_PRON*`` or ``*_PART`` tag.
+# by a ``PV_``, ``IV_`` or ``CV_`` head (AraMorph's verb stem categories,
+# as PV_V or IV_yu), then by the marked part of a ``*_PRON*`` or
+# ``*_PART`` tag.
 PRIMARY_TAGS = ("PREP", "PRON", "CONJ", "PART", "DET", "NUM", "ADV", "NE",
                 "N", "V", "A")
 _TAG_TABLE = {"PV": "V", "IV": "V", "CV": "V", "PV_PASS": "V",
@@ -105,10 +107,13 @@ _TAG_TABLE = {"PV": "V", "IV": "V", "CV": "V", "PV_PASS": "V",
 
 
 def fold_tag(tag: str) -> str:
-    """Fold a category/tag label onto the closed primary-tag set; a label
-    that matches nothing is returned as it is."""
+    """Fold a category/tag label onto the closed primary-tag set.  Any
+    other label, one that matches no rule (``FOO``, ``IVSUFF_DO:3MS``),
+    is returned unchanged, so it shows in the output as written."""
     if tag in _TAG_TABLE:
         return _TAG_TABLE[tag]
+    if tag.startswith(("PV_", "IV_", "CV_")):
+        return "V"
     if "_PRON" in tag:
         return "PRON"
     if tag.endswith("_PART"):
@@ -121,6 +126,7 @@ def fold_tag(tag: str) -> str:
 
 _LEMMA_RE = re.compile(r"^.+_[1-9][0-9]*$")
 _POS_FIELD_RE = re.compile(r"<pos>(.*?)</pos>\s*$")
+_ROW_BREAK_RE = re.compile("[\t\r\n]")
 
 
 @dataclass(frozen=True, slots=True)
@@ -136,8 +142,6 @@ class LexEntry:
 
     def tag_units(self) -> list[str]:
         """Tag components of the POS annotation: "wa/CONJ+Al/DET" -> [CONJ, DET]."""
-        if not self.pos:
-            return []
         return [unit.rsplit("/", 1)[-1] for unit in self.pos.split("+") if unit]
 
     def head_tag(self) -> str:
@@ -153,9 +157,9 @@ def _default_pos(voc: str, cat: str) -> str:
 def _check_row(kind: Kind, surface: str, voc: str, cat: str, gloss: str,
                lemma: str, where: str) -> None:
     """The rules every lexicon row keeps, checked where a row is read and
-    where an import builds one.  A gloss that a row could not carry back,
-    one holding a tab or line break or ending in ``<pos>...</pos>``, comes
-    only from an import."""
+    where an import builds one.  A field that a row could not carry back,
+    one holding a tab or line break or a gloss ending in
+    ``<pos>...</pos>``, comes only from an import or an in-memory stream."""
     if not cat:
         raise LexiconError(f"{where}: empty category")
     if kind is Kind.STEM and not surface:
@@ -166,8 +170,15 @@ def _check_row(kind: Kind, surface: str, voc: str, cat: str, gloss: str,
             f"{surface!r} when diacritics are stripped")
     if lemma and not _LEMMA_RE.match(lemma):
         raise LexiconError(f"{where}: lemma {lemma!r} is not of the form base_N")
-    if ("\t" in gloss or "\r" in gloss or "\n" in gloss
-            or "</pos>" in gloss and _POS_FIELD_RE.search(gloss)):
+    # One scan of all the fields, since every row at load passes here.
+    joined = f"{surface}{voc}{cat}{gloss}{lemma}"
+    if "\t" in joined or "\r" in joined or "\n" in joined:
+        fields = {"surface": surface, "voc": voc, "category": cat,
+                  "gloss": gloss, "lemma": lemma}
+        name = next(n for n, v in fields.items() if _ROW_BREAK_RE.search(v))
+        raise LexiconError(f"{where}: {name} {fields[name]!r} would not "
+                           "read back from a row")
+    if "</pos>" in gloss and _POS_FIELD_RE.search(gloss):
         raise LexiconError(f"{where}: gloss {gloss!r} would not read back "
                            "from a row")
 
@@ -271,12 +282,6 @@ def _parse_pairs(stream: IO[str] | Iterable[str],
     return frozenset(pairs)
 
 
-# The analyzer's split caps: a split's prefix has at most 4 characters and
-# its suffix at most 6, so a longer affix surface never matches.
-MAX_PREFIX_LEN = 4
-MAX_SUFFIX_LEN = 6
-
-
 class LexView:
     """The entries of one (active flags, alif folding) pair, as
     ``Lexicon.view`` builds them, and the affix side of analysis
@@ -287,12 +292,12 @@ class LexView:
     load order.  ``pairs`` maps a prefix surface to a suffix surface to
     the prefix entries ``a`` of that surface, in load order, each with the
     suffix entries ``c`` of that surface, in load order, that ``compat.ac``
-    licenses for ``a``; a pair without such an (a, c) is absent, and so
-    is an affix longer than its cap.  ``prefix_lens`` and ``suffix_lens``
-    are the sorted lengths of its keys.  ``head_tags`` memoizes
-    ``LexEntry.head_tag`` by the ``id`` of an entry of ``tables``, which
-    the view keeps alive, so the ids stay its own.  Callers change only
-    ``head_tags``."""
+    licenses for ``a``; a pair without such an (a, c) is absent.
+    ``prefix_lens`` and ``suffix_lens`` are the sorted lengths of its
+    keys, so the lexicon's own affixes bound the splits tried.
+    ``head_tags`` memoizes ``LexEntry.head_tag`` by the ``id`` of an
+    entry of ``tables``, which the view keeps alive, so the ids stay its
+    own.  Callers change only ``head_tags``."""
 
     __slots__ = ("tables", "stems", "pairs", "prefix_lens", "suffix_lens",
                  "head_tags")
@@ -315,15 +320,12 @@ class LexView:
         self.pairs: dict[str, dict[str, list[tuple[LexEntry,
                                                    list[LexEntry]]]]] = {}
         for key, bucket in prefixes.items():
-            if len(key) > MAX_PREFIX_LEN:
-                continue
             row = {}
             for a in bucket:
                 licensed = by_cat.get(a.cat)
                 if licensed is None:
                     licensed = by_cat[a.cat] = {
                         skey: cs for skey, sbucket in suffixes.items()
-                        if len(skey) <= MAX_SUFFIX_LEN
                         if (cs := [c for c in sbucket if (a.cat, c.cat) in ac])}
                 for skey, cs in licensed.items():
                     row.setdefault(skey, []).append((a, cs))
@@ -439,15 +441,11 @@ def load_lexicon(prefix_stream, stem_stream, suffix_stream,
             lex.add(parse_entry_line(line, kind, lineno, name))
     if not lex.stems:
         raise LexiconError(f"{names[1]}: stem file contains no entries")
-    _warn_unanchored_categories(lex)
-    return lex
-
-
-def _warn_unanchored_categories(lex: Lexicon) -> None:
     used = {e.cat for e in lex.entries()}
     for cat in sorted(lex.compat.categories() - used):
         log.warning("compatibility tables name category %r, which no loaded "
                     "entry carries", cat)
+    return lex
 
 
 def load_lexicon_dir(path) -> Lexicon:
@@ -495,9 +493,12 @@ def _localname(tag: str) -> str:
     return tag.rsplit("}", 1)[-1]
 
 
-def _element_text(elem) -> str:
-    """The element's text with each whitespace run made one space."""
-    return " ".join("".join(elem.itertext()).split())
+def _first_text(elem, names: tuple[str, ...]) -> str:
+    """The text of the first element in ``elem`` whose local name is one
+    of ``names``, each whitespace run made one space; "" without one."""
+    texts = ("".join(c.itertext()) for c in elem.iter()
+             if _localname(c.tag) in names)
+    return " ".join(next(texts, "").split())
 
 
 def _candidate(word: str, kind: Kind, cat: str, gloss: str, assign: Flag,
@@ -535,11 +536,8 @@ def import_tei_dictionary(stream, assign: Flag,
     for elem in tree.getroot().iter():
         if _localname(elem.tag) != "entry":
             continue
-        orth = next((c for c in elem.iter() if _localname(c.tag) == "orth"), None)
-        headword = _element_text(orth) if orth is not None else ""
-        sense = next((c for c in elem.iter()
-                      if _localname(c.tag) in ("sense", "def")), None)
-        gloss = _element_text(sense) if sense is not None else ""
+        headword = _first_text(elem, ("orth",))
+        gloss = _first_text(elem, ("sense", "def"))
         try:
             entry = _candidate(headword, Kind.STEM, "N", gloss, assign, source)
         except LexiconError:

@@ -44,7 +44,7 @@ class PipelineConfig:
             check_lambda(self.lam)
             raise LmError("lambda weighs a language model's trigram side "
                           "and is used only with one (--lm)")
-        table = (BuckTable.from_file(self.translit_table)
+        table = (read_with(BuckTable.from_stream, self.translit_table)
                  if self.translit_table else DEFAULT_TABLE)
         lex = load_lexicon_dir(self.lexicon_dir)
         rules = (read_with(parse_rules, self.rules_path)

@@ -12,7 +12,7 @@ import re
 from importlib import resources
 from typing import IO, Iterable
 
-from .textio import data_lines, open_utf8
+from .textio import data_lines
 
 # Characters removed when reducing a vocalized form to its written surface:
 # short vowels, sukun, shadda and the three tanwin signs.
@@ -51,28 +51,21 @@ class BuckTable:
             "[%s]+" % "".join(map(re.escape, self.a2b)) if self.a2b else "(?!)")
 
     @classmethod
-    def from_stream(cls, stream: IO[str] | Iterable[str]) -> "BuckTable":
+    def from_stream(cls, stream: IO[str] | Iterable[str],
+                    filename: str = "<translit>") -> "BuckTable":
         """Rows ``U+XXXX<TAB>chars``, the TSV rule skipping blank and
-        comment lines."""
+        comment lines; a bad row is reported at ``filename:line``."""
         mapping = {}
         for lineno, line in data_lines(stream):
+            where = f"{filename}:{lineno}"
             fields = line.split("\t")
             if len(fields) != 2 or not fields[1]:
-                raise TranslitError(f"line {lineno}: expected codepoint<TAB>char")
+                raise TranslitError(f"{where}: expected codepoint<TAB>char")
             m = _CODEPOINT_RE.match(fields[0])
             if not m or int(m.group(1), 16) > 0x10FFFF:
-                raise TranslitError(f"line {lineno}: bad codepoint {fields[0]!r}")
+                raise TranslitError(f"{where}: bad codepoint {fields[0]!r}")
             mapping[chr(int(m.group(1), 16))] = fields[1]
         return cls(mapping)
-
-    @classmethod
-    def from_file(cls, path) -> "BuckTable":
-        """``from_stream`` of the file, its errors naming ``path``."""
-        with open_utf8(path) as f:
-            try:
-                return cls.from_stream(f)
-            except TranslitError as exc:
-                raise TranslitError(f"{path}: {exc}") from None
 
     def to_buck(self, text: str) -> str:
         """Transliterate Arabic script to Buckwalter; characters outside
@@ -102,12 +95,12 @@ DEFAULT_TABLE = _load_default()
 _STRIP = {ord(c): None for c in DIACRITICS}
 
 
-def arabic_to_buck(text: str, table: BuckTable | None = None) -> str:
-    return (table or DEFAULT_TABLE).to_buck(text)
+def arabic_to_buck(text: str, table: BuckTable = DEFAULT_TABLE) -> str:
+    return table.to_buck(text)
 
 
-def buck_to_arabic(text: str, table: BuckTable | None = None) -> str:
-    return (table or DEFAULT_TABLE).to_arabic(text)
+def buck_to_arabic(text: str, table: BuckTable = DEFAULT_TABLE) -> str:
+    return table.to_arabic(text)
 
 
 def strip_diacritics(text: str) -> str:

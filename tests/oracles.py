@@ -4,9 +4,15 @@ from dataclasses import replace
 from xml.sax.saxutils import escape, quoteattr
 
 from arabmorph import __version__
-from arabmorph.analyzer import MAX_PREFIX_LEN, MAX_SUFFIX_LEN, token_lookup_key
+from arabmorph.analyzer import token_lookup_key
 from arabmorph.disambig import BOS, UNK
 from arabmorph.lexicon import Kind, compatible
+
+# Bounds on the bundled lexicon's prefix and suffix clusters, within
+# which ``segmentations`` cuts; the analyzer itself takes its affix
+# lengths from the lexicon it reads.
+MAX_PREFIX_LEN = 4
+MAX_SUFFIX_LEN = 6
 
 
 def brute_force_analyses(surface, lex, active):
@@ -44,8 +50,9 @@ def brute_force_segmentation_count(n, max_pre, max_suf):
 
 
 def segmentations(surface):
-    """All (prefix, stem, suffix) cuts of a surface under the analyzer's
-    length caps, stem non-empty; ordered by prefix length, then suffix
+    """All (prefix, stem, suffix) cuts of a surface with a prefix of at
+    most ``MAX_PREFIX_LEN`` and a suffix of at most ``MAX_SUFFIX_LEN``
+    characters, stem non-empty; ordered by prefix length, then suffix
     length, the order in which ``analyze_type`` tries them."""
     out = []
     n = len(surface)
@@ -64,7 +71,8 @@ def readings_from_ranked(sets):
 def one_lookup_per_split_analyses(surface, lex, active, fold_alif,
                                   max_pre, max_suf):
     """Every reading of a surface, in the analyzer's order, by looking up
-    the prefix, stem and suffix of each capped split afresh.
+    the prefix, stem and suffix afresh for each split whose prefix is at
+    most ``max_pre`` and suffix at most ``max_suf`` characters.
 
     Splits go by prefix length, then suffix length; within a split the
     readings go in lexicon load order; a repeated (voc, lemma, primary tag)

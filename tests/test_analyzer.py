@@ -1,19 +1,22 @@
 import io
 import random
+import shutil
 import time
 
 import pytest
 from hypothesis import given, strategies as st
 
-from arabmorph.analyzer import (MAX_PREFIX_LEN, MAX_SUFFIX_LEN, TokenReadings,
-                                TypeCache, analyze_text, analyze_type,
-                                token_lookup_key, tokenize)
-from arabmorph.lexicon import (ALL_FLAGS, Flag, Kind, compatible,
-                               load_lexicon, parse_entry_line, parse_flagset)
+from arabmorph.analyzer import (TokenReadings, TypeCache, analyze_text,
+                                analyze_type, token_lookup_key, tokenize)
+from arabmorph.cli import default_lexicon_dir
+from arabmorph.lexicon import (ALL_FLAGS, LEXICON_FILES, Flag, Kind,
+                               compatible, load_lexicon, load_lexicon_dir,
+                               parse_entry_line, parse_flagset)
 from arabmorph.translit import (DEFAULT_TABLE, DIACRITICS, TATWEEL, BuckTable,
                                 strip_diacritics)
 
-from oracles import (brute_force_analyses, brute_force_segmentation_count,
+from oracles import (MAX_PREFIX_LEN, MAX_SUFFIX_LEN, brute_force_analyses,
+                     brute_force_segmentation_count,
                      licensed_surfaces, licensed_triples,
                      one_lookup_per_split_analyses,
                      reference_to_buck, reference_tokenize, segmentations)
@@ -189,11 +192,13 @@ def test_analyze_type_agrees_with_uncapped_brute_force(lexicon):
 
 
 def _agrees_with_one_lookup_per_split(surfaces, lex, active, fold_alif):
+    """Against every split of each surface: the analyzer has no affix
+    length cap of its own."""
     for surface in surfaces:
         fast = [(a.voc, a.lemma, a.pos, a.parts)
                 for a in analyze_type(surface, lex, active, fold_alif)]
         assert fast == one_lookup_per_split_analyses(
-            surface, lex, active, fold_alif, MAX_PREFIX_LEN, MAX_SUFFIX_LEN)
+            surface, lex, active, fold_alif, len(surface), len(surface))
 
 
 @pytest.mark.parametrize("fold_alif", [False, True])
@@ -300,9 +305,10 @@ _GEN_LETTERS = "bkA>{"
 @st.composite
 def generated_lexicons(draw):
     """A small lexicon with several entries per affix and stem surface,
-    null affixes, affix surfaces longer than the split caps, alif
-    variants, random flags and random subsets of the three compatibility
-    tables; and the affix and stem surfaces it holds."""
+    null affixes, affix surfaces longer than the bundled lexicon's
+    longest clusters, alif variants, random flags and random subsets of
+    the three compatibility tables; and the affix and stem surfaces it
+    holds."""
     cats = {kind: [f"{kind.name[0]}{i}" for i in range(2)] for kind in Kind}
     surfaces = {
         Kind.PREFIX: draw(st.lists(st.text(_GEN_LETTERS,
@@ -449,3 +455,19 @@ def test_analyze_type_collapses_a_repeated_reading_onto_its_first_split():
     (reading,) = analyze_type("ktAb", lex, ALL_FLAGS)
     assert reading.ana == "kitAb/kitAb_1/N"
     assert [p.cat for p in reading.parts] == ["Pref-0", "N", "Suff-0"]
+
+
+def test_an_affix_longer_than_the_bundled_clusters_is_found(tmp_path):
+    """A five-character prefix cluster added to a copy of the bundled
+    lexicon gives its readings: the lexicon's own affixes bound the
+    splits."""
+    for name in LEXICON_FILES:
+        shutil.copy(default_lexicon_dir() / name, tmp_path / name)
+    with open(tmp_path / "prefixes.tsv", "a", encoding="utf-8") as f:
+        f.write(">wbAl\t>awabiAl\tPref-ConjPrepAl\tand by the? "
+                "<pos>>a/INTERROG+wa/CONJ+bi/PREP+Al/DET</pos>\t\t"
+                "CA|SPEC_GRAM\n")
+    lex = load_lexicon_dir(tmp_path)
+    assert [a.ana for a in analyze_type(">wbAlktAb", lex, ALL_FLAGS)] == [
+        ">awabiAl+kitAb/kitAb_1/N", ">awabiAl+kut~Ab/kut~Ab_1/N",
+        ">awabiAl+kut~Ab/kAtib_1/N"]

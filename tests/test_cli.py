@@ -315,7 +315,7 @@ def test_a_translit_codepoint_past_the_unicode_range_exits_2(tmp_path,
                  "--translit-table", str(table)]) == 2
     out = capsys.readouterr()
     assert out.out == ""
-    assert out.err == (f"arabmorph: error: {table}: line 1: bad codepoint "
+    assert out.err == (f"arabmorph: error: {table}:1: bad codepoint "
                        "'U+110000'\n")
 
 

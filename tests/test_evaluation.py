@@ -1,4 +1,5 @@
 import io
+import re
 
 import pytest
 
@@ -34,6 +35,19 @@ def test_load_gold_rejects_bad_rows():
         load_gold(io.StringIO("س\tnoslashes\tCA\n"))
     with pytest.raises(LexiconError, match="unknown genre"):
         load_gold(io.StringIO("س\tv/l_1/N\tPOETRY\n"))
+
+
+def test_gold_genres_take_every_flag_spelling_and_keep_the_canonical_name():
+    text = "".join(f"س\tv/l_1/N\t{genre}\n"
+                   for genre in ("CA", "ca", "XRAM_CA", "xram_Ca", "MSA"))
+    (sentence,) = load_gold(io.StringIO(text))
+    assert [t.genre for t in sentence] == ["CA"] * 4 + ["MSA"]
+    system = [[], [("l_1", "N")], [], [("l_1", "N")], []]
+    assert unknown_rates(system, sentence) == {"CA": 50.0, "MSA": 100.0}
+    for genre in ("POETRY", "CA|MSA", "CA,MSA", "XRAM_"):
+        with pytest.raises(LexiconError, match=(
+                f"^<gold>:1: unknown genre {re.escape(repr(genre))}$")):
+            load_gold(io.StringIO(f"س\tv/l_1/N\t{genre}\n"))
 
 
 def test_bundled_gold_file_loads(gold_sentences):

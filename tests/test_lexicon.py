@@ -122,7 +122,12 @@ def test_parse_entry_line_rejections():
     # AraMorph's compound tags
     ("NEG_PART", "PART"), ("NOUN_PROP", "NE"), ("DEM_PRON_MS", "PRON"),
     ("REL_PRON", "PRON"), ("INTERROG_PART", "PART"), ("SUB_CONJ", "CONJ"),
-    ("FUT_PART", "PART"), ("PV_PASS", "V"), ("IV_PASS", "V")])
+    ("FUT_PART", "PART"), ("PV_PASS", "V"), ("IV_PASS", "V"),
+    # AraMorph's verb stem categories; a verb suffix is no verb stem
+    ("PV_V", "V"), ("IV_yu", "V"), ("IV_Vd", "V"), ("CV_V", "V"),
+    ("IVSUFF_DO:3MS", "IVSUFF_DO:3MS"),
+    # a tag that matches no rule passes through unchanged
+    ("FOO", "FOO")])
 def test_fold_tag_maps_categories_and_subtypes_onto_the_tag_set(tag, folded):
     assert fold_tag(tag) == folded
 
@@ -449,7 +454,7 @@ def test_compatible_is_pure_and_implies_projections(lexicon):
 
 
 def test_bundled_affixes_respect_the_segmentation_caps(lexicon):
-    from arabmorph.analyzer import MAX_PREFIX_LEN, MAX_SUFFIX_LEN
+    from oracles import MAX_PREFIX_LEN, MAX_SUFFIX_LEN
     assert max(len(s) for s in lexicon.prefixes) <= MAX_PREFIX_LEN
     assert max(len(s) for s in lexicon.suffixes) <= MAX_SUFFIX_LEN
 
@@ -727,6 +732,30 @@ def test_an_import_gloss_that_a_row_cannot_carry_is_refused():
                             Kind.STEM, Flag.ICA, "w.tsv")
         assert str(exc.value) == \
             f"w.tsv:2: gloss {gloss!r} would not read back from a row"
+
+
+@pytest.mark.parametrize("line,name,value", [
+    ("ktAb\tkitAb\tN\rX\tbook\tkitAb_1", "category", "N\rX"),
+    ("ktAb\tkitAb\tN\nX\tbook\tkitAb_1", "category", "N\nX"),
+    ("kt\rAb\tkit\rAb\tN\tbook\tkitAb_1", "surface", "kt\rAb"),
+    ("ktAb\tkitAb\tN\tbook\tkit\rAb_1", "lemma", "kit\rAb_1"),
+    ("ktAb\tkitAb\tN\tbo\nok\tkitAb_1", "gloss", "bo\nok")])
+def test_a_row_field_holding_a_line_break_is_refused(line, name, value):
+    with pytest.raises(LexiconError) as exc:
+        parse_entry_line(line, Kind.STEM, 3, "s.tsv")
+    assert str(exc.value) == \
+        f"s.tsv:3: {name} {value!r} would not read back from a row"
+
+
+def test_an_import_row_field_that_a_row_cannot_carry_is_refused():
+    # In-memory streams keep a CR inside a line; such a category or word
+    # would split the review file's row when it is read back.
+    for row, name, value in [("قلم\tpen\tN\rX\n", "category", "N\rX"),
+                             ("ق\rلم\tpen\tN\n", "surface", "q\rlm")]:
+        with pytest.raises(LexiconError) as exc:
+            import_wordlist(io.StringIO(row), Kind.STEM, Flag.CA, "w.tsv")
+        assert str(exc.value) == \
+            f"w.tsv:1: {name} {value!r} would not read back from a row"
 
 
 def test_an_import_word_that_reads_as_the_null_marker_is_refused():

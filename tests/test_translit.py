@@ -4,6 +4,7 @@ import re
 import pytest
 from hypothesis import given, strategies as st
 
+from arabmorph.textio import read_with
 from arabmorph.translit import (ALIF_VARIANTS, BuckTable, DEFAULT_TABLE,
                                 TranslitError, arabic_to_buck, buck_to_arabic,
                                 normalize, strip_diacritics)
@@ -93,21 +94,22 @@ def test_custom_table_loads_from_stream():
 
 
 def test_table_rejects_bad_rows():
-    with pytest.raises(TranslitError, match="line 1"):
+    with pytest.raises(TranslitError, match="^<translit>:1: "):
         BuckTable.from_stream(io.StringIO("0645\tm\n"))
     with pytest.raises(TranslitError, match="duplicate"):
         BuckTable.from_stream(io.StringIO("U+0645\tm\nU+0646\tm\n"))
     with pytest.raises(TranslitError,
-                       match=r"^line 2: bad codepoint 'U\+110000'$"):
-        BuckTable.from_stream(io.StringIO("U+0645\tm\nU+110000\tx\n"))
+                       match=r"^t.tsv:2: bad codepoint 'U\+110000'$"):
+        BuckTable.from_stream(io.StringIO("U+0645\tm\nU+110000\tx\n"),
+                              "t.tsv")
 
 
 def test_table_file_errors_name_the_file(tmp_path):
     path = tmp_path / "t.tsv"
     path.write_text("# a table\nU+110000\tx\n", encoding="utf-8")
     with pytest.raises(TranslitError, match=(
-            f"^{re.escape(str(path))}: line 2: bad codepoint 'U\\+110000'$")):
-        BuckTable.from_file(path)
+            f"^{re.escape(str(path))}:2: bad codepoint 'U\\+110000'$")):
+        read_with(BuckTable.from_stream, path)
 
 
 def test_table_skips_blank_and_comment_lines_by_the_tsv_rule():
@@ -115,7 +117,7 @@ def test_table_skips_blank_and_comment_lines_by_the_tsv_rule():
     padded = " \t\n# comment\nU+0645\tm\n\n  \nU+0639\tE\n\t\n"
     assert BuckTable.from_stream(io.StringIO(padded)).a2b == \
         BuckTable.from_stream(io.StringIO(rows)).a2b
-    with pytest.raises(TranslitError, match="^line 1: bad codepoint"):
+    with pytest.raises(TranslitError, match="^<translit>:1: bad codepoint"):
         BuckTable.from_stream(io.StringIO(" #U+0645\tm\n"))
 
 
