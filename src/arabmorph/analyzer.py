@@ -25,23 +25,29 @@ if TYPE_CHECKING:
 class Token:
     surface: str    # Arabic script, possibly with diacritics
     offset: int     # character index into the source text
+    key: str        # lookup key of the surface (``lookup_key``)
 
 
 def tokenize(text: str, table: BuckTable = DEFAULT_TABLE) -> list[Token]:
     """Maximal runs of Arabic script become tokens; everything else
     (punctuation, digits, Latin, whitespace) is skipped.  Offsets point
-    into the original text so output can be realigned with the source."""
+    into the original text so output can be realigned with the source.
+
+    Each distinct run is checked for a letter and keyed once; its tokens
+    share one surface string and one key string."""
     letters = table.arabic_letters
-    is_word: dict[str, bool] = {}   # per distinct run: does it hold a letter
+    # Per distinct run: its (surface, key), or () if it is no word.
+    words: dict[str, tuple[str, str] | tuple[()]] = {}
     tokens: list[Token] = []
     for m in table.runs.finditer(text):
         run = m.group()
-        word = is_word.get(run)
+        word = words.get(run)
         if word is None:
             # A run of bare diacritics or tatweel is not a word.
-            word = is_word[run] = not letters.isdisjoint(run)
+            word = words[run] = (() if letters.isdisjoint(run)
+                                 else (run, lookup_key(run, table)))
         if word:
-            tokens.append(Token(run, m.start()))
+            tokens.append(Token(word[0], m.start(), word[1]))
     return tokens
 
 
@@ -103,7 +109,7 @@ def analyze_type(surface: str, lex: Lexicon, active: Flag,
                  fold_alif: bool = False) -> list[Analysis]:
     """All compatible readings of one unvocalized Buckwalter surface.
 
-    ``surface`` is a lookup key as ``token_lookup_key`` returns it: it has
+    ``surface`` is a lookup key as ``lookup_key`` returns it: it has
     no tatweel, so alif folding maps one character to one, and a slice of
     the folded surface is the folded slice.  Splits are tried by prefix
     length, then by suffix length, over the lengths the lexicon's view
@@ -170,13 +176,18 @@ class TypeCache(dict):
         return self.hits / total if total else 0.0
 
 
-def token_lookup_key(token: Token, table: BuckTable = DEFAULT_TABLE) -> str:
+def lookup_key(surface: str, table: BuckTable = DEFAULT_TABLE) -> str:
     """Unvocalized normalized Buckwalter surface used for lexicon lookup.
 
     Alif folding is not applied here; when enabled, ``analyze_type`` and
     ``Lexicon.lookup`` fold the query, and the lexicon's view its keys.
     """
-    return strip_diacritics(normalize(table.to_buck(token.surface)))
+    return strip_diacritics(normalize(table.to_buck(surface)))
+
+
+def token_lookup_key(token: Token, table: BuckTable = DEFAULT_TABLE) -> str:
+    """``lookup_key`` of the token's surface under ``table``."""
+    return lookup_key(token.surface, table)
 
 
 def had_diacritics(token: Token, table: BuckTable = DEFAULT_TABLE) -> bool:
@@ -185,17 +196,16 @@ def had_diacritics(token: Token, table: BuckTable = DEFAULT_TABLE) -> bool:
 
 def analyze_text(tokens: Iterable[Token], lex: Lexicon, active: Flag,
                  cache: TypeCache | None = None,
-                 table: BuckTable = DEFAULT_TABLE,
                  fold_alif: bool = False) -> Iterator[TokenReadings]:
     """Yield one record per token, in token order, as the tokens are read;
     repeated types are served from the cache and share its tuple of
     analyses.
 
-    Each distinct surface is transliterated and looked up in the cache
-    once per call; ``found`` maps it to its analyses.  Each miss adds one
-    key to the cache and every other token is a hit, so once the input
-    runs out the cache's miss count grows by the keys this call added and
-    its hit count by the remaining tokens: both stay per token.
+    Each distinct ``token.key`` is looked up in the cache once per call;
+    ``found`` maps it to its analyses.  Each miss adds one key to the
+    cache and every other token is a hit, so once the input runs out the
+    cache's miss count grows by the keys this call added and its hit
+    count by the remaining tokens: both stay per token.
     """
     cache = cache if cache is not None else TypeCache()
     size = len(cache)
@@ -203,14 +213,14 @@ def analyze_text(tokens: Iterable[Token], lex: Lexicon, active: Flag,
     n = 0
     for token in tokens:
         n += 1
-        analyses = found.get(token.surface)
+        analyses = found.get(token.key)
         if analyses is None:
-            key = (token_lookup_key(token, table), int(active), fold_alif)
+            key = (token.key, int(active), fold_alif)
             analyses = cache.get(key)
             if analyses is None:
                 analyses = cache[key] = tuple(
-                    analyze_type(key[0], lex, active, fold_alif))
-            found[token.surface] = analyses
+                    analyze_type(token.key, lex, active, fold_alif))
+            found[token.key] = analyses
         yield TokenReadings(token, analyses)
     cache.misses += len(cache) - size
     cache.hits += n - (len(cache) - size)

@@ -18,9 +18,8 @@ from dataclasses import dataclass, field
 from itertools import chain
 from typing import IO, Iterable, Iterator, Sequence
 
-from .analyzer import Analysis, TokenReadings, token_lookup_key
+from .analyzer import Analysis, TokenReadings
 from .textio import data_lines
-from .translit import BuckTable, DEFAULT_TABLE
 
 log = logging.getLogger(__name__)
 
@@ -113,8 +112,8 @@ def parse_rules(stream: IO[str] | Iterable[str],
     return rules
 
 
-def apply_rules(sets: Iterable[TokenReadings], rules: Sequence[FilterRule],
-                table: BuckTable = DEFAULT_TABLE) -> Iterator[TokenReadings]:
+def apply_rules(sets: Iterable[TokenReadings],
+                rules: Sequence[FilterRule]) -> Iterator[TokenReadings]:
     """Move rule-matched analyses to the drop list, per token; yield each
     token's record once its right neighbor has been read.
 
@@ -126,24 +125,24 @@ def apply_rules(sets: Iterable[TokenReadings], rules: Sequence[FilterRule],
     Context always reads the neighbor's original set.  Tokens at the
     sequence edges never match rules whose context offset falls outside
     the sequence.  ``surface`` contexts compare against the neighbor's
-    surface as written and as its lookup key under ``table``.  A token
-    that loses nothing keeps its ``analyses`` and the empty ``dropped``.
+    surface as written and its lookup key, ``token.key``.  A token that
+    loses nothing keeps its ``analyses`` and the empty ``dropped``.
     A token with no armed rule gets its input record itself back when
     that record has no ``dropped`` and no ``ranked``, as ``analyze_text``'s
     records have; any other record is rebuilt.
     Once the input runs out, each skipped (rule, surface) pair is logged
     once, with its token count.
 
-    Work is done once per distinct input in one call.  Bit ``k`` stands
-    for ``rules[k]``.  A record's context bits, the rules whose context it
-    satisfies, are computed once per (surface, analyses object) from an
-    index of the rules by context.  A token's armed rules are the
-    ``prev.`` rules its left neighbor satisfies and the ``next.`` rules
-    its right neighbor satisfies, so the input is read one record ahead.
+    Bit ``k`` stands for ``rules[k]``.  A record's context bits, the
+    rules whose context it satisfies, are read per record from an index
+    of the rules by context value: its surface, its key, and its
+    readings' lemmas and tags.  A token's armed rules are the ``prev.``
+    rules its left neighbor satisfies and the ``next.`` rules its right
+    neighbor satisfies, so the input is read one record ahead.
     A token with none armed enters no rule loop.  An armed token's
     survivors, drops and skipped rules depend only on its analyses and
     its armed rules, so they are computed once per (analyses object,
-    armed bits) and shared as tuples.  Both memos key by ``id`` and hold
+    armed bits) and shared as tuples.  That memo keys by ``id`` and holds
     the keyed analyses, as ``TokenReadings`` asks.
     """
     index = {attr: defaultdict(int) for attr in ("surface", "lemma", "pos")}
@@ -152,7 +151,6 @@ def apply_rules(sets: Iterable[TokenReadings], rules: Sequence[FilterRule],
     surfaces, lemmas, tags = index["surface"], index["lemma"], index["pos"]
     prev_rules = sum(1 << k for k, rule in enumerate(rules) if rule.offset < 0)
     next_rules = (1 << len(rules)) - 1 - prev_rules
-    context: dict[tuple[str, int], tuple[int, Sequence[Analysis]]] = {}
     outcomes: dict[tuple[int, int], tuple] = {}
     skipped: Counter[tuple[FilterRule, str]] = Counter()
     # rec waits for its right neighbor; left and here are the context
@@ -162,17 +160,11 @@ def apply_rules(sets: Iterable[TokenReadings], rules: Sequence[FilterRule],
     for nxt in chain(sets, (None,)):
         right = 0
         if nxt is not None:
-            key = (nxt.token.surface, id(nxt.analyses))
-            entry = context.get(key)
-            if entry is None:
-                b = 0
-                if surfaces:
-                    b = (surfaces.get(nxt.token.surface, 0)
-                         | surfaces.get(token_lookup_key(nxt.token, table), 0))
-                for a in nxt.analyses:
-                    b |= lemmas.get(a.lemma, 0) | tags.get(a.pos, 0)
-                entry = context[key] = (b, nxt.analyses)
-            right = entry[0]
+            if surfaces:
+                right = (surfaces.get(nxt.token.surface, 0)
+                         | surfaces.get(nxt.token.key, 0))
+            for a in nxt.analyses:
+                right |= lemmas.get(a.lemma, 0) | tags.get(a.pos, 0)
         if rec is not None:
             armed = (left & prev_rules) | (right & next_rules)
             if not armed:

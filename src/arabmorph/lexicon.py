@@ -159,7 +159,9 @@ def _check_row(kind: Kind, surface: str, voc: str, cat: str, gloss: str,
     """The rules every lexicon row keeps, checked where a row is read and
     where an import builds one.  A field that a row could not carry back,
     one holding a tab or line break or a gloss ending in
-    ``<pos>...</pos>``, comes only from an import or an in-memory stream."""
+    ``<pos>...</pos>``, comes only from an import or an in-memory stream.
+    A voc or lemma may not hold ``/``, which splits a ``voc/lemma/pos``
+    reading."""
     if not cat:
         raise LexiconError(f"{where}: empty category")
     if kind is Kind.STEM and not surface:
@@ -170,6 +172,10 @@ def _check_row(kind: Kind, surface: str, voc: str, cat: str, gloss: str,
             f"{surface!r} when diacritics are stripped")
     if lemma and not _LEMMA_RE.match(lemma):
         raise LexiconError(f"{where}: lemma {lemma!r} is not of the form base_N")
+    if "/" in voc or "/" in lemma:
+        name, value = ("voc", voc) if "/" in voc else ("lemma", lemma)
+        raise LexiconError(f"{where}: {name} {value!r} holds '/', which a "
+                           "voc/lemma/pos reading cannot carry")
     # One scan of all the fields, since every row at load passes here.
     joined = f"{surface}{voc}{cat}{gloss}{lemma}"
     if "\t" in joined or "\r" in joined or "\n" in joined:

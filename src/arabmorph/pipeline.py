@@ -78,6 +78,6 @@ class Pipeline:
         # has read it, so only the tokens and ranked records stay alive.
         ranked = rank(apply_rules(
             analyze_text(tokens, self.lexicon, self.config.flags, cache,
-                         self.table, fold_alif=self.config.normalize_alif),
-            self.rules, self.table), self.model)
+                         fold_alif=self.config.normalize_alif),
+            self.rules), self.model)
         return tokens, cache, ranked

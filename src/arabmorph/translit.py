@@ -31,12 +31,12 @@ class BuckTable:
     """Bidirectional Arabic-script <-> Buckwalter character table."""
 
     def __init__(self, arabic_to_buck: dict[str, str]):
+        """``arabic_to_buck`` must be one to one; ``from_stream`` also
+        checks that each side is one character, naming the row."""
         self.a2b = dict(arabic_to_buck)
-        self.b2a: dict[str, str] = {}
-        for ar, bw in self.a2b.items():
-            if bw in self.b2a:
-                raise TranslitError(f"duplicate Buckwalter character {bw!r} in table")
-            self.b2a[bw] = ar
+        self.b2a = {bw: ar for ar, bw in self.a2b.items()}
+        if len(self.b2a) != len(self.a2b):
+            raise TranslitError("duplicate Buckwalter character in table")
         self.arabic_diacritics = frozenset(
             ar for ar, bw in self.a2b.items() if bw in DIACRITICS
         )
@@ -53,18 +53,28 @@ class BuckTable:
     @classmethod
     def from_stream(cls, stream: IO[str] | Iterable[str],
                     filename: str = "<translit>") -> "BuckTable":
-        """Rows ``U+XXXX<TAB>chars``, the TSV rule skipping blank and
-        comment lines; a bad row is reported at ``filename:line``."""
+        """Rows ``U+XXXX<TAB>character``, the TSV rule skipping blank and
+        comment lines.  Each code point and each Buckwalter character is
+        used once, so text maps back; a bad row is reported at
+        ``filename:line``, a repeat naming the earlier line."""
         mapping = {}
+        lines: dict[tuple[int, str], int] = {}   # (side, character) -> line
         for lineno, line in data_lines(stream):
             where = f"{filename}:{lineno}"
             fields = line.split("\t")
-            if len(fields) != 2 or not fields[1]:
+            if len(fields) != 2 or len(fields[1]) != 1:
                 raise TranslitError(f"{where}: expected codepoint<TAB>char")
             m = _CODEPOINT_RE.match(fields[0])
             if not m or int(m.group(1), 16) > 0x10FFFF:
                 raise TranslitError(f"{where}: bad codepoint {fields[0]!r}")
-            mapping[chr(int(m.group(1), 16))] = fields[1]
+            ar, bw = chr(int(m.group(1), 16)), fields[1]
+            for side, ch, what in ((0, ar, f"codepoint {fields[0]}"),
+                                   (1, bw, f"Buckwalter character {bw!r}")):
+                first = lines.setdefault((side, ch), lineno)
+                if first != lineno:
+                    raise TranslitError(f"{where}: duplicate {what}, "
+                                        f"first used at line {first}")
+            mapping[ar] = bw
         return cls(mapping)
 
     def to_buck(self, text: str) -> str:

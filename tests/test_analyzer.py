@@ -101,6 +101,21 @@ def test_tokenize_and_to_buck_equal_the_references(data, alternate):
     assert table.to_buck(text) == reference_to_buck(table, text)
 
 
+@given(st.data(), st.booleans())
+def test_token_keys_are_the_lookup_keys_of_their_surfaces(data, alternate):
+    table = data.draw(alternate_tables()) if alternate else DEFAULT_TABLE
+    for t in tokenize(data.draw(mixed_texts(table)), table):
+        assert t.key == token_lookup_key(t, table)
+
+
+def test_tokens_of_one_run_share_its_surface_and_key():
+    first, again, vocalized, last = tokenize("كتب، كتب كَتَب كتب")
+    assert first.surface is again.surface is last.surface
+    assert first.key is again.key is last.key
+    assert vocalized.surface != first.surface
+    assert vocalized.key == first.key == "ktb"
+
+
 def test_tokenize_is_linear_in_runs_of_bare_marks():
     text = "\u0640" * 200_000 + " كتب " + "\u064e" * 200_000
     start = time.perf_counter()

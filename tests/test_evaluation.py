@@ -8,8 +8,11 @@ from arabmorph.disambig import apply_rules, empty_lm, rank
 from arabmorph.evaluation import (EvalReport, GoldToken, Mode, evaluate,
                                   f1_score, load_gold, prf, readings_from_doc,
                                   report_table, report_tsv, unknown_rates)
-from arabmorph.lexicon import ALL_FLAGS, LexiconError
+from arabmorph.lexicon import (ALL_FLAGS, Kind, LexiconError, Status,
+                               import_wordlist, load_review, merge_reviewed,
+                               save_review)
 from arabmorph.teixml import UNKNOWN_ANA, Note, TeiDoc, TeiWord
+from arabmorph.translit import buck_to_arabic
 
 from oracles import readings_from_ranked
 
@@ -219,3 +222,28 @@ def test_evaluate_collects_the_covered_pairs_once(lexicon):
     assert report.modes == {
         mode: prf(system, gold, mode, _FakeLex().known_lemma_pos())
         for mode in Mode}
+
+
+def test_imported_gold_stems_close_every_gold_unknown(lexicon,
+                                                     gold_sentences):
+    # The paper's mechanism (iii), lexicon increments, over the gold:
+    # each unknown gold word gets a wordlist row built from its gold stem
+    # voc and tag, which runs through import, review and merge.
+    gold = [t for sentence in gold_sentences for t in sentence]
+    unknown = list({t.surface: t for t in gold if next(iter(analyze_text(
+        tokenize(t.surface), lexicon, ALL_FLAGS))).unknown}.values())
+    assert [t.surface for t in unknown] == [
+        "التلفزيون", "والكمبيوتر", "قهوة", "سيارة", "جريدة", "البنك", "طائرة"]
+    rows = "".join(
+        f"{buck_to_arabic(t.ana.split('/')[0].split('+')[-1])}\tgloss\t"
+        f"{t.lemma_pos[1]}\n" for t in unknown)
+    review = io.StringIO()
+    save_review(import_wordlist(io.StringIO(rows), Kind.STEM, ALL_FLAGS),
+                review)
+    accepted = re.sub(r"(?m)^P\t", "A\t", review.getvalue())
+    batch = load_review(io.StringIO(accepted))
+    assert [c.status for c in batch.candidates] == [Status.ACCEPTED] * 7
+    merged = merge_reviewed(lexicon, batch)
+    for t in unknown:
+        [record] = analyze_text(tokenize(t.surface), merged, ALL_FLAGS)
+        assert [a.ana for a in record.analyses] == [t.ana]

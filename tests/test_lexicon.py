@@ -758,6 +758,23 @@ def test_an_import_row_field_that_a_row_cannot_carry_is_refused():
             f"w.tsv:1: {name} {value!r} would not read back from a row"
 
 
+@pytest.mark.parametrize("line,name,value", [
+    ("qlm\tqalam\tN\tpen\tqa/lam_1\tMSA", "lemma", "qa/lam_1"),
+    ("q/lm\tqa/lam\tN\tpen\tqalam_1\tMSA", "voc", "qa/lam")])
+def test_a_voc_or_lemma_holding_a_slash_is_refused(line, name, value):
+    # A reading is written voc/lemma/pos, so a slash in either would
+    # give it four parts.
+    message = (f"{name} {value!r} holds '/', which a voc/lemma/pos "
+               "reading cannot carry")
+    with pytest.raises(LexiconError) as exc:
+        parse_entry_line(line, Kind.STEM, 3, "s.tsv")
+    assert str(exc.value) == f"s.tsv:3: {message}"
+    with pytest.raises(LexiconError) as exc:
+        import_wordlist(io.StringIO("x/y\tpen\tN\n"), Kind.STEM, Flag.CA)
+    assert str(exc.value) == ("wordlist:1: voc 'x/y' holds '/', which a "
+                              "voc/lemma/pos reading cannot carry")
+
+
 def test_an_import_word_that_reads_as_the_null_marker_is_refused():
     with pytest.raises(LexiconError,
                        match="^w.tsv:1: '0' reads as the null marker 0$"):

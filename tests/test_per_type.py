@@ -1,5 +1,5 @@
 """Each stage does its work once per distinct input of a call: the letter
-check per run, lookup keys and cache lookups per surface, rule outcomes
+check and lookup key per run, cache lookups per key, rule outcomes
 per (readings, armed rules), rankings and their top tuples per (LM
 backoff context, readings), ``<w>`` blocks per word.  Their output must
 equal the per-token references, and the call counts pin that the work
@@ -214,13 +214,17 @@ def test_each_distinct_run_is_checked_for_a_letter_once(corpus_text):
 
 def test_the_cache_is_asked_once_per_surface_and_counts_per_token(
         lexicon, corpus_text, monkeypatch):
-    tokens = tokenize(corpus_text * 20)
     cache = TypeCache()
     list(analyze_text(tokenize("كاتب"), lexicon, ALL_FLAGS, cache))
-    calls = _counting(monkeypatch, analyzer, "token_lookup_key")
-    sets = list(analyze_text(tokens, lexicon, ALL_FLAGS, cache))
+    # The key is computed while tokenizing, once per distinct surface,
+    # and analyze_text reads it from the tokens.
+    calls = _counting(monkeypatch, analyzer, "lookup_key")
+    tokens = tokenize(corpus_text * 20)
     surfaces = {t.surface for t in tokens}
     assert len(calls) == len(surfaces) < len(tokens)
+    calls.clear()
+    sets = list(analyze_text(tokens, lexicon, ALL_FLAGS, cache))
+    assert calls == []
     keys = {token_lookup_key(t) for t in tokens}
     assert cache.misses == len(keys | {"kAtb"})
     assert cache.hits + cache.misses == len(tokens) + 1

@@ -104,6 +104,22 @@ def test_table_rejects_bad_rows():
                               "t.tsv")
 
 
+@pytest.mark.parametrize("rows,message", [
+    # A code point mapped twice: the first row would be lost.
+    ("U+0645\tm\nU+0645\tn\n",
+     r"^t.tsv:2: duplicate codepoint U\+0645, first used at line 1$"),
+    # A Buckwalter character used twice could not map back.
+    ("U+0645\tm\n# comment\nU+0646\tm\n",
+     r"^t.tsv:3: duplicate Buckwalter character 'm', first used at line 1$"),
+    # Text maps back one character at a time.
+    ("U+0645\tmm\n", r"^t.tsv:1: expected codepoint<TAB>char$"),
+    # Neither a diacritic nor a letter: "au" is no Buckwalter character.
+    ("U+064E\tau\n", r"^t.tsv:1: expected codepoint<TAB>char$")])
+def test_table_rows_map_one_character_each_way(rows, message):
+    with pytest.raises(TranslitError, match=message):
+        BuckTable.from_stream(io.StringIO(rows), "t.tsv")
+
+
 def test_table_file_errors_name_the_file(tmp_path):
     path = tmp_path / "t.tsv"
     path.write_text("# a table\nU+110000\tx\n", encoding="utf-8")
