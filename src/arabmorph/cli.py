@@ -176,6 +176,13 @@ def cmd_eval(args) -> int:
 
 
 def cmd_import(args) -> int:
+    # An option that would change nothing is refused, not ignored.
+    if args.tei and args.kind:
+        raise LexiconError("a TEI dictionary import makes stems; --kind is "
+                           "used only with --wordlist")
+    if args.lexicon and not args.dedup:
+        raise LexiconError("import reads a lexicon only to reject the "
+                           "candidates it holds; --lexicon needs --dedup")
     assign = _parse_cli_flags(args.flags)
     if args.tei:
         with open_utf8(args.tei) as f:
@@ -183,7 +190,7 @@ def cmd_import(args) -> int:
                                           source=Path(args.tei).name)
     else:
         with open_utf8(args.wordlist) as f:
-            batch = import_wordlist(f, Kind(args.kind), assign,
+            batch = import_wordlist(f, Kind(args.kind or "stem"), assign,
                                     source=Path(args.wordlist).name)
     if args.dedup:
         lexdir = _resolve_lexicon_dir(args.lexicon)
@@ -260,8 +267,8 @@ def build_parser() -> argparse.ArgumentParser:
     src.add_argument("--tei", metavar="FILE", help="TEI dictionary")
     src.add_argument("--wordlist", metavar="FILE",
                      help="surface<TAB>gloss<TAB>pos wordlist")
-    p.add_argument("--kind", choices=[k.value for k in Kind], default="stem",
-                   help="entry kind for wordlist imports")
+    p.add_argument("--kind", choices=[k.value for k in Kind],
+                   help="entry kind for --wordlist (default: stem)")
     p.add_argument("--flags", required=True, metavar="LIST",
                    help="flags to assign to the candidates")
     p.add_argument("--dedup", action="store_true",

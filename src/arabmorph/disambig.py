@@ -301,22 +301,27 @@ def train_lm(sentences: Sequence[Sequence[Tuple]],
                    unigram=dict(unigram), freq=dict(freq or {}), lam=lam)
 
 
+def _count(text: str, filename: str, lineno: int, what: str) -> int:
+    """``text`` read as a count: ASCII digits only, else an ``LmError``
+    naming ``what`` at ``filename:lineno``."""
+    if not (text.isascii() and text.isdigit()):
+        raise LmError(f"{filename}:{lineno}: bad {what} {text!r}, "
+                      "expected a non-negative integer")
+    return int(text)
+
+
 def load_freq_table(stream: IO[str] | Iterable[str],
                     filename: str = "<freq>") -> dict[Tuple, int]:
-    """TSV rows lemma<TAB>pos<TAB>count."""
+    """TSV rows lemma<TAB>pos<TAB>count, each field stripped; the rows of
+    one (lemma, pos) add up."""
     freq: dict[Tuple, int] = {}
     for lineno, line in data_lines(stream):
-        fields = line.split("\t")
+        fields = [f.strip() for f in line.split("\t")]
         if len(fields) != 3:
             raise LmError(f"{filename}:{lineno}: expected lemma<TAB>pos<TAB>count")
-        try:
-            count = int(fields[2])
-        except ValueError:
-            raise LmError(f"{filename}:{lineno}: bad count {fields[2]!r}") from None
-        if count < 0:
-            raise LmError(f"{filename}:{lineno}: negative count")
         key = (fields[0], fields[1])
-        freq[key] = freq.get(key, 0) + count
+        freq[key] = freq.get(key, 0) + _count(fields[2], filename, lineno,
+                                              "count")
     return freq
 
 
@@ -354,16 +359,16 @@ def load_lm(stream: IO[str] | Iterable[str], filename: str = "<lm>") -> LmModel:
     distinct (lemma, tag)."""
     lines = iter(stream)
     pos = 0                         # lines read so far
+    sections: list[tuple[int, int, str]] = []   # header line, size, name
     shared: dict[Tuple, Tuple] = {}
 
     def pair(lemma: str, tag: str) -> Tuple:
         t = (lemma, tag)
         return shared.setdefault(t, t)
 
-    def take(expect: str, n_fields: int, what: str = ""):
+    def take(expect: str, n_fields: int) -> list[str]:
         """The fields of the next line, a header labelled ``expect`` with
-        ``n_fields`` fields; under ``what``, its last field parsed as that
-        count instead."""
+        ``n_fields`` fields."""
         nonlocal pos
         line = next(lines, None)
         if line is None:
@@ -375,18 +380,13 @@ def load_lm(stream: IO[str] | Iterable[str], filename: str = "<lm>") -> LmModel:
         if fields[0] != expect or len(fields) != n_fields:
             raise LmError(f"{filename}:{pos}: expected {expect} "
                           f"with {n_fields} fields, got {line!r}")
-        return count(fields[-1], pos, what) if what else fields
-
-    def count(text: str, lineno: int, what: str) -> int:
-        if not (text.isascii() and text.isdigit()):
-            raise LmError(f"{filename}:{lineno}: bad {what} {text!r}, "
-                          "expected a non-negative integer")
-        return int(text)
+        return fields
 
     def records(n: int, n_fields: int, what: str):
         """The next ``n`` lines of ``n_fields`` fields; each is yielded
         with its last field, a count, parsed to an int."""
         nonlocal pos
+        sections.append((pos, n, what))
         label = f"{what} count"
         end = pos + n
         # range first: zip stops on it without reading a line too many.
@@ -396,7 +396,7 @@ def load_lm(stream: IO[str] | Iterable[str], filename: str = "<lm>") -> LmModel:
             if len(fields) != n_fields:
                 raise LmError(f"{filename}:{pos}: expected {n_fields} "
                               f"fields in {what} record")
-            fields[-1] = count(fields[-1], pos, label)
+            fields[-1] = _count(fields[-1], filename, pos, label)
             yield fields
         if pos < end:
             raise LmError(f"{filename}: truncated {what} section "
@@ -406,8 +406,8 @@ def load_lm(stream: IO[str] | Iterable[str], filename: str = "<lm>") -> LmModel:
         header = take("ngrams", 3)
         if header[1] != str(order):
             raise LmError(f"{filename}:{pos}: expected {what} section")
-        return records(count(header[2], pos, f"{what} section size"),
-                       n_fields, what)
+        n = _count(header[2], filename, pos, f"{what} section size")
+        return records(n, n_fields, what)
 
     magic = take(_LM_MAGIC, 2)
     if magic[1] != _LM_VERSION:
@@ -421,18 +421,24 @@ def load_lm(stream: IO[str] | Iterable[str], filename: str = "<lm>") -> LmModel:
     if not 0.0 <= lam <= 1.0:
         raise LmError(f"{filename}:{pos}: bad lambda value {text!r}, "
                       "expected a number in [0, 1]")
-    vocab_size = take("vocab", 2, "vocab size")
-    total = take("total", 2, "total")
+    vocab_size = _count(take("vocab", 2)[1], filename, pos, "vocab size")
+    total = _count(take("total", 2)[1], filename, pos, "total")
 
     unigram = {pair(f[0], f[1]): f[2] for f in section(1, 3, "unigram")}
     bigram = {(pair(f[0], f[1]), pair(f[2], f[3])): f[4]
               for f in section(2, 5, "bigram")}
     trigram = {(pair(f[0], f[1]), pair(f[2], f[3]), pair(f[4], f[5])):
                f[6] for f in section(3, 7, "trigram")}
-    n_freq = take("freq", 2, "freq section size")
+    n_freq = _count(take("freq", 2)[1], filename, pos, "freq section size")
     freq = {pair(f[0], f[1]): f[2] for f in records(n_freq, 3, "freq")}
     if any(line.strip() for line in lines):
         raise LmError(f"{filename}:{pos + 1}: trailing content")
+    # A repeated key leaves its table smaller than its section.
+    tables = (unigram, bigram, trigram, freq)
+    for (lineno, n, what), table in zip(sections, tables):
+        if len(table) != n:
+            raise LmError(f"{filename}:{lineno}: {what} section repeats a "
+                          f"key: {n} records, {len(table)} distinct")
 
     model = LmModel(trigram=trigram, bigram=bigram, unigram=unigram,
                     freq=freq, lam=lam)

@@ -615,6 +615,9 @@ def merge_reviewed(lex: Lexicon, batch: ReviewBatch) -> Lexicon:
 
 
 def save_review(batch: ReviewBatch, stream: IO[str]) -> None:
+    if _ROW_BREAK_RE.search(batch.source):
+        raise LexiconError(f"source {batch.source!r} would not read back "
+                           "from a review header")
     stream.write("# review file: set the first column to A(ccept) or "
                  "R(eject); P rows block merging\n")
     stream.write(f"#! kind={batch.kind.value}\tsource={batch.source}\n")
@@ -628,16 +631,20 @@ def load_review(stream, filename: str = "<review>") -> ReviewBatch:
         line = line.rstrip("\n")
         if line.startswith("#!"):
             for part in line[2:].strip().split("\t"):
-                key, _, value = part.partition("=")
-                if key == "kind":
+                key, eq, value = part.partition("=")
+                if key == "kind" and eq:
                     try:
                         batch.kind = Kind(value)
                     except ValueError:
                         raise LexiconError(
                             f"{filename}:{lineno}: bad kind {value!r}, "
                             "expected prefix, stem or suffix") from None
-                elif key == "source":
+                elif key == "source" and eq:
                     batch.source = value
+                else:
+                    raise LexiconError(
+                        f"{filename}:{lineno}: bad header field {part!r}, "
+                        "expected kind=KIND or source=NAME")
             continue
         if not line.strip() or line.startswith("#"):
             continue

@@ -12,7 +12,7 @@ import re
 from importlib import resources
 from typing import IO, Iterable
 
-from .textio import data_lines
+from .textio import data_lines, read_with
 
 # Characters removed when reducing a vocalized form to its written surface:
 # short vowels, sukun, shadda and the three tanwin signs.
@@ -31,9 +31,13 @@ class BuckTable:
     """Bidirectional Arabic-script <-> Buckwalter character table."""
 
     def __init__(self, arabic_to_buck: dict[str, str]):
-        """``arabic_to_buck`` must be one to one; ``from_stream`` also
-        checks that each side is one character, naming the row."""
+        """``arabic_to_buck`` must map one character to one character,
+        one to one; ``from_stream`` names the row that does not."""
         self.a2b = dict(arabic_to_buck)
+        for ar, bw in self.a2b.items():
+            if len(ar) != 1 or len(bw) != 1:
+                raise TranslitError(f"table pair {ar!r} -> {bw!r}: each "
+                                    "side must be one character")
         self.b2a = {bw: ar for ar, bw in self.a2b.items()}
         if len(self.b2a) != len(self.a2b):
             raise TranslitError("duplicate Buckwalter character in table")
@@ -94,13 +98,8 @@ class BuckTable:
         return "".join(out)
 
 
-def _load_default() -> BuckTable:
-    data = resources.files("arabmorph").joinpath("data/buckwalter.tsv")
-    with data.open(encoding="utf-8") as f:
-        return BuckTable.from_stream(f)
-
-
-DEFAULT_TABLE = _load_default()
+DEFAULT_TABLE = read_with(BuckTable.from_stream,
+                          resources.files("arabmorph") / "data/buckwalter.tsv")
 
 _STRIP = {ord(c): None for c in DIACRITICS}
 

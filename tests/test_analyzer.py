@@ -70,11 +70,11 @@ ALT_VALUES = sorted(set(DEFAULT_TABLE.b2a) | set(DIACRITICS) | {TATWEEL})
 
 @st.composite
 def alternate_tables(draw):
-    """A one-to-one table over a subset of ``ALT_KEYS``, possibly empty; a
-    value may be two characters long, or a diacritic or tatweel."""
+    """A one-to-one table over a subset of ``ALT_KEYS``, possibly empty;
+    each value is one character, which may be a diacritic or tatweel."""
     keys = draw(st.lists(st.sampled_from(ALT_KEYS), max_size=30,
                          unique=True))
-    values = draw(st.lists(st.text(ALT_VALUES, min_size=1, max_size=2),
+    values = draw(st.lists(st.text(ALT_VALUES, min_size=1, max_size=1),
                            min_size=len(keys), max_size=len(keys),
                            unique=True))
     return BuckTable(dict(zip(keys, values)))

@@ -654,6 +654,28 @@ def test_import_dedup_rejects_what_the_lexicon_holds_from_either_source(
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("source,extra,message", [
+    ("--tei", ["--kind", "prefix"],
+     "a TEI dictionary import makes stems; --kind is used only with "
+     "--wordlist"),
+    ("--wordlist", ["--lexicon", "/nonexistent"],
+     "import reads a lexicon only to reject the candidates it holds; "
+     "--lexicon needs --dedup")], ids=["kind", "lexicon"])
+def test_an_import_option_that_would_change_nothing_exits_2(
+        tmp_path, capsys, source, extra, message):
+    infile = DATA / ("tei_dict.xml" if source == "--tei" else "wordlist.tsv")
+    review = tmp_path / "review.tsv"
+    argv = ["import", source, str(infile), "--flags", "CA",
+            "--output", str(review)]
+    assert main(argv + extra) == 2
+    assert capsys.readouterr().err == f"arabmorph: error: {message}\n"
+    assert not review.exists()
+    # Without the option, either source makes stems.
+    assert main(argv) == 0
+    assert "#! kind=stem\t" in review.read_text(encoding="utf-8")
+    capsys.readouterr()
+
+
 def _accept_all(review):
     text = review.read_text(encoding="utf-8")
     review.write_text(text.replace("\nP\t", "\nA\t"), encoding="utf-8")

@@ -574,6 +574,24 @@ def test_load_lm_rejects_a_header_its_counts_do_not_give(header, value,
         load_lm(io.StringIO(_with_last_field(text, lineno, value)), "m.lm")
 
 
+@pytest.mark.parametrize("section,prefix", [
+    ("unigram", "ngrams\t1"), ("bigram", "ngrams\t2"),
+    ("trigram", "ngrams\t3"), ("freq", "freq\t")])
+def test_load_lm_refuses_a_section_that_repeats_a_key(section, prefix):
+    model = train_lm([[("a_1", "N"), ("b_1", "V")], [("a_1", "N")]],
+                     freq={("c_1", "A"): 4, ("d_1", "N"): 1}, lam=0.25)
+    lines = serialize_lm(model).splitlines(keepends=True)
+    header = next(i for i, line in enumerate(lines, 1)
+                  if line.startswith(prefix))
+    n = int(lines[header - 1].rpartition("\t")[2])
+    # The second record becomes the first with another count.
+    lines[header + 1] = lines[header].rpartition("\t")[0] + "\t9\n"
+    message = (f"m.lm:{header}: {section} section repeats a key: "
+               f"{n} records, {n - 1} distinct")
+    with pytest.raises(LmError, match=f"^{re.escape(message)}$"):
+        load_lm(io.StringIO("".join(lines)), "m.lm")
+
+
 @given(st.integers(min_value=0), st.text(max_size=12))
 def test_load_lm_with_one_line_replaced_parses_or_raises_lm_error(index,
                                                                   line):
@@ -594,8 +612,24 @@ def test_load_freq_table_accumulates_and_validates():
         load_freq_table(io.StringIO("missing fields\n"))
     with pytest.raises(LmError, match="bad count"):
         load_freq_table(io.StringIO("a_1\tN\tmany\n"))
-    with pytest.raises(LmError, match="^f.tsv:2: negative count$"):
+    with pytest.raises(LmError, match="^f.tsv:2: bad count '-1', "
+                       "expected a non-negative integer$"):
         load_freq_table(io.StringIO("a_1\tN\t3\na_1\tN\t-1\n"), "f.tsv")
+
+
+@pytest.mark.parametrize("count", ["\u0661\u0662", "1_000", "+5"])
+def test_load_freq_table_reads_counts_as_the_lm_does(count):
+    with pytest.raises(LmError, match=(
+            f"^f.tsv:1: bad count {re.escape(repr(count))}, "
+            "expected a non-negative integer$")):
+        load_freq_table(io.StringIO(f"a_1\tN\t{count}\n"), "f.tsv")
+
+
+def test_load_freq_table_strips_its_fields():
+    assert load_freq_table(io.StringIO("a_1\tN\t 7\na_1\tN\t7\r\n")) == \
+        {("a_1", "N"): 14}
+    assert load_freq_table(["kitAb_1 \t N\t3\n", "kitAb_1\tN\t2\n"]) == \
+        {("kitAb_1", "N"): 5}
 
 
 # --- ranking ---------------------------------------------------------------------

@@ -701,6 +701,25 @@ def test_review_file_rejects_bad_kind():
                     "r.tsv")
 
 
+@pytest.mark.parametrize("part", ["knid=prefix", "prefix", "kind",
+                                  "source"])
+def test_a_review_header_field_other_than_kind_or_source_is_refused(part):
+    buf = io.StringIO()
+    save_review(ReviewBatch(source="w.tsv", kind=Kind.PREFIX), buf)
+    assert load_review(io.StringIO(buf.getvalue())).kind is Kind.PREFIX
+    text = buf.getvalue().replace("kind=prefix", part)
+    with pytest.raises(LexiconError, match=f"^r.tsv:2: bad header field "
+                       f"{re.escape(repr(part))}, expected kind=KIND or "
+                       "source=NAME$"):
+        load_review(io.StringIO(text), "r.tsv")
+
+
+@pytest.mark.parametrize("source", ["a\tb.tsv", "a\nb.tsv", "a\rb.tsv"])
+def test_a_review_source_that_would_not_read_back_is_refused(source):
+    with pytest.raises(LexiconError, match="would not read back"):
+        save_review(ReviewBatch(source=source), io.StringIO())
+
+
 _REVIEW_PIECES = st.sampled_from(
     ["#!", "#! ", "kind=", "stem", "prefix", "suffix", "bogus", "source=",
      "\t", "\t", "\t", "\n", "\n", "A", "P", "R", "X", "#", " ", "0",

@@ -120,6 +120,18 @@ def test_table_rows_map_one_character_each_way(rows, message):
         BuckTable.from_stream(io.StringIO(rows), "t.tsv")
 
 
+@pytest.mark.parametrize("mapping", [
+    {"\u0645": "ua"},       # its key would strip to ''
+    {"\u0645": ""},         # '' is in DIACRITICS: the letter would vanish
+    {"\u0645\u0639": "m"}])
+def test_a_table_built_from_a_dict_maps_one_character_each_way(mapping):
+    [(ar, bw)] = mapping.items()
+    with pytest.raises(TranslitError, match=(
+            f"^table pair {re.escape(repr(ar))} -> {re.escape(repr(bw))}: "
+            "each side must be one character$")):
+        BuckTable(mapping)
+
+
 def test_table_file_errors_name_the_file(tmp_path):
     path = tmp_path / "t.tsv"
     path.write_text("# a table\nU+110000\tx\n", encoding="utf-8")

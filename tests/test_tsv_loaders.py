@@ -80,7 +80,7 @@ def test_a_whitespace_only_line_is_skipped(loader):
 
 def test_an_indented_hash_line_is_data_not_a_comment():
     assert _pairs(" #N\tNSuff\n") == {("#N", "NSuff")}
-    assert _freq(" #a_1\tN\t3\n") == {(" #a_1", "N"): 3}
+    assert _freq(" #a_1\tN\t3\n") == {("#a_1", "N"): 3}
     ((entry, _),) = _wordlist(" #w\tgloss\tN\n")
     assert entry.voc == "#w"
     for loader, (load, error) in LOADERS.items():
