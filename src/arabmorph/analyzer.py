@@ -163,9 +163,13 @@ def analyze_type(surface: str, lex: Lexicon, active: Flag,
 
 
 class TypeCache(dict):
-    """Per-type analyses keyed by (lookup key, active flag bits, alif
-    folding); tuple values, shared by tokens.  ``analyze_text`` fills it
-    and counts its hits and misses per token (see there)."""
+    """Per-type analyses keyed by ``Token.key``; tuple values, shared by
+    tokens.  ``analyze_text`` fills it and counts its hits and misses per
+    token (see there).
+
+    One cache serves the single (flags, alif folding) setting of the run
+    that fills it: the key holds neither.  ``Pipeline.run`` makes one per
+    run, and ``analyze_text`` called without one makes its own."""
 
     hits = 0
     misses = 0
@@ -199,28 +203,23 @@ def analyze_text(tokens: Iterable[Token], lex: Lexicon, active: Flag,
                  fold_alif: bool = False) -> Iterator[TokenReadings]:
     """Yield one record per token, in token order, as the tokens are read;
     repeated types are served from the cache and share its tuple of
-    analyses.
+    analyses.  ``cache`` must hold analyses under ``active`` and
+    ``fold_alif`` only (see ``TypeCache``).
 
-    Each distinct ``token.key`` is looked up in the cache once per call;
-    ``found`` maps it to its analyses.  Each miss adds one key to the
-    cache and every other token is a hit, so once the input runs out the
-    cache's miss count grows by the keys this call added and its hit
-    count by the remaining tokens: both stay per token.
+    Each miss adds one key to the cache and every other token is a hit,
+    so once the input runs out the cache's miss count grows by the keys
+    this call added and its hit count by the remaining tokens: both stay
+    per token.
     """
     cache = cache if cache is not None else TypeCache()
     size = len(cache)
-    found: dict[str, tuple[Analysis, ...]] = {}
     n = 0
     for token in tokens:
         n += 1
-        analyses = found.get(token.key)
+        analyses = cache.get(token.key)
         if analyses is None:
-            key = (token.key, int(active), fold_alif)
-            analyses = cache.get(key)
-            if analyses is None:
-                analyses = cache[key] = tuple(
-                    analyze_type(token.key, lex, active, fold_alif))
-            found[token.key] = analyses
+            analyses = cache[token.key] = tuple(
+                analyze_type(token.key, lex, active, fold_alif))
         yield TokenReadings(token, analyses)
     cache.misses += len(cache) - size
     cache.hits += n - (len(cache) - size)

@@ -18,8 +18,9 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import IO, Iterable, Iterator
 
-from .textio import data_lines, utf8_lines
-from .translit import arabic_to_buck, normalize, strip_diacritics
+from .textio import NOT_XML_CHAR, data_lines, utf8_lines
+from .translit import (DEFAULT_TABLE, arabic_to_buck, normalize,
+                       strip_diacritics)
 
 log = logging.getLogger(__name__)
 
@@ -155,13 +156,13 @@ def _default_pos(voc: str, cat: str) -> str:
 
 
 def _check_row(kind: Kind, surface: str, voc: str, cat: str, gloss: str,
-               lemma: str, where: str) -> None:
+               pos: str, lemma: str, where: str) -> None:
     """The rules every lexicon row keeps, checked where a row is read and
     where an import builds one.  A field that a row could not carry back,
     one holding a tab or line break or a gloss ending in
     ``<pos>...</pos>``, comes only from an import or an in-memory stream.
     A voc or lemma may not hold ``/``, which splits a ``voc/lemma/pos``
-    reading."""
+    reading.  No field may hold a character that XML 1.0 cannot carry."""
     if not cat:
         raise LexiconError(f"{where}: empty category")
     if kind is Kind.STEM and not surface:
@@ -176,14 +177,21 @@ def _check_row(kind: Kind, surface: str, voc: str, cat: str, gloss: str,
         name, value = ("voc", voc) if "/" in voc else ("lemma", lemma)
         raise LexiconError(f"{where}: {name} {value!r} holds '/', which a "
                            "voc/lemma/pos reading cannot carry")
-    # One scan of all the fields, since every row at load passes here.
-    joined = f"{surface}{voc}{cat}{gloss}{lemma}"
-    if "\t" in joined or "\r" in joined or "\n" in joined:
+    # One scan of all the fields, since every row at load passes here:
+    # tab, CR, LF and every character XML 1.0 cannot carry are unprintable.
+    joined = f"{surface}{voc}{cat}{gloss}{pos}{lemma}"
+    bad = not joined.isprintable() and (_ROW_BREAK_RE.search(joined)
+                                        or NOT_XML_CHAR.search(joined))
+    if bad:
+        ch = bad.group()
         fields = {"surface": surface, "voc": voc, "category": cat,
-                  "gloss": gloss, "lemma": lemma}
-        name = next(n for n, v in fields.items() if _ROW_BREAK_RE.search(v))
-        raise LexiconError(f"{where}: {name} {fields[name]!r} would not "
-                           "read back from a row")
+                  "gloss": gloss, "pos": pos, "lemma": lemma}
+        name = next(n for n, v in fields.items() if ch in v)
+        if ch in "\t\r\n":
+            raise LexiconError(f"{where}: {name} {fields[name]!r} would not "
+                               "read back from a row")
+        raise LexiconError(f"{where}: {name} holds U+{ord(ch):04X}, which "
+                           "XML 1.0 cannot carry")
     if "</pos>" in gloss and _POS_FIELD_RE.search(gloss):
         raise LexiconError(f"{where}: gloss {gloss!r} would not read back "
                            "from a row")
@@ -223,7 +231,7 @@ def parse_entry_line(line: str, kind: Kind, lineno: int = 0,
     else:
         gloss = glosspos
         pos = _default_pos(voc, cat)
-    _check_row(kind, surface, voc, cat, gloss, lemma, where)
+    _check_row(kind, surface, voc, cat, gloss, pos, lemma, where)
     try:
         flags = _parse_flag_text(flagtext) if flagtext else ALL_FLAGS
     except LexiconError as exc:
@@ -510,17 +518,23 @@ def _first_text(elem, names: tuple[str, ...]) -> str:
 def _candidate(word: str, kind: Kind, cat: str, gloss: str, assign: Flag,
                where: str) -> LexEntry:
     """The entry an import proposes for an Arabic-script ``word``; a stem
-    gets the lemma ``<voc>_1``.  A row that breaks a row rule, or whose
-    surface or voc is the row format's null marker ``0``, is a
-    ``LexiconError`` at ``where``."""
+    gets the lemma ``<voc>_1``.  A row that breaks a row rule, whose
+    surface or voc is the row format's null marker ``0``, or whose word is
+    not one run of characters that ``tokenize`` reads as a word (such as
+    ``book``, whose ``o`` is Buckwalter's sukun), is a ``LexiconError``
+    at ``where``."""
     voc = normalize(arabic_to_buck(word))
     surface = strip_diacritics(voc)
     if "0" in (surface, voc):
         raise LexiconError(f"{where}: {word!r} reads as the null marker 0")
     lemma = f"{voc}_1" if kind is Kind.STEM else ""
-    _check_row(kind, surface, voc, cat, gloss, lemma, where)
+    pos = _default_pos(voc, cat)
+    _check_row(kind, surface, voc, cat, gloss, pos, lemma, where)
+    if not DEFAULT_TABLE.runs.fullmatch(word):
+        raise LexiconError(f"{where}: {word!r} is not a word that tokenize "
+                           "would read")
     return LexEntry(kind=kind, surface=surface, voc=voc, cat=cat, gloss=gloss,
-                    pos=_default_pos(voc, cat), lemma=lemma, flags=assign)
+                    pos=pos, lemma=lemma, flags=assign)
 
 
 def import_tei_dictionary(stream, assign: Flag,

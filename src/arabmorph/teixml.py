@@ -11,7 +11,6 @@ LF line endings) so byte-level golden comparisons are stable.
 
 from __future__ import annotations
 
-import re
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass, replace
 from typing import Sequence
@@ -19,12 +18,9 @@ from xml.sax.saxutils import escape, quoteattr
 
 from . import __version__
 from .analyzer import TokenReadings
+from .textio import NOT_XML_CHAR
 
 UNKNOWN_ANA = "UNK//UNK"
-
-# A character outside XML 1.0's Char production.
-_NOT_XML_CHAR = re.compile(
-    "[^\t\n\r\x20-\ud7ff\ue000-\ufffd\U00010000-\U0010ffff]")
 
 
 class TeiError(ValueError):
@@ -101,7 +97,7 @@ def emit_tei(doc: TeiDoc) -> str:
     ``id`` as ``TokenReadings`` allows).  A header field holding a
     character that XML 1.0 cannot carry is a ``TeiError``."""
     for name in ("source", "flags", "version"):
-        bad = _NOT_XML_CHAR.search(getattr(doc, name))
+        bad = NOT_XML_CHAR.search(getattr(doc, name))
         if bad:
             raise TeiError(f"{name} holds U+{ord(bad.group()):04X}, which "
                            "XML 1.0 cannot carry")

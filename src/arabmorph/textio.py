@@ -4,10 +4,15 @@ inputs share one rule for blank and comment lines."""
 
 from __future__ import annotations
 
+import re
 from contextlib import contextmanager
 from typing import IO, Callable, Iterable, Iterator, TypeVar
 
 _T = TypeVar("_T")
+
+# A character outside XML 1.0's Char production.
+NOT_XML_CHAR = re.compile(
+    "[^\t\n\r\x20-\ud7ff\ue000-\ufffd\U00010000-\U0010ffff]")
 
 
 class EncodingError(ValueError):

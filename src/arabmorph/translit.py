@@ -9,6 +9,7 @@ input and output edges.
 from __future__ import annotations
 
 import re
+import unicodedata
 from importlib import resources
 from typing import IO, Iterable
 
@@ -21,6 +22,12 @@ TATWEEL = "_"
 ALIF_VARIANTS = "><|{"
 
 _CODEPOINT_RE = re.compile(r"^U\+([0-9A-Fa-f]{4,6})$")
+
+# Read inside a word although outside the table: ZWNJ and ZWJ, which map
+# to nothing, and the Arabic presentation forms.
+_JOINERS = "\u200c\u200d"
+_PRESENTATION_FORMS = "".join(map(chr, [*range(0xFB50, 0xFE00),
+                                       *range(0xFE70, 0xFF00)]))
 
 
 class TranslitError(ValueError):
@@ -44,28 +51,36 @@ class BuckTable:
         self.arabic_diacritics = frozenset(
             ar for ar, bw in self.a2b.items() if bw in DIACRITICS
         )
-        self.arabic_letters = frozenset(
+        letters = frozenset(
             ar for ar, bw in self.a2b.items()
             if bw not in DIACRITICS and bw != TATWEEL
         )
-        self._translation = str.maketrans(self.a2b)
-        # Maximal runs of table characters.  A letter-anchored pattern would
+        # A presentation form outside the table reads as the table letters
+        # of its NFKC form (Unicode UAX #15), if it has only those.
+        forms = {}
+        for ch in _PRESENTATION_FORMS:
+            folded = unicodedata.normalize("NFKC", ch)
+            if ch not in self.a2b and letters.issuperset(folded):
+                forms[ch] = "".join(map(self.a2b.get, folded))
+        self.arabic_letters = letters.union(forms)
+        word_chars = {**dict.fromkeys(_JOINERS, ""), **forms, **self.a2b}
+        self._translation = str.maketrans(word_chars)
+        # Maximal runs of word characters.  A letter-anchored pattern would
         # backtrack quadratically over long runs of bare diacritics.
-        self.runs = re.compile(
-            "[%s]+" % "".join(map(re.escape, self.a2b)) if self.a2b else "(?!)")
+        self.runs = re.compile("[%s]+" % "".join(map(re.escape, word_chars)))
 
     @classmethod
     def from_stream(cls, stream: IO[str] | Iterable[str],
                     filename: str = "<translit>") -> "BuckTable":
-        """Rows ``U+XXXX<TAB>character``, the TSV rule skipping blank and
-        comment lines.  Each code point and each Buckwalter character is
-        used once, so text maps back; a bad row is reported at
-        ``filename:line``, a repeat naming the earlier line."""
+        """Rows ``U+XXXX<TAB>character``, each field stripped, the TSV
+        rule skipping blank and comment lines.  Each code point and each
+        Buckwalter character is used once, so text maps back; a bad row is
+        reported at ``filename:line``, a repeat naming the earlier line."""
         mapping = {}
         lines: dict[tuple[int, str], int] = {}   # (side, character) -> line
         for lineno, line in data_lines(stream):
             where = f"{filename}:{lineno}"
-            fields = line.split("\t")
+            fields = [f.strip() for f in line.split("\t")]
             if len(fields) != 2 or len(fields[1]) != 1:
                 raise TranslitError(f"{where}: expected codepoint<TAB>char")
             m = _CODEPOINT_RE.match(fields[0])
@@ -82,8 +97,9 @@ class BuckTable:
         return cls(mapping)
 
     def to_buck(self, text: str) -> str:
-        """Transliterate Arabic script to Buckwalter; characters outside
-        the table pass through verbatim."""
+        """Transliterate Arabic script to Buckwalter; a presentation form
+        becomes its letters' characters, ZWNJ and ZWJ vanish, and other
+        characters outside the table pass through verbatim."""
         return text.translate(self._translation)
 
     def to_arabic(self, text: str) -> str:

@@ -1,5 +1,6 @@
 """Independent brute-force references the fast paths are checked against."""
 
+import unicodedata
 from dataclasses import replace
 from xml.sax.saxutils import escape, quoteattr
 
@@ -7,6 +8,7 @@ from arabmorph import __version__
 from arabmorph.analyzer import token_lookup_key
 from arabmorph.disambig import BOS, UNK
 from arabmorph.lexicon import Kind, compatible
+from arabmorph.translit import DIACRITICS, TATWEEL
 
 # Bounds on the bundled lexicon's prefix and suffix clusters, within
 # which ``segmentations`` cuts; the analyzer itself takes its affix
@@ -169,25 +171,51 @@ def resummed_score(model, ctx, cand):
     return model.lam * p + (1.0 - model.lam) * pf
 
 
+def _reference_word_char(table, ch):
+    """The Buckwalter text of a character that a word may hold, or None:
+    a table character by the table, ZWNJ and ZWJ as nothing, and an
+    Arabic presentation form outside the table as its NFKC letters, if
+    the table maps each of them to a letter."""
+    if ch in table.a2b:
+        return table.a2b[ch]
+    if ch in "\u200c\u200d":
+        return ""
+    if 0xFB50 <= ord(ch) <= 0xFDFF or 0xFE70 <= ord(ch) <= 0xFEFF:
+        letters = [table.a2b.get(c) for c in unicodedata.normalize("NFKC", ch)]
+        if all(bw is not None and bw not in DIACRITICS + TATWEEL
+               for bw in letters):
+            return "".join(letters)
+    return None
+
+
+def _reference_is_letter(table, ch):
+    bw = _reference_word_char(table, ch)
+    return bool(bw) and not any(c in DIACRITICS + TATWEEL for c in bw)
+
+
 def reference_to_buck(table, text):
     """``BuckTable.to_buck`` one character at a time."""
-    return "".join(table.a2b.get(ch, ch) for ch in text)
+    out = []
+    for ch in text:
+        bw = _reference_word_char(table, ch)
+        out.append(ch if bw is None else bw)
+    return "".join(out)
 
 
 def reference_tokenize(text, table):
-    """``tokenize`` by scanning for maximal runs of table characters and
+    """``tokenize`` by scanning for maximal runs of word characters and
     keeping those that hold a letter.  Returns (surface, offset)."""
     tokens = []
     i, n = 0, len(text)
     while i < n:
-        if text[i] not in table.a2b:
+        if _reference_word_char(table, text[i]) is None:
             i += 1
             continue
         j = i
-        while j < n and text[j] in table.a2b:
+        while j < n and _reference_word_char(table, text[j]) is not None:
             j += 1
         run = text[i:j]
-        if any(ch in table.arabic_letters for ch in run):
+        if any(_reference_is_letter(table, ch) for ch in run):
             tokens.append((run, i))
         i = j
     return tokens

@@ -116,6 +116,17 @@ def test_tokens_of_one_run_share_its_surface_and_key():
     assert vocalized.key == first.key == "ktb"
 
 
+def test_presentation_forms_and_zwnj_stay_inside_a_word(lexicon):
+    forms, zwnj = "\ufedb\ufe98\ufe90", "\u0643\u062a\u0628\u200c\u0628"
+    (token,) = tokenize(f"({forms})")
+    assert (token.surface, token.offset, token.key) == (forms, 1, "ktb")
+    (plain,) = tokenize("\u0643\u062a\u0628")
+    [read, expected] = analyze_text([token, plain], lexicon, ALL_FLAGS)
+    assert read.analyses == expected.analyses != ()
+    (token,) = tokenize(zwnj)
+    assert (token.surface, token.key) == (zwnj, "ktbb")
+
+
 def test_tokenize_is_linear_in_runs_of_bare_marks():
     text = "\u0640" * 200_000 + " كتب " + "\u064e" * 200_000
     start = time.perf_counter()
@@ -447,14 +458,6 @@ def test_cache_transparency(lexicon, corpus_text):
                                             ALL_FLAGS)) for t in tokens]
     for a, b in zip(cached, uncached):
         assert [x.ana for x in a.analyses] == [x.ana for x in b.analyses]
-
-
-def test_cache_keys_include_flags(lexicon):
-    cache = TypeCache()
-    list(analyze_text(tokenize("دا"), lexicon, ALL_FLAGS, cache))
-    list(analyze_text(tokenize("دا"), lexicon, MSA, cache))
-    assert cache.misses == 2
-    assert len(cache) == 2
 
 
 def test_analyze_type_collapses_a_repeated_reading_onto_its_first_split():

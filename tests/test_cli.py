@@ -333,6 +333,46 @@ def test_analyze_of_a_file_name_xml_cannot_carry_exits_2(tmp_path, capsys,
                        "XML 1.0 cannot carry\n")
 
 
+def test_a_lexicon_row_xml_cannot_carry_exits_2_at_load(tmp_path, capsys):
+    lexdir = tmp_path / "lexicon"
+    shutil.copytree(DATA.parent.parent / "src" / "arabmorph" / "data"
+                    / "lexicon", lexdir)
+    stems = lexdir / "stems.tsv"
+    lines = stems.read_text(encoding="utf-8").splitlines(keepends=True)
+    lineno = next(i for i, line in enumerate(lines, 1)
+                  if line.startswith("ktb\tkutub\t"))
+    lines[lineno - 1] = lines[lineno - 1].replace("kitAb_1", "kitAb\x01_1")
+    stems.write_text("".join(lines), encoding="utf-8")
+    path = _write_phrase(tmp_path)
+    assert main(["analyze", path, "--flags", "all",
+                 "--lexicon", str(lexdir)]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == (f"arabmorph: error: {stems}:{lineno}: lemma holds "
+                       "U+0001, which XML 1.0 cannot carry\n")
+
+
+def test_analyze_reads_presentation_forms_and_zwnj_inside_words(tmp_path,
+                                                                capsys):
+    path = _write_phrase(tmp_path, "\ufedb\ufe98\ufe90 \u0643\u062a\u0628"
+                         " \u0643\u062a\u0628\u200c\u0628")
+    assert main(["analyze", path, "--flags", "all", "--format", "tsv"]) == 0
+    out = capsys.readouterr()
+    rows = [line.split("\t") for line in out.out.splitlines()]
+    forms = [ana for word, ana in rows if word == "\ufedb\ufe98\ufe90"]
+    assert forms == [ana for word, ana in rows if word == "\u0643\u062a\u0628"]
+    assert forms
+    assert "3 tokens, 2 types, 1 unknown" in out.err
+
+
+def test_analyze_writes_text_to_a_stdout_without_a_byte_buffer(
+        tmp_path, capsys, monkeypatch):
+    stdout = io.StringIO()
+    monkeypatch.setattr(sys, "stdout", stdout)
+    assert main(_analyze_args(_write_phrase(tmp_path))) == 0
+    assert stdout.getvalue() == GOLDEN
+
+
 def test_merge_with_a_bad_review_kind_exits_2(tmp_path, capsys):
     review = tmp_path / "review.tsv"
     review.write_text("#! kind=bogus\tsource=x\n"

@@ -805,6 +805,37 @@ def test_an_import_word_that_reads_as_the_null_marker_is_refused():
     assert (batch.candidates, batch.skipped) == ([], 2)
 
 
+def test_an_import_word_that_tokenize_would_not_read_is_refused():
+    # Read as Buckwalter, "book" would give the stem bk: "o" is a sukun.
+    with pytest.raises(LexiconError, match=(
+            "^w.tsv:1: 'book' is not a word that tokenize would read$")):
+        import_wordlist(io.StringIO("book\tbook\tN\n"), Kind.STEM,
+                        Flag.ICA, "w.tsv")
+    tei = ("<TEI><entry><orth>book</orth><sense>book</sense></entry>"
+           "<entry><orth>قلم جاف</orth><sense>ballpoint</sense></entry>"
+           "<entry><orth>\ufedb\ufe98\ufe90</orth><sense>wrote</sense>"
+           "</entry></TEI>")
+    batch = import_tei_dictionary(io.StringIO(tei), Flag.ICA)
+    assert [c.entry.surface for c in batch.candidates] == ["ktb"]
+    assert batch.skipped == 2
+
+
+@pytest.mark.parametrize("line,name,codepoint", [
+    ("ktb\tkutub\tN\tbooks\tkitAb\x01_1", "lemma", "U+0001"),
+    ("ktb\tkutub\tN\tbo\x0boks\tkitAb_1", "gloss", "U+000B"),
+    ("ktb\tkutub\tN\tbooks <pos>kutub/N\ufffe</pos>\tkitAb_1", "pos",
+     "U+FFFE")])
+def test_a_row_field_holding_a_character_xml_cannot_carry_is_refused(
+        line, name, codepoint):
+    message = f"{name} holds {codepoint}, which XML 1.0 cannot carry"
+    with pytest.raises(LexiconError) as exc:
+        parse_entry_line(line, Kind.STEM, 9, "stems.tsv")
+    assert str(exc.value) == f"stems.tsv:9: {message}"
+    with pytest.raises(LexiconError, match="^w.tsv:1: gloss holds U\\+0001"):
+        import_wordlist(io.StringIO("قلم\tp\x01en\tN\n"), Kind.STEM,
+                        Flag.ICA, "w.tsv")
+
+
 def test_tei_import_makes_whitespace_runs_one_space():
     tei = ("<TEI><entry><orth> قلم\n</orth><sense>pen,\n      reed\tpen"
            "</sense></entry><entry><orth>جامد</orth>"

@@ -132,6 +132,33 @@ def test_a_table_built_from_a_dict_maps_one_character_each_way(mapping):
         BuckTable(mapping)
 
 
+def test_a_table_built_from_a_dict_refuses_a_repeated_buckwalter_character():
+    with pytest.raises(TranslitError,
+                       match="^duplicate Buckwalter character in table$"):
+        BuckTable({"\u0645": "m", "\u0646": "m"})
+
+
+def test_table_rows_are_stripped_like_every_tsv_field():
+    table = BuckTable.from_stream(["U+0645\tm\r\n", " U+0639 \tE\n"],
+                                  "t.tsv")
+    assert table.a2b == {"\u0645": "m", "\u0639": "E"}
+
+
+def test_presentation_forms_and_joiners_read_inside_a_word():
+    # Lam-alif is one form for two letters; ZWNJ and ZWJ map to nothing.
+    assert arabic_to_buck("\ufedb\ufe98\ufe90 \ufefb") == "ktb lA"
+    assert arabic_to_buck("\u0643\u200c\u062a\u200d\u0628") == "ktb"
+    assert {"\ufedb", "\ufefb"} <= DEFAULT_TABLE.arabic_letters
+    assert "\u200c" not in DEFAULT_TABLE.arabic_letters
+    # A form whose NFKC holds a diacritic or a space is no word character.
+    assert arabic_to_buck("\ufe70") == "\ufe70"
+    assert DEFAULT_TABLE.runs.fullmatch("\ufedb\u200c\ufe98")
+    assert not DEFAULT_TABLE.runs.search("\ufe70")
+    # A table without lam reads no lam-alif.
+    table = BuckTable({"\u0627": "A"})
+    assert table.to_buck("\ufefb\ufe8d") == "\ufefbA"
+
+
 def test_table_file_errors_name_the_file(tmp_path):
     path = tmp_path / "t.tsv"
     path.write_text("# a table\nU+110000\tx\n", encoding="utf-8")

@@ -81,8 +81,9 @@ def test_a_whitespace_only_line_is_skipped(loader):
 def test_an_indented_hash_line_is_data_not_a_comment():
     assert _pairs(" #N\tNSuff\n") == {("#N", "NSuff")}
     assert _freq(" #a_1\tN\t3\n") == {("#a_1", "N"): 3}
-    ((entry, _),) = _wordlist(" #w\tgloss\tN\n")
-    assert entry.voc == "#w"
+    # Read as a row, "#w" is refused as no word tokenize would read.
+    with pytest.raises(LexiconError, match=r"^wordlist:1: '#w' is not a word"):
+        _wordlist(" #w\tgloss\tN\n")
     for loader, (load, error) in LOADERS.items():
         with pytest.raises(error, match=":1: expected"):
             load(" # a comment?\n")
