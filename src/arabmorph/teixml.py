@@ -11,6 +11,7 @@ LF line endings) so byte-level golden comparisons are stable.
 
 from __future__ import annotations
 
+import re
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass, replace
 from typing import Sequence
@@ -22,18 +23,23 @@ from .textio import NOT_XML_CHAR
 
 UNKNOWN_ANA = "UNK//UNK"
 
+# The characters quoteattr and escape change; a value holding none of them
+# is written in double quotes or as is, without calling them.
+_ATTR_SPECIAL = re.compile('[&<>"\n\r\t]').search
+_TEXT_SPECIAL = re.compile("[&<>]").search
+
 
 class TeiError(ValueError):
     """Malformed or invalid annotated XML."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Note:
     ana: str
     corrected: bool = False
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TeiWord:
     surface: str
     ana: str
@@ -48,7 +54,17 @@ class TeiDoc:
     words: tuple[TeiWord, ...] = ()
 
 
+def _attr(value: str) -> str:
+    return quoteattr(value) if _ATTR_SPECIAL(value) else f'"{value}"'
+
+
+def _text(value: str) -> str:
+    return escape(value) if _TEXT_SPECIAL(value) else value
+
+
 def _check_word(word: TeiWord, where: str = "") -> None:
+    if not word.notes and word.ana.count("/") == 2:
+        return                         # passes every check below
     label = f" ({where})" if where else ""
     if not word.ana:
         raise TeiError(f"word {word.surface!r}{label} has an empty analysis")
@@ -77,14 +93,11 @@ def doc_from_ranked(ranked: Sequence[TokenReadings], source: str = "",
         key = (rec.token.surface, id(rec.ranked))
         word = built.get(key)
         if word is None:
-            if rec.ranked:
-                word = TeiWord(surface=rec.token.surface,
-                               ana=rec.ranked[0][0].ana,
-                               notes=tuple([Note(a.ana)
-                                            for a, _ in rec.ranked[1:]]))
-            else:
-                word = TeiWord(surface=rec.token.surface, ana=UNKNOWN_ANA)
-            built[key] = word
+            readings = rec.ranked
+            ana = readings[0][0].ana if readings else UNKNOWN_ANA
+            notes = (tuple([Note(a.ana) for a, _ in readings[1:]])
+                     if len(readings) > 1 else ())
+            word = built[key] = TeiWord(key[0], ana, notes)
         words.append(word)
     return TeiDoc(source=source, flags=flags, words=tuple(words))
 
@@ -94,8 +107,10 @@ def emit_tei(doc: TeiDoc) -> str:
 
     Each distinct word object is checked and rendered once per call, and
     its ``<w>`` block repeated for every later occurrence (keyed by
-    ``id`` as ``TokenReadings`` allows).  A header field holding a
-    character that XML 1.0 cannot carry is a ``TeiError``."""
+    ``id`` as ``TokenReadings`` allows); a word value goes through
+    ``quoteattr`` or ``escape`` only if it holds a character they change.
+    A header field holding a character that XML 1.0 cannot carry is a
+    ``TeiError``."""
     for name in ("source", "flags", "version"):
         bad = NOT_XML_CHAR.search(getattr(doc, name))
         if bad:
@@ -114,12 +129,12 @@ def emit_tei(doc: TeiDoc) -> str:
         block = blocks.get(key)
         if block is None:
             _check_word(word)
-            block = f"    <w ana={quoteattr(word.ana)}>\n"
+            block = f"    <w ana={_attr(word.ana)}>\n"
             for note in word.notes:
                 ed = ' ed="correct"' if note.corrected else ""
-                block += f"      <note ana={quoteattr(note.ana)}{ed}/>\n"
+                block += f"      <note ana={_attr(note.ana)}{ed}/>\n"
             block = blocks[key] = (
-                f"{block}      {escape(word.surface)}\n    </w>\n")
+                f"{block}      {_text(word.surface)}\n    </w>\n")
         out.append(block)
     out.append("  </body>\n</text>\n")
     return "".join(out)

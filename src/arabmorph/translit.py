@@ -24,7 +24,8 @@ ALIF_VARIANTS = "><|{"
 _CODEPOINT_RE = re.compile(r"^U\+([0-9A-Fa-f]{4,6})$")
 
 # Read inside a word although outside the table: ZWNJ and ZWJ, which map
-# to nothing, and the Arabic presentation forms.
+# to nothing, the Arabic presentation forms, and the Arabic block's other
+# letters (Persian pe, U+067E), which pass through.
 _JOINERS = "\u200c\u200d"
 _PRESENTATION_FORMS = "".join(map(chr, [*range(0xFB50, 0xFE00),
                                        *range(0xFE70, 0xFF00)]))
@@ -62,8 +63,13 @@ class BuckTable:
             folded = unicodedata.normalize("NFKC", ch)
             if ch not in self.a2b and letters.issuperset(folded):
                 forms[ch] = "".join(map(self.a2b.get, folded))
-        self.arabic_letters = letters.union(forms)
-        word_chars = {**dict.fromkeys(_JOINERS, ""), **forms, **self.a2b}
+        # An Arabic-block letter outside the table maps to itself, so a
+        # word holding it matches no Buckwalter row.
+        others = {ch: ch for ch in map(chr, range(0x0600, 0x0700))
+                  if ch not in self.a2b and unicodedata.category(ch) == "Lo"}
+        self.arabic_letters = letters.union(forms, others)
+        word_chars = {**dict.fromkeys(_JOINERS, ""), **others, **forms,
+                      **self.a2b}
         self._translation = str.maketrans(word_chars)
         # Maximal runs of word characters.  A letter-anchored pattern would
         # backtrack quadratically over long runs of bare diacritics.

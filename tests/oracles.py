@@ -173,13 +173,16 @@ def resummed_score(model, ctx, cand):
 
 def _reference_word_char(table, ch):
     """The Buckwalter text of a character that a word may hold, or None:
-    a table character by the table, ZWNJ and ZWJ as nothing, and an
-    Arabic presentation form outside the table as its NFKC letters, if
-    the table maps each of them to a letter."""
+    a table character by the table, ZWNJ and ZWJ as nothing, a letter
+    (category Lo) of the Arabic block U+0600-U+06FF outside the table as
+    itself, and an Arabic presentation form outside the table as its NFKC
+    letters, if the table maps each of them to a letter."""
     if ch in table.a2b:
         return table.a2b[ch]
     if ch in "\u200c\u200d":
         return ""
+    if "\u0600" <= ch <= "\u06ff" and unicodedata.category(ch) == "Lo":
+        return ch
     if 0xFB50 <= ord(ch) <= 0xFDFF or 0xFE70 <= ord(ch) <= 0xFEFF:
         letters = [table.a2b.get(c) for c in unicodedata.normalize("NFKC", ch)]
         if all(bw is not None and bw not in DIACRITICS + TATWEEL
@@ -296,18 +299,35 @@ def reference_tei(surfaces, ranked_lists, source="", flags="",
     line by line, one ``<w>`` per token: ``surfaces`` and
     ``ranked_lists`` give each token's surface and (analysis, score)
     pairs in rank order."""
+    words = [(surface, ranked[0][0].ana if ranked else "UNK//UNK",
+              [(a.ana, False) for a, _ in ranked[1:]])
+             for surface, ranked in zip(surfaces, ranked_lists)]
+    return _reference_document(source, flags, version, words)
+
+
+def reference_emit_tei(doc):
+    """What ``emit_tei(doc)`` writes for a ``TeiDoc`` whose words pass
+    the word checks, built line by line, one ``<w>`` per word."""
+    words = [(w.surface, w.ana, [(n.ana, n.corrected) for n in w.notes])
+             for w in doc.words]
+    return _reference_document(doc.source, doc.flags, doc.version, words)
+
+
+def _reference_document(source, flags, version, words):
+    """The document's lines, every value through ``quoteattr`` or
+    ``escape``: ``words`` holds (surface, ana, [(note ana, marked)])."""
     lines = ['<?xml version="1.0" encoding="UTF-8"?>',
              f"<text source={quoteattr(source)} flags={quoteattr(flags)} "
              f"version={quoteattr(version)}>"]
-    if not surfaces:
+    if not words:
         lines.append("  <body/>")
     else:
         lines.append("  <body>")
-        for surface, ranked in zip(surfaces, ranked_lists):
-            ana = ranked[0][0].ana if ranked else "UNK//UNK"
+        for surface, ana, notes in words:
             lines.append(f"    <w ana={quoteattr(ana)}>")
-            for a, _ in ranked[1:]:
-                lines.append(f"      <note ana={quoteattr(a.ana)}/>")
+            for note_ana, marked in notes:
+                ed = ' ed="correct"' if marked else ""
+                lines.append(f"      <note ana={quoteattr(note_ana)}{ed}/>")
             lines.append(f"      {escape(surface)}")
             lines.append("    </w>")
         lines.append("  </body>")

@@ -365,6 +365,16 @@ def test_analyze_reads_presentation_forms_and_zwnj_inside_words(tmp_path,
     assert "3 tokens, 2 types, 1 unknown" in out.err
 
 
+def test_an_arabic_letter_outside_the_table_stays_inside_one_unknown_word(
+        tmp_path, capsys):
+    # Persian pe (U+067E) between beh and kaf
+    path = _write_phrase(tmp_path, "\u0628\u067e\u0643")
+    assert main(["analyze", path, "--flags", "all", "--format", "tsv"]) == 0
+    out = capsys.readouterr()
+    assert out.out == "\u0628\u067e\u0643\tUNK//UNK\n"
+    assert "1 tokens, 1 types, 1 unknown" in out.err
+
+
 def test_analyze_writes_text_to_a_stdout_without_a_byte_buffer(
         tmp_path, capsys, monkeypatch):
     stdout = io.StringIO()

@@ -12,6 +12,7 @@ from hypothesis import given, strategies as st
 
 DATA = Path(__file__).parent / "data"
 
+from arabmorph.analyzer import tokenize
 from arabmorph.cli import default_lexicon_dir
 from arabmorph.lexicon import (ALL_FLAGS, LEXICON_FILES, PRIMARY_TAGS,
                                Candidate, CompatTables, Flag,
@@ -818,6 +819,15 @@ def test_an_import_word_that_tokenize_would_not_read_is_refused():
     batch = import_tei_dictionary(io.StringIO(tei), Flag.ICA)
     assert [c.entry.surface for c in batch.candidates] == ["ktb"]
     assert batch.skipped == 2
+
+
+def test_an_import_word_with_a_letter_outside_the_table_keys_like_a_token():
+    # Persian pe (U+067E) is a word letter that passes through unchanged.
+    batch = import_wordlist(io.StringIO("\u067e\u0643\tx\tN\n"), Kind.STEM,
+                            Flag.ICA)
+    (token,) = tokenize("\u067e\u0643")
+    assert [c.entry.surface for c in batch.candidates] == [token.key] \
+        == ["\u067ek"]
 
 
 @pytest.mark.parametrize("line,name,codepoint", [

@@ -212,7 +212,7 @@ def test_each_distinct_run_is_checked_for_a_letter_once(corpus_text):
     assert len(set(runs)) < len(tokens)
 
 
-def test_the_cache_is_asked_once_per_surface_and_counts_per_token(
+def test_lookup_key_runs_once_per_surface_and_cache_counts_are_per_token(
         lexicon, corpus_text, monkeypatch):
     cache = TypeCache()
     list(analyze_text(tokenize("كاتب"), lexicon, ALL_FLAGS, cache))

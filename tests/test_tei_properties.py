@@ -1,19 +1,21 @@
 """Properties of the annotated-XML format over generated documents:
-``emit_tei`` and ``parse_tei`` are inverse, or ``emit_tei`` refuses a
-header XML cannot carry, ``apply_corrections`` is idempotent, and any
-text given to ``parse_tei`` or ``load_gold`` either parses or raises the
-reader's own error."""
+``emit_tei`` writes the bytes of a line-by-line reference that quotes
+every value with ``xml.sax.saxutils``, ``emit_tei`` and ``parse_tei``
+are inverse, or ``emit_tei`` refuses a header XML cannot carry,
+``apply_corrections`` is idempotent, and any text given to ``parse_tei``
+or ``load_gold`` either parses or raises the reader's own error."""
 
 import io
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from arabmorph.evaluation import load_gold
 from arabmorph.lexicon import Flag, LexiconError
 from arabmorph.teixml import (UNKNOWN_ANA, Note, TeiDoc, TeiError, TeiWord,
                               apply_corrections, emit_tei, parse_tei)
 from arabmorph.translit import DEFAULT_TABLE
+from oracles import reference_emit_tei
 
 LETTERS = "".join(sorted(DEFAULT_TABLE.arabic_letters))
 BUCKWALTER = "".join(sorted(DEFAULT_TABLE.b2a))      # includes < > & ' | { }
@@ -37,24 +39,44 @@ _any_text = st.text(st.one_of(st.characters(blacklist_categories=()),
 
 
 @st.composite
-def _word(draw):
-    surface = draw(st.text(LETTERS, max_size=6))
+def _word(draw, surfaces=st.text(LETTERS, max_size=6), anas=_ana):
+    surface = draw(surfaces)
     if draw(st.integers(0, 5)) == 0:
         return TeiWord(surface, UNKNOWN_ANA)
-    notes = draw(st.lists(_ana, max_size=3))
+    notes = draw(st.lists(anas, max_size=3))
     mark = draw(st.integers(-1, len(notes) - 1))
-    return TeiWord(surface, draw(_ana),
+    return TeiWord(surface, draw(anas),
                    tuple(Note(a, i == mark) for i, a in enumerate(notes)))
 
 
 @st.composite
-def tei_docs(draw, header=_xml_text):
+def tei_docs(draw, header=_xml_text, word=_word()):
     """Documents whose words repeat by reference, with ``header`` text."""
-    pool = draw(st.lists(_word(), min_size=1, max_size=5))
+    pool = draw(st.lists(word, min_size=1, max_size=5))
     picks = draw(st.lists(st.integers(0, len(pool) - 1), max_size=12))
     return TeiDoc(source=draw(header), flags=draw(header),
                   version=draw(header),
                   words=tuple(pool[i] for i in picks))
+
+
+# Every character quoteattr or escape changes, with both quote kinds,
+# drawn as often as all the others together.
+_SPECIAL = st.sampled_from("\"'&<>\t\n\r")
+_odd_part = st.text(st.one_of(st.sampled_from(BUCKWALTER), _SPECIAL),
+                    max_size=6)
+_odd_ana = st.builds(lambda voc, lemma, pos: f"{voc}/{lemma}/{pos}",
+                     _odd_part, _odd_part, _odd_part)
+_shared = TeiWord('k&"<', 'k"b/k_1/N', (Note("q'\"/x\t_1/N", True),))
+
+
+@example(TeiDoc())
+@example(TeiDoc(source='"', flags="'\"", words=(
+    _shared, TeiWord("k\r", "a/b/N", (Note("x/y\n/P"),)), _shared)))
+@given(tei_docs(word=_word(st.text(st.one_of(st.sampled_from(LETTERS),
+                                             _SPECIAL), max_size=6),
+                           _odd_ana)))
+def test_emit_tei_writes_the_bytes_of_the_quoting_reference(doc):
+    assert emit_tei(doc) == reference_emit_tei(doc)
 
 
 @given(tei_docs(_any_text))

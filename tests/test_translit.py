@@ -159,6 +159,15 @@ def test_presentation_forms_and_joiners_read_inside_a_word():
     assert table.to_buck("\ufefb\ufe8d") == "\ufefbA"
 
 
+def test_an_arabic_block_letter_outside_the_table_is_a_word_letter():
+    # Persian pe (U+067E) joins its neighbours and passes through to_buck.
+    assert "\u067e" in DEFAULT_TABLE.arabic_letters
+    assert DEFAULT_TABLE.runs.fullmatch("\u0628\u067e\u0643")
+    assert arabic_to_buck("\u0628\u067e\u0643") == "b\u067ek"
+    # The block's punctuation and digits are no letters.
+    assert not DEFAULT_TABLE.runs.search("\u060c\u061f\u0663")
+
+
 def test_table_file_errors_name_the_file(tmp_path):
     path = tmp_path / "t.tsv"
     path.write_text("# a table\nU+110000\tx\n", encoding="utf-8")
