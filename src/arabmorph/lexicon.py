@@ -126,7 +126,8 @@ def fold_tag(tag: str) -> str:
 
 
 _LEMMA_RE = re.compile(r"^.+_[1-9][0-9]*$")
-_POS_FIELD_RE = re.compile(r"<pos>(.*?)</pos>\s*$")
+# The annotation is the last ``<pos>...</pos>`` of a gloss column, ending it.
+_POS_FIELD_RE = re.compile(r"(.*)<pos>(.*)</pos>\s*$")
 _ROW_BREAK_RE = re.compile("[\t\r\n]")
 
 
@@ -156,26 +157,28 @@ def _default_pos(voc: str, cat: str) -> str:
 
 
 def _check_row(kind: Kind, surface: str, voc: str, cat: str, gloss: str,
-               pos: str, lemma: str, where: str) -> None:
+               pos: str, lemma: str) -> None:
     """The rules every lexicon row keeps, checked where a row is read and
-    where an import builds one.  A field that a row could not carry back,
-    one holding a tab or line break or a gloss ending in
-    ``<pos>...</pos>``, comes only from an import or an in-memory stream.
-    A voc or lemma may not hold ``/``, which splits a ``voc/lemma/pos``
-    reading.  No field may hold a character that XML 1.0 cannot carry."""
+    where an import builds one; the caller puts the row's place in front
+    of the message.  A field that a row could not carry back, one holding
+    a tab or line break, a gloss ending in ``<pos>...</pos>`` or a pos
+    holding ``<pos>`` or ``</pos>``, comes only from an import or an
+    in-memory stream.  A voc or lemma may not hold ``/``, which splits a
+    ``voc/lemma/pos`` reading.  No field may hold a character that XML 1.0
+    cannot carry."""
     if not cat:
-        raise LexiconError(f"{where}: empty category")
+        raise LexiconError("empty category")
     if kind is Kind.STEM and not surface:
-        raise LexiconError(f"{where}: stem entries require a non-empty surface")
+        raise LexiconError("stem entries require a non-empty surface")
     if strip_diacritics(voc) != surface:
         raise LexiconError(
-            f"{where}: vocalized form {voc!r} does not reduce to surface "
+            f"vocalized form {voc!r} does not reduce to surface "
             f"{surface!r} when diacritics are stripped")
     if lemma and not _LEMMA_RE.match(lemma):
-        raise LexiconError(f"{where}: lemma {lemma!r} is not of the form base_N")
+        raise LexiconError(f"lemma {lemma!r} is not of the form base_N")
     if "/" in voc or "/" in lemma:
         name, value = ("voc", voc) if "/" in voc else ("lemma", lemma)
-        raise LexiconError(f"{where}: {name} {value!r} holds '/', which a "
+        raise LexiconError(f"{name} {value!r} holds '/', which a "
                            "voc/lemma/pos reading cannot carry")
     # One scan of all the fields, since every row at load passes here:
     # tab, CR, LF and every character XML 1.0 cannot carry are unprintable.
@@ -188,13 +191,14 @@ def _check_row(kind: Kind, surface: str, voc: str, cat: str, gloss: str,
                   "gloss": gloss, "pos": pos, "lemma": lemma}
         name = next(n for n, v in fields.items() if ch in v)
         if ch in "\t\r\n":
-            raise LexiconError(f"{where}: {name} {fields[name]!r} would not "
+            raise LexiconError(f"{name} {fields[name]!r} would not "
                                "read back from a row")
-        raise LexiconError(f"{where}: {name} holds U+{ord(ch):04X}, which "
+        raise LexiconError(f"{name} holds U+{ord(ch):04X}, which "
                            "XML 1.0 cannot carry")
-    if "</pos>" in gloss and _POS_FIELD_RE.search(gloss):
-        raise LexiconError(f"{where}: gloss {gloss!r} would not read back "
-                           "from a row")
+    if "</pos>" in gloss and _POS_FIELD_RE.match(gloss):
+        raise LexiconError(f"gloss {gloss!r} would not read back from a row")
+    if "<pos>" in pos or "</pos>" in pos:
+        raise LexiconError(f"pos {pos!r} would not read back from a row")
 
 
 @functools.lru_cache(maxsize=1024)
@@ -205,53 +209,61 @@ def _parse_flag_text(text: str) -> Flag:
     return parse_flagset(text.split("|"))
 
 
+@functools.lru_cache(maxsize=1024)
+def _flag_text(flags: Flag) -> str:
+    """A row's flag column for ``flags``, "" for none: the write side of
+    ``_parse_flag_text``, so ``flag_names`` runs once per distinct mask."""
+    return "|".join(flag_names(flags))
+
+
 def parse_entry_line(line: str, kind: Kind, lineno: int = 0,
                      filename: str = "<lexicon>") -> LexEntry:
     """Parse one TSV lexicon row.
 
     Columns: surface, voc, cat, gloss (optionally with a trailing
-    ``<pos>...</pos>`` annotation), lemma, and a pipe-separated flag list.
-    A literal ``0`` denotes the empty surface/voc of a null affix; trailing
-    columns may be omitted, and an entry without flags belongs to every
-    variety.
+    ``<pos>...</pos>`` annotation, the last one of the column), lemma, and
+    a pipe-separated flag list.  A literal ``0`` denotes the empty
+    surface/voc of a null affix; trailing columns may be omitted, and an
+    entry without flags belongs to every variety.  An error names
+    ``filename:lineno``.
     """
-    where = f"{filename}:{lineno}"
     fields = line.split("\t")
     if not 3 <= len(fields) <= 6:
-        raise LexiconError(f"{where}: expected 3 to 6 tab-separated fields, "
-                           f"got {len(fields)}")
+        raise LexiconError(f"{filename}:{lineno}: expected 3 to 6 "
+                           f"tab-separated fields, got {len(fields)}")
     fields += [""] * (6 - len(fields))
-    surface, voc, cat, glosspos, lemma, flagtext = map(str.strip, fields)
+    surface, voc, cat, gloss, lemma, flagtext = map(str.strip, fields)
     surface = "" if surface == "0" else surface
     voc = "" if voc == "0" else voc
-    m = _POS_FIELD_RE.search(glosspos)
-    if m:
-        pos = m.group(1).strip()
-        gloss = glosspos[:m.start()].strip()
+    if "<pos>" in gloss and (m := _POS_FIELD_RE.match(gloss)):
+        gloss, pos = m.group(1).strip(), m.group(2).strip()
     else:
-        gloss = glosspos
         pos = _default_pos(voc, cat)
-    _check_row(kind, surface, voc, cat, gloss, pos, lemma, where)
     try:
+        _check_row(kind, surface, voc, cat, gloss, pos, lemma)
         flags = _parse_flag_text(flagtext) if flagtext else ALL_FLAGS
     except LexiconError as exc:
-        raise LexiconError(f"{where}: {exc}") from None
-    return LexEntry(kind=kind, surface=surface, voc=voc, cat=cat,
-                    gloss=gloss, pos=pos, lemma=lemma, flags=flags)
+        raise LexiconError(f"{filename}:{lineno}: {exc}") from None
+    return LexEntry(kind, surface, voc, cat, gloss, pos, lemma, flags)
 
 
 def format_entry_line(e: LexEntry) -> str:
-    glosspos = e.gloss
+    """The TSV row that ``parse_entry_line`` reads back as ``e``.  An entry
+    with no flags, whose row would read back with every flag, and an
+    annotation holding ``<pos>`` or ``</pos>`` are refused."""
+    flagtext = _flag_text(e.flags)
+    if not flagtext:
+        raise LexiconError(f"entry {e.surface or '0'}/{e.lemma or '-'} has "
+                           "no flags; its row would read back with every flag")
+    gloss = e.gloss
     if e.pos != _default_pos(e.voc, e.cat):
-        glosspos = f"{e.gloss} <pos>{e.pos}</pos>" if e.gloss else f"<pos>{e.pos}</pos>"
-    return "\t".join([
-        e.surface or "0",
-        e.voc or "0",
-        e.cat,
-        glosspos,
-        e.lemma,
-        "|".join(flag_names(e.flags)),
-    ])
+        if "<pos>" in e.pos or "</pos>" in e.pos:
+            raise LexiconError(f"entry {e.surface or '0'}/{e.lemma or '-'}: "
+                               f"pos {e.pos!r} would not read back from a row")
+        gloss = (f"{gloss} <pos>{e.pos}</pos>" if gloss
+                 else f"<pos>{e.pos}</pos>")
+    return (f"{e.surface or '0'}\t{e.voc or '0'}\t{e.cat}\t{gloss}\t"
+            f"{e.lemma}\t{flagtext}")
 
 
 @dataclass(frozen=True)
@@ -529,7 +541,10 @@ def _candidate(word: str, kind: Kind, cat: str, gloss: str, assign: Flag,
         raise LexiconError(f"{where}: {word!r} reads as the null marker 0")
     lemma = f"{voc}_1" if kind is Kind.STEM else ""
     pos = _default_pos(voc, cat)
-    _check_row(kind, surface, voc, cat, gloss, pos, lemma, where)
+    try:
+        _check_row(kind, surface, voc, cat, gloss, pos, lemma)
+    except LexiconError as exc:
+        raise LexiconError(f"{where}: {exc}") from None
     if not DEFAULT_TABLE.runs.fullmatch(word):
         raise LexiconError(f"{where}: {word!r} is not a word that tokenize "
                            "would read")

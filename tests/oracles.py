@@ -7,7 +7,7 @@ from xml.sax.saxutils import escape, quoteattr
 from arabmorph import __version__
 from arabmorph.analyzer import token_lookup_key
 from arabmorph.disambig import BOS, UNK
-from arabmorph.lexicon import Kind, compatible
+from arabmorph.lexicon import Kind, _default_pos, compatible, flag_names
 from arabmorph.translit import DIACRITICS, TATWEEL
 
 # Bounds on the bundled lexicon's prefix and suffix clusters, within
@@ -144,6 +144,22 @@ def reference_adds(entries):
     kinds = list(Kind)
     order = sorted(rows, key=lambda k: (kinds.index(k[0]), first[k[:2]]))
     return returns, [rows[k] for k in order]
+
+
+def reference_format_entry_line(e):
+    """A lexicon row as a tab join of its six columns, the flag column
+    joined from ``flag_names`` on every row."""
+    glosspos = e.gloss
+    if e.pos != _default_pos(e.voc, e.cat):
+        glosspos = f"{e.gloss} <pos>{e.pos}</pos>" if e.gloss else f"<pos>{e.pos}</pos>"
+    return "\t".join([
+        e.surface or "0",
+        e.voc or "0",
+        e.cat,
+        glosspos,
+        e.lemma,
+        "|".join(flag_names(e.flags)),
+    ])
 
 
 def reference_vocab(model):

@@ -18,6 +18,7 @@ from arabmorph.lexicon import (ALL_FLAGS, LEXICON_FILES, PRIMARY_TAGS,
                                Candidate, CompatTables, Flag,
                                Kind, LexEntry, Lexicon, LexiconError,
                                ReviewBatch, Status, _can_surface,
+                               _flag_text, _parse_flag_text,
                                classical_preset,
                                compatible, flag_names, fold_tag,
                                format_entry_line,
@@ -28,7 +29,7 @@ from arabmorph.lexicon import (ALL_FLAGS, LEXICON_FILES, PRIMARY_TAGS,
                                reject_known, save_review, serialize_lexicon)
 from arabmorph.translit import normalize, strip_diacritics
 
-from oracles import reference_adds
+from oracles import reference_adds, reference_format_entry_line
 
 flag_lists = st.lists(st.sampled_from([f.name for f in Flag]), max_size=9)
 
@@ -167,10 +168,22 @@ def test_entries_are_slotted_and_still_replace_and_merge():
 _FLAG_SETS = st.integers(1, int(ALL_FLAGS)).map(Flag)
 
 
+# Gloss and pos text that holds the annotation's markup.
+_MARKUP = st.lists(st.sampled_from(["a", "b", " ", "(", "-", "/", "<", ">",
+                                    "pos", "<pos>", "</pos>"]),
+                   max_size=6).map(lambda parts: "".join(parts).strip())
+
+
+def _ends_in_annotation(gloss):
+    return gloss.endswith("</pos>") and "<pos>" in gloss[:-len("</pos>")]
+
+
 @st.composite
 def _entries(draw, kind=None):
     """A valid entry: null affixes, explicit and default ``<pos>``
-    annotations, glosses and lemmas or none, any non-empty flag set."""
+    annotations, glosses and lemmas or none, any non-empty flag set.
+    Glosses and explicit annotations may hold ``<``, ``>``, ``<pos>`` and
+    ``</pos>`` wherever a row can carry them back."""
     kind = kind or draw(st.sampled_from(list(Kind)))
     units = draw(st.lists(
         st.tuples(st.sampled_from("ktbAlw>"),
@@ -179,10 +192,13 @@ def _entries(draw, kind=None):
     voc = "".join(letter + vowels for letter, vowels in units)
     cat = draw(st.sampled_from(["N", "PV", "Pref-Al", "Suff-0", "NSuff-ap"]))
     pos = draw(st.none() | st.sampled_from(
-        ["", "Al/DET", "wa/CONJ+Al/DET", "kitAb/N+ap/NSUFF"]))
+        ["", "Al/DET", "wa/CONJ+Al/DET", "kitAb/N+ap/NSUFF"])
+        | _MARKUP.filter(lambda p: "<pos>" not in p and "</pos>" not in p))
+    gloss = draw(st.text("abc ()-", max_size=8).map(str.strip)
+                 | _MARKUP.filter(lambda g: not _ends_in_annotation(g)))
     return LexEntry(
         kind=kind, surface=strip_diacritics(voc), voc=voc, cat=cat,
-        gloss=draw(st.text("abc ()-", max_size=8)).strip(),
+        gloss=gloss,
         pos=f"{voc}/{cat}" if voc and pos is None else pos or "",
         lemma=draw(st.just("") | st.builds("{}_{}".format,
                                            st.sampled_from(["kitAb", "Al"]),
@@ -259,14 +275,73 @@ def test_serialize_load_round_trip_over_generated_entries(stem, entries,
     for entry in [stem] + entries:
         lex.add(entry)
     files = serialize_lexicon(lex)
-    spaces = cycle(pads)
-    reloaded = load_lexicon(
-        *(io.StringIO(_pad(files[name], spaces))
-          for name in ("prefixes.tsv", "stems.tsv", "suffixes.tsv")),
-        tuple(io.StringIO(files[name])
-              for name in ("compat_ab.tsv", "compat_bc.tsv", "compat_ac.tsv")))
+    reloaded = _reloaded(files, pads)
     assert list(reloaded.entries()) == list(lex.entries())
     assert serialize_lexicon(reloaded) == files
+
+
+def _reloaded(files, pads=("",)):
+    """``load_lexicon`` of ``serialize_lexicon``'s files, the entry files'
+    fields padded with ``pads`` in turn."""
+    spaces = cycle(pads)
+    return load_lexicon(
+        *(io.StringIO(_pad(files[name], spaces)) for name in LEXICON_FILES[:3]),
+        tuple(io.StringIO(files[name]) for name in LEXICON_FILES[3:]))
+
+
+@given(_entries())
+def test_the_row_writer_writes_the_reference_bytes(entry):
+    assert format_entry_line(entry) == reference_format_entry_line(entry)
+
+
+def test_every_flag_column_reads_back_as_its_mask():
+    for bits in range(1, int(ALL_FLAGS) + 1):
+        assert _parse_flag_text(_flag_text(Flag(bits))) == Flag(bits)
+
+
+def test_an_entry_without_flags_is_not_written():
+    entry = LexEntry(Kind.STEM, "ktb", "kataba", "PV", "write", "kataba/PV",
+                     "katab_1", Flag(0))
+    message = ("^entry ktb/katab_1 has no flags; its row would read back "
+               "with every flag$")
+    with pytest.raises(LexiconError, match=message):
+        format_entry_line(entry)
+    lex = _mini_lexicon(["ktAb\tkitAb\tN\tbook\tkitAb_1\tCA"])
+    lex.add(entry)
+    with pytest.raises(LexiconError, match=message):
+        serialize_lexicon(lex)
+    with pytest.raises(LexiconError, match=message):
+        save_review(ReviewBatch([Candidate(entry)]), io.StringIO())
+
+
+def test_the_annotation_is_the_last_pos_that_ends_the_gloss_column():
+    entry = LexEntry(Kind.STEM, "ktb", "kataba", "PV", "a <pos>x</pos> b",
+                     "kataba/V", "katab_1", Flag.CA)
+    assert format_entry_line(entry).split("\t")[3] == \
+        "a <pos>x</pos> b <pos>kataba/V</pos>"
+    lex = Lexicon(CompatTables(frozenset(), frozenset(), frozenset()))
+    lex.add(entry)
+    assert list(_reloaded(serialize_lexicon(lex)).entries()) == [entry]
+    batch = ReviewBatch([Candidate(entry, Status.ACCEPTED)])
+    assert _through_review_file(batch).candidates == batch.candidates
+
+
+def test_a_pos_holding_the_annotation_markup_is_refused():
+    for pos in ("a<pos>b", "a</pos>b"):
+        entry = LexEntry(Kind.STEM, "ktb", "kataba", "PV", "g", pos,
+                         "katab_1", Flag.CA)
+        with pytest.raises(LexiconError, match=f"^entry ktb/katab_1: pos "
+                           f"'{pos}' would not read back from a row$"):
+            format_entry_line(entry)
+    with pytest.raises(LexiconError, match="^s.tsv:3: pos 'a</pos>b' would "
+                       "not read back from a row$"):
+        parse_entry_line("ktb\tkataba\tPV\tg <pos>a</pos>b</pos>",
+                         Kind.STEM, 3, "s.tsv")
+    for tag in ("A<pos>", "A</pos>"):
+        with pytest.raises(LexiconError, match=f"^w.tsv:1: pos 'jAmd/{tag}' "
+                           "would not read back from a row$"):
+            import_wordlist(io.StringIO(f"جامد\tcool\t{tag}\n"),
+                            Kind.STEM, Flag.ICA, "w.tsv")
 
 
 def _mini_lexicon(stem_rows, prefix_rows=("0\t0\tPref-0",),
@@ -689,6 +764,18 @@ def test_review_file_round_trip():
         [Status.ACCEPTED, Status.REJECTED]
     assert [c.entry for c in reloaded.candidates] == \
         [c.entry for c in batch.candidates]
+
+
+@given(st.sampled_from(list(Kind)), st.data())
+def test_review_file_round_trip_over_generated_entries(kind, data):
+    rows = data.draw(st.lists(st.tuples(_entries(kind),
+                                        st.sampled_from(list(Status))),
+                              max_size=8))
+    batch = ReviewBatch([Candidate(e, status) for e, status in rows],
+                        source="w.tsv", kind=kind)
+    reloaded = _through_review_file(batch)
+    assert (reloaded.kind, reloaded.source) == (kind, "w.tsv")
+    assert reloaded.candidates == batch.candidates
 
 
 def test_review_file_rejects_bad_status():
