@@ -361,10 +361,7 @@ def load_lm(stream: IO[str] | Iterable[str], filename: str = "<lm>") -> LmModel:
     pos = 0                         # lines read so far
     sections: list[tuple[int, int, str]] = []   # header line, size, name
     shared: dict[Tuple, Tuple] = {}
-
-    def pair(lemma: str, tag: str) -> Tuple:
-        t = (lemma, tag)
-        return shared.setdefault(t, t)
+    one = shared.setdefault         # one(t, t): the shared tuple equal to t
 
     def take(expect: str, n_fields: int) -> list[str]:
         """The fields of the next line, a header labelled ``expect`` with
@@ -382,32 +379,48 @@ def load_lm(stream: IO[str] | Iterable[str], filename: str = "<lm>") -> LmModel:
                           f"with {n_fields} fields, got {line!r}")
         return fields
 
-    def records(n: int, n_fields: int, what: str):
-        """The next ``n`` lines of ``n_fields`` fields; each is yielded
-        with its last field, a count, parsed to an int."""
+    def fill(n: int, n_fields: int, what: str) -> dict:
+        """The next ``n`` lines, each of ``n_fields`` fields: one, two or
+        three (lemma, tag) pairs, then a count.  Each line's pairs, a
+        single pair for a unigram or freq line, key its count."""
         nonlocal pos
         sections.append((pos, n, what))
-        label = f"{what} count"
+        table = {}
         end = pos + n
         # range first: zip stops on it without reading a line too many.
         for _, line in zip(range(n), lines):
             pos += 1
-            fields = line.rstrip("\n").split("\t")
-            if len(fields) != n_fields:
+            f = line.rstrip("\n").split("\t")
+            if len(f) != n_fields:
                 raise LmError(f"{filename}:{pos}: expected {n_fields} "
                               f"fields in {what} record")
-            fields[-1] = _count(fields[-1], filename, pos, label)
-            yield fields
+            count = f[-1]
+            if not (count.isascii() and count.isdigit()):   # as _count tests
+                _count(count, filename, pos, f"{what} count")   # raises
+            a = (f[0], f[1])
+            a = one(a, a)
+            if n_fields == 3:
+                key = a
+            else:
+                b = (f[2], f[3])
+                b = one(b, b)
+                if n_fields == 5:
+                    key = (a, b)
+                else:
+                    c = (f[4], f[5])
+                    key = (a, b, one(c, c))
+            table[key] = int(count)
         if pos < end:
             raise LmError(f"{filename}: truncated {what} section "
                           f"at line {pos + 1}")
+        return table
 
-    def section(order: int, n_fields: int, what: str):
+    def section(order: int, n_fields: int, what: str) -> dict:
         header = take("ngrams", 3)
         if header[1] != str(order):
             raise LmError(f"{filename}:{pos}: expected {what} section")
         n = _count(header[2], filename, pos, f"{what} section size")
-        return records(n, n_fields, what)
+        return fill(n, n_fields, what)
 
     magic = take(_LM_MAGIC, 2)
     if magic[1] != _LM_VERSION:
@@ -424,13 +437,11 @@ def load_lm(stream: IO[str] | Iterable[str], filename: str = "<lm>") -> LmModel:
     vocab_size = _count(take("vocab", 2)[1], filename, pos, "vocab size")
     total = _count(take("total", 2)[1], filename, pos, "total")
 
-    unigram = {pair(f[0], f[1]): f[2] for f in section(1, 3, "unigram")}
-    bigram = {(pair(f[0], f[1]), pair(f[2], f[3])): f[4]
-              for f in section(2, 5, "bigram")}
-    trigram = {(pair(f[0], f[1]), pair(f[2], f[3]), pair(f[4], f[5])):
-               f[6] for f in section(3, 7, "trigram")}
+    unigram = section(1, 3, "unigram")
+    bigram = section(2, 5, "bigram")
+    trigram = section(3, 7, "trigram")
     n_freq = _count(take("freq", 2)[1], filename, pos, "freq section size")
-    freq = {pair(f[0], f[1]): f[2] for f in records(n_freq, 3, "freq")}
+    freq = fill(n_freq, 3, "freq")
     if any(line.strip() for line in lines):
         raise LmError(f"{filename}:{pos + 1}: trailing content")
     # A repeated key leaves its table smaller than its section.

@@ -131,7 +131,7 @@ _POS_FIELD_RE = re.compile(r"(.*)<pos>(.*)</pos>\s*$")
 _ROW_BREAK_RE = re.compile("[\t\r\n]")
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class LexEntry:
     kind: Kind
     surface: str          # unvocalized Buckwalter key; "" for null affixes
@@ -142,6 +142,23 @@ class LexEntry:
     lemma: str            # "base_N" identifier; "" for most affixes
     flags: Flag
 
+    def __init__(self, kind: Kind, surface: str, voc: str, cat: str,
+                 gloss: str, pos: str, lemma: str, flags: Flag):
+        # Each field goes through its slot's setter: the __init__ that a
+        # frozen dataclass writes calls object.__setattr__ per field, which
+        # makes an entry cost about 1.7 times as much to build, on every
+        # row a lexicon loads.
+        (set_kind, set_surface, set_voc, set_cat, set_gloss, set_pos,
+         set_lemma, set_flags) = _ENTRY_SETTERS
+        set_kind(self, kind)
+        set_surface(self, surface)
+        set_voc(self, voc)
+        set_cat(self, cat)
+        set_gloss(self, gloss)
+        set_pos(self, pos)
+        set_lemma(self, lemma)
+        set_flags(self, flags)
+
     def tag_units(self) -> list[str]:
         """Tag components of the POS annotation: "wa/CONJ+Al/DET" -> [CONJ, DET]."""
         return [unit.rsplit("/", 1)[-1] for unit in self.pos.split("+") if unit]
@@ -150,6 +167,11 @@ class LexEntry:
         """Primary tag: first annotation unit folded to the closed set."""
         units = self.tag_units()
         return fold_tag(units[0]) if units else ""
+
+
+# The setters of LexEntry's slots, in field order.
+_ENTRY_SETTERS = tuple(LexEntry.__dict__[name].__set__
+                       for name in LexEntry.__slots__)
 
 
 def _default_pos(voc: str, cat: str) -> str:
@@ -235,8 +257,12 @@ def parse_entry_line(line: str, kind: Kind, lineno: int = 0,
     surface, voc, cat, gloss, lemma, flagtext = map(str.strip, fields)
     surface = "" if surface == "0" else surface
     voc = "" if voc == "0" else voc
-    if "<pos>" in gloss and (m := _POS_FIELD_RE.match(gloss)):
-        gloss, pos = m.group(1).strip(), m.group(2).strip()
+    # _POS_FIELD_RE's match on a stripped column, by string operations: the
+    # column ends in ``</pos>``, holds no line feed (the pattern's "." stops
+    # at one) and holds ``<pos>``, split at the last one.
+    if (gloss.endswith("</pos>") and "\n" not in gloss
+            and (i := gloss.rfind("<pos>")) >= 0):
+        gloss, pos = gloss[:i].strip(), gloss[i + 5:-6].strip()
     else:
         pos = _default_pos(voc, cat)
     try:
@@ -315,9 +341,12 @@ class LexView:
 
     ``tables`` maps each kind to its entries whose flags intersect the
     active set, keyed by surface, alif-folded under folding; table, then
-    load order.  ``pairs`` maps a prefix surface to a suffix surface to
-    the prefix entries ``a`` of that surface, in load order, each with the
-    suffix entries ``c`` of that surface, in load order, that ``compat.ac``
+    load order.  A surface whose rows all intersect the active set, and
+    onto which no other surface folds, keeps the lexicon's own bucket,
+    which ``add`` replaces rather than changes, so a view adds no list for
+    it.  ``pairs`` maps a prefix surface to a suffix surface to the prefix
+    entries ``a`` of that surface, in load order, each with the suffix
+    entries ``c`` of that surface, in load order, that ``compat.ac``
     licenses for ``a``; a pair without such an (a, c) is absent.
     ``prefix_lens`` and ``suffix_lens`` are the sorted lengths of its
     keys, so the lexicon's own affixes bound the splits tried.
@@ -337,8 +366,15 @@ class LexView:
                 if fold_alif:
                     key = normalize(key, fold_alif=True)
                 for e in bucket:
-                    if int(e.flags) & mask:
-                        index.setdefault(key, []).append(e)
+                    if not int(e.flags) & mask:
+                        rows = [e for e in bucket if int(e.flags) & mask]
+                        break
+                else:               # every row is visible
+                    rows = bucket
+                if rows:
+                    held = index.setdefault(key, rows)
+                    if held is not rows:    # a second surface folds here
+                        index[key] = held + rows
         prefixes, self.stems, suffixes = self.tables.values()
         # The licensed suffixes depend on the prefix's category alone, and
         # there are far fewer categories than prefix entries.
@@ -401,7 +437,10 @@ class Lexicon:
         """
         self._view_key = self._view = self._known = None
         table = self.tables[entry.kind]
-        bucket = table.get(entry.surface, ())
+        bucket = table.get(entry.surface)
+        if bucket is None:
+            table[entry.surface] = [entry]
+            return True
         for i, row in enumerate(bucket):
             if (row.voc == entry.voc and row.cat == entry.cat
                     and row.lemma == entry.lemma):
@@ -461,13 +500,15 @@ def load_lexicon(prefix_stream, stem_stream, suffix_stream,
     compatibility streams, reading each to its end before the next."""
     names = filenames or [n.removesuffix(".tsv") for n in LEXICON_FILES]
     lex = Lexicon(CompatTables(*map(_parse_pairs, compat_streams, names[3:])))
+    used = set()
     for stream, kind, name in zip((prefix_stream, stem_stream, suffix_stream),
                                   Kind, names):
         for lineno, line in data_lines(stream):
-            lex.add(parse_entry_line(line, kind, lineno, name))
+            entry = parse_entry_line(line, kind, lineno, name)
+            used.add(entry.cat)
+            lex.add(entry)
     if not lex.stems:
         raise LexiconError(f"{names[1]}: stem file contains no entries")
-    used = {e.cat for e in lex.entries()}
     for cat in sorted(lex.compat.categories() - used):
         log.warning("compatibility tables name category %r, which no loaded "
                     "entry carries", cat)

@@ -32,8 +32,8 @@ def decoding(name: str) -> Iterator[None]:
 @contextmanager
 def open_utf8(path) -> Iterator[IO[str]]:
     """``path`` opened for reading as UTF-8 text, with ``decoding(path)``
-    around the block."""
-    with open(path, encoding="utf-8") as f, decoding(str(path)):
+    around the block.  A leading byte-order mark is not read as text."""
+    with open(path, encoding="utf-8-sig") as f, decoding(str(path)):
         yield f
 
 

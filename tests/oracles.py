@@ -2,12 +2,16 @@
 
 import unicodedata
 from dataclasses import replace
+from typing import IO, Iterable
 from xml.sax.saxutils import escape, quoteattr
 
 from arabmorph import __version__
 from arabmorph.analyzer import token_lookup_key
-from arabmorph.disambig import BOS, UNK
-from arabmorph.lexicon import Kind, _default_pos, compatible, flag_names
+from arabmorph.disambig import (_LM_MAGIC, _LM_VERSION, BOS, UNK, LmError,
+                                LmModel, Tuple, _count)
+from arabmorph.lexicon import (_POS_FIELD_RE, ALL_FLAGS, Kind, LexEntry,
+                               LexiconError, _check_row, _default_pos,
+                               _parse_flag_text, compatible, flag_names)
 from arabmorph.translit import DIACRITICS, TATWEEL
 
 # Bounds on the bundled lexicon's prefix and suffix clusters, within
@@ -160,6 +164,141 @@ def reference_format_entry_line(e):
         e.lemma,
         "|".join(flag_names(e.flags)),
     ])
+
+
+# The row reader with the annotation regex on every gloss column holding
+# ``<pos>``, kept as the reference that ``parse_entry_line``'s string split
+# is checked against, messages included.
+def reference_parse_entry_line(line: str, kind: Kind, lineno: int = 0,
+                     filename: str = "<lexicon>") -> LexEntry:
+    """Parse one TSV lexicon row.
+
+    Columns: surface, voc, cat, gloss (optionally with a trailing
+    ``<pos>...</pos>`` annotation, the last one of the column), lemma, and
+    a pipe-separated flag list.  A literal ``0`` denotes the empty
+    surface/voc of a null affix; trailing columns may be omitted, and an
+    entry without flags belongs to every variety.  An error names
+    ``filename:lineno``.
+    """
+    fields = line.split("\t")
+    if not 3 <= len(fields) <= 6:
+        raise LexiconError(f"{filename}:{lineno}: expected 3 to 6 "
+                           f"tab-separated fields, got {len(fields)}")
+    fields += [""] * (6 - len(fields))
+    surface, voc, cat, gloss, lemma, flagtext = map(str.strip, fields)
+    surface = "" if surface == "0" else surface
+    voc = "" if voc == "0" else voc
+    if "<pos>" in gloss and (m := _POS_FIELD_RE.match(gloss)):
+        gloss, pos = m.group(1).strip(), m.group(2).strip()
+    else:
+        pos = _default_pos(voc, cat)
+    try:
+        _check_row(kind, surface, voc, cat, gloss, pos, lemma)
+        flags = _parse_flag_text(flagtext) if flagtext else ALL_FLAGS
+    except LexiconError as exc:
+        raise LexiconError(f"{filename}:{lineno}: {exc}") from None
+    return LexEntry(kind, surface, voc, cat, gloss, pos, lemma, flags)
+
+
+# The model reader with a record generator and a ``pair`` call per
+# (lemma, tag), kept as the reference that ``load_lm``'s one loop per
+# section is checked against, messages and positions included.
+def reference_load_lm(stream: IO[str] | Iterable[str], filename: str = "<lm>") -> LmModel:
+    """Parse ``serialize_lm``'s form, reading the stream line by line.
+    Every n-gram, freq and vocab key is built from one shared tuple per
+    distinct (lemma, tag)."""
+    lines = iter(stream)
+    pos = 0                         # lines read so far
+    sections: list[tuple[int, int, str]] = []   # header line, size, name
+    shared: dict[Tuple, Tuple] = {}
+
+    def pair(lemma: str, tag: str) -> Tuple:
+        t = (lemma, tag)
+        return shared.setdefault(t, t)
+
+    def take(expect: str, n_fields: int) -> list[str]:
+        """The fields of the next line, a header labelled ``expect`` with
+        ``n_fields`` fields."""
+        nonlocal pos
+        line = next(lines, None)
+        if line is None:
+            raise LmError(f"{filename}: truncated at line {pos + 1}, "
+                          f"expected {expect}")
+        pos += 1
+        line = line.rstrip("\n")
+        fields = line.split("\t")
+        if fields[0] != expect or len(fields) != n_fields:
+            raise LmError(f"{filename}:{pos}: expected {expect} "
+                          f"with {n_fields} fields, got {line!r}")
+        return fields
+
+    def records(n: int, n_fields: int, what: str):
+        """The next ``n`` lines of ``n_fields`` fields; each is yielded
+        with its last field, a count, parsed to an int."""
+        nonlocal pos
+        sections.append((pos, n, what))
+        label = f"{what} count"
+        end = pos + n
+        # range first: zip stops on it without reading a line too many.
+        for _, line in zip(range(n), lines):
+            pos += 1
+            fields = line.rstrip("\n").split("\t")
+            if len(fields) != n_fields:
+                raise LmError(f"{filename}:{pos}: expected {n_fields} "
+                              f"fields in {what} record")
+            fields[-1] = _count(fields[-1], filename, pos, label)
+            yield fields
+        if pos < end:
+            raise LmError(f"{filename}: truncated {what} section "
+                          f"at line {pos + 1}")
+
+    def section(order: int, n_fields: int, what: str):
+        header = take("ngrams", 3)
+        if header[1] != str(order):
+            raise LmError(f"{filename}:{pos}: expected {what} section")
+        n = _count(header[2], filename, pos, f"{what} section size")
+        return records(n, n_fields, what)
+
+    magic = take(_LM_MAGIC, 2)
+    if magic[1] != _LM_VERSION:
+        raise LmError(f"{filename}:{pos}: unsupported model version "
+                      f"{magic[1]!r}")
+    text = take("lambda", 2)[1]
+    try:
+        lam = float(text)
+    except ValueError:
+        lam = -1.0
+    if not 0.0 <= lam <= 1.0:
+        raise LmError(f"{filename}:{pos}: bad lambda value {text!r}, "
+                      "expected a number in [0, 1]")
+    vocab_size = _count(take("vocab", 2)[1], filename, pos, "vocab size")
+    total = _count(take("total", 2)[1], filename, pos, "total")
+
+    unigram = {pair(f[0], f[1]): f[2] for f in section(1, 3, "unigram")}
+    bigram = {(pair(f[0], f[1]), pair(f[2], f[3])): f[4]
+              for f in section(2, 5, "bigram")}
+    trigram = {(pair(f[0], f[1]), pair(f[2], f[3]), pair(f[4], f[5])):
+               f[6] for f in section(3, 7, "trigram")}
+    n_freq = _count(take("freq", 2)[1], filename, pos, "freq section size")
+    freq = {pair(f[0], f[1]): f[2] for f in records(n_freq, 3, "freq")}
+    if any(line.strip() for line in lines):
+        raise LmError(f"{filename}:{pos + 1}: trailing content")
+    # A repeated key leaves its table smaller than its section.
+    tables = (unigram, bigram, trigram, freq)
+    for (lineno, n, what), table in zip(sections, tables):
+        if len(table) != n:
+            raise LmError(f"{filename}:{lineno}: {what} section repeats a "
+                          f"key: {n} records, {len(table)} distinct")
+
+    model = LmModel(trigram=trigram, bigram=bigram, unigram=unigram,
+                    freq=freq, lam=lam)
+    if len(model.vocab) != vocab_size:
+        raise LmError(f"{filename}: vocab size mismatch: header says "
+                      f"{vocab_size}, counted {len(model.vocab)}")
+    if model.total != total:
+        raise LmError(f"{filename}: total mismatch: header says {total}, "
+                      f"counted {model.total}")
+    return model
 
 
 def reference_vocab(model):

@@ -6,7 +6,7 @@ from collections import Counter
 from dataclasses import replace
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from arabmorph.analyzer import analyze_text, token_lookup_key, tokenize
 from arabmorph.disambig import (BOS, FilterRule, LmError, RuleError, apply_rules,
@@ -15,8 +15,8 @@ from arabmorph.disambig import (BOS, FilterRule, LmError, RuleError, apply_rules
 from arabmorph.lexicon import ALL_FLAGS, parse_flagset
 from arabmorph.translit import DEFAULT_TABLE, BuckTable
 
-from oracles import (reference_apply_rules, reference_rank,
-                     reference_vocab, resummed_score)
+from oracles import (reference_apply_rules, reference_load_lm,
+                     reference_rank, reference_vocab, resummed_score)
 
 MSA = parse_flagset(["MSA"])
 
@@ -603,6 +603,66 @@ def test_load_lm_with_one_line_replaced_parses_or_raises_lm_error(index,
         load_lm(io.StringIO("".join(lines)))
     except LmError:
         pass
+
+
+def _loaded(load, text):
+    """The model ``load`` reads from ``text`` line by line, or its error."""
+    try:
+        return load(_one_shot(text), "m.lm")
+    except LmError as exc:
+        return f"LmError: {exc}"
+
+
+@st.composite
+def _damaged_lm_texts(draw):
+    """A trained model's text with one line kept, dropped, duplicated,
+    truncated or replaced, or with content after its end."""
+    model = train_lm(
+        draw(st.lists(st.lists(_TUPLES, min_size=1, max_size=5), min_size=1,
+                      max_size=4)),
+        draw(st.dictionaries(_TUPLES, st.integers(0, 99), max_size=4)),
+        draw(st.sampled_from([0.0, 0.25, 1.0])))
+    lines = serialize_lm(model).splitlines(keepends=True)
+    i = draw(st.integers(0, len(lines) - 1))
+    line = lines[i]
+    head = line.rstrip("\n").rpartition("\t")[0]
+    how = draw(st.sampled_from(["keep", "drop", "duplicate", "truncate",
+                                "count", "fields", "repeat", "order",
+                                "trailing", "text"]))
+    if how == "drop":
+        del lines[i]
+    elif how == "duplicate":
+        lines.insert(i, line)
+    elif how == "truncate":
+        lines[i] = line[:draw(st.integers(0, len(line) - 1))]
+    elif how == "count":
+        lines[i] = head + "\t" + draw(st.sampled_from(
+            ["-1", "\u0663", "5 ", "", "x", "07"])) + "\n"
+    elif how == "fields":
+        lines[i] = draw(st.sampled_from([head + "\n",
+                                         line.rstrip("\n") + "\t1\n"]))
+    elif how == "repeat":
+        # The key of a neighbour, with another count.
+        other = lines[i - 1] if i else lines[1]
+        lines[i] = other.rstrip("\n").rpartition("\t")[0] + "\t9\n"
+    elif how == "order":
+        if line.startswith("ngrams\t"):
+            order = draw(st.sampled_from("1234"))
+            lines[i] = f"ngrams\t{order}\t" + line.rpartition("\t")[2]
+        elif i + 1 < len(lines):
+            lines[i], lines[i + 1] = lines[i + 1], line
+    elif how == "trailing":
+        lines.append(draw(st.sampled_from(["junk\n", "\n", " \n", "0"])))
+    elif how == "text":
+        lines[i] = draw(st.text(max_size=12)) + "\n"
+    return "".join(lines)
+
+
+@settings(max_examples=300)
+@given(_damaged_lm_texts())
+def test_load_lm_reads_or_refuses_as_the_reference_loader(text):
+    """The same model, or the same message at the same position."""
+    assert _loaded(load_lm, text) == _loaded(reference_load_lm, text)
 
 
 def test_load_freq_table_accumulates_and_validates():

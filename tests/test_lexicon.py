@@ -1,14 +1,15 @@
+import inspect
 import io
 import logging
 import re
 from collections import Counter
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, fields, replace
 from itertools import cycle, product
 from pathlib import Path
 from xml.sax.saxutils import escape
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 DATA = Path(__file__).parent / "data"
 
@@ -29,7 +30,8 @@ from arabmorph.lexicon import (ALL_FLAGS, LEXICON_FILES, PRIMARY_TAGS,
                                reject_known, save_review, serialize_lexicon)
 from arabmorph.translit import normalize, strip_diacritics
 
-from oracles import reference_adds, reference_format_entry_line
+from oracles import (reference_adds, reference_format_entry_line,
+                     reference_parse_entry_line)
 
 flag_lists = st.lists(st.sampled_from([f.name for f in Flag]), max_size=9)
 
@@ -155,9 +157,65 @@ def test_parse_entry_line_parses_or_raises_lexicon_error(kind, line):
     assert entry.kind is kind and entry.cat and entry.flags
 
 
+# Text in a gloss column: the annotation's markup, line breaks and a tab,
+# which splits the column, padding that ``str.strip`` removes, and U+2028
+# and U+0085, which a regex "." matches.
+_GLOSS_TEXT = st.lists(st.sampled_from([
+    "a", " ", "<", "x/N", "<pos>", "<pos>", "</pos>", "\r", "\n", "\t",
+    "\u00a0", "\u2028", "\x85"]), max_size=3).map("".join)
+# A gloss column, mostly shaped as text, then ``<pos>``, text and
+# ``</pos>``.
+_GLOSS_COLUMNS = st.builds("{}{}{}{}".format, _GLOSS_TEXT,
+                           st.sampled_from(["<pos>", "<pos>", ""]),
+                           _GLOSS_TEXT,
+                           st.sampled_from(["</pos>", "</pos>", ""]))
+# Seven columns, one more than a row has, each mostly a value that a row
+# keeps; surface and voc are drawn as a pair.
+_SURFACE_VOC = st.sampled_from([["ktAb", "kitAb"]] * 5
+                               + [["0", "0"], ["ktb", "kitAb"],
+                                  ["k\nt", "k\nt"]])
+_LATER_COLUMNS = (st.sampled_from(["N"] * 5 + ["", "N\r"]),
+                  _GLOSS_COLUMNS,
+                  st.sampled_from(["kitAb_1"] * 3 + ["", "x"]),
+                  st.sampled_from(["CA"] * 3 + ["", "XRAM_NE|msa", "bogus"]),
+                  st.sampled_from(["", "more"]))
+_PADS = st.sampled_from(["", "", "", " ", "\u00a0", "\r"])
+
+
+@st.composite
+def _row_texts(draw):
+    """The first 1 to 7 columns, mostly 5 or 6, each padded or not."""
+    columns = draw(_SURFACE_VOC) + [draw(c) for c in _LATER_COLUMNS]
+    n = draw(st.sampled_from([1, 2, 3, 4, 5, 5, 5, 6, 6, 6, 7]))
+    return "\t".join(draw(_PADS) + column + draw(_PADS)
+                     for column in columns[:n])
+
+
+def _parsed(parse, line, kind):
+    """The entry ``parse`` reads from ``line``, or its error."""
+    try:
+        return parse(line, kind, 7, "s.tsv")
+    except LexiconError as exc:
+        return f"LexiconError: {exc}"
+
+
+@settings(max_examples=500)
+@given(st.sampled_from(list(Kind)), _row_texts())
+def test_parse_entry_line_reads_or_refuses_as_the_reference_reader(kind,
+                                                                   line):
+    assert _parsed(parse_entry_line, line, kind) == \
+        _parsed(reference_parse_entry_line, line, kind)
+
+
 def test_entries_are_slotted_and_still_replace_and_merge():
     entry = parse_entry_line("ktAb\tkitAb\tN\tbook\tkitAb_1\tCA", Kind.STEM)
     assert not hasattr(entry, "__dict__")
+    with pytest.raises(FrozenInstanceError):
+        entry.voc = "kutub"
+    assert list(inspect.signature(LexEntry).parameters) == [
+        f.name for f in fields(LexEntry)]
+    assert LexEntry(**{f.name: getattr(entry, f.name)
+                       for f in fields(LexEntry)}) == entry
     msa = replace(entry, flags=Flag.MSA)
     assert (msa.flags, msa.voc, entry.flags) == (Flag.MSA, "kitAb", Flag.CA)
     lex = _mini_lexicon(["ktAb\tkitAb\tN\tbook\tkitAb_1\tCA"])
@@ -408,6 +466,22 @@ def test_lookup_fold_alif(lexicon):
     assert plain
     assert lexicon.lookup("ArD", Kind.STEM, ALL_FLAGS) == []
     assert lexicon.lookup("ArD", Kind.STEM, ALL_FLAGS, fold_alif=True) == plain
+
+
+def test_a_view_leaves_the_lexicon_rows_as_they_were():
+    """A view may hold a lexicon bucket itself; folding two surfaces onto
+    one key, or hiding a row, gives the view a list of its own."""
+    lex = _mini_lexicon(["ArD\tAaroD\tN\tland\tAaroD_1\tCA",
+                         ">rD\t>aroD\tN\tland\t>aroD_1\tMSA",
+                         ">rD\t>aruD\tN\tland\t>aruD_1\tCA"])
+    rows = {s: list(bucket) for s, bucket in lex.stems.items()}
+    for active in (ALL_FLAGS, Flag.CA, Flag.MSA):
+        for fold_alif in (False, True):
+            stems = lex.view(active, fold_alif).stems
+            assert [e.voc for bucket in stems.values() for e in bucket] == [
+                e.voc for e in lex.entries()
+                if e.kind is Kind.STEM and e.flags & active]
+    assert lex.stems == rows
 
 
 @given(st.data())
