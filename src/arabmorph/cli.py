@@ -14,7 +14,6 @@ import argparse
 import io
 import os
 import sys
-import tempfile
 from importlib import resources
 from pathlib import Path
 
@@ -32,7 +31,8 @@ from .lexicon import (ALL_FLAGS, Flag, Kind, LexiconError, classical_preset,
 from .pipeline import Pipeline, PipelineConfig
 from .teixml import (UNKNOWN_ANA, TeiError, apply_corrections, doc_from_ranked,
                      emit_tei, parse_tei)
-from .textio import EncodingError, decoding, open_utf8, read_with
+from .textio import (EncodingError, atomic_write, decoding, open_utf8,
+                     read_with)
 from .translit import TranslitError
 
 ENV_LEXICON = "ARABMORPH_LEXICON"
@@ -64,21 +64,6 @@ def _parse_cli_flags(value: str) -> Flag:
     for token in filter(None, map(str.strip, value.split(","))):
         mask |= _FLAG_PRESETS.get(token.upper()) or parse_flagset([token])
     return mask
-
-
-def _atomic_write(path: Path, text: str) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".",
-                               suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as f:
-            f.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
 
 
 def _read_text(path: str) -> str:
@@ -158,7 +143,7 @@ def cmd_train_lm(args) -> int:
     freq = read_with(load_freq_table, args.freq) if args.freq else None
     tuples = [[tok.lemma_pos for tok in sent] for sent in sentences]
     model = train_lm(tuples, freq, args.lam)
-    _atomic_write(Path(args.output), serialize_lm(model))
+    atomic_write(args.output, serialize_lm(model))
     print(f"trained on {sum(len(s) for s in tuples)} tokens in "
           f"{len(tuples)} sentences -> {args.output}", file=sys.stderr)
     return 0
@@ -171,7 +156,7 @@ def cmd_eval(args) -> int:
     report = evaluate(readings_from_doc(doc), gold, lex)
     _write_stdout(report_table(report))
     if args.tsv:
-        _atomic_write(Path(args.tsv), report_tsv(report))
+        atomic_write(args.tsv, report_tsv(report))
     return 0
 
 
@@ -197,7 +182,7 @@ def cmd_import(args) -> int:
         reject_known(batch, load_lexicon_dir(lexdir))
     buf = io.StringIO()
     save_review(batch, buf)
-    _atomic_write(Path(args.output), buf.getvalue())
+    atomic_write(args.output, buf.getvalue())
     print(f"{len(batch.candidates)} candidates ({batch.skipped} skipped) "
           f"-> {args.output}", file=sys.stderr)
     return 0
@@ -210,7 +195,7 @@ def cmd_merge(args) -> int:
     merged = merge_reviewed(lex, batch)
     outdir = Path(args.output) if args.output else lexdir
     for name, text in serialize_lexicon(merged).items():
-        _atomic_write(outdir / name, text)
+        atomic_write(outdir / name, text)
     print(f"lexicon now has {len(merged)} entries -> {outdir}",
           file=sys.stderr)
     return 0

@@ -15,9 +15,12 @@ import logging
 import re
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass, field, replace
+from itertools import chain, islice, repeat
+from operator import attrgetter
 from pathlib import Path
 from typing import IO, Iterable, Iterator
 
+from .snapshot import load_cached, snapshot_path
 from .textio import NOT_XML_CHAR, data_lines, utf8_lines
 from .translit import (DEFAULT_TABLE, arabic_to_buck, normalize,
                        strip_diacritics)
@@ -509,16 +512,67 @@ def load_lexicon(prefix_stream, stem_stream, suffix_stream,
             lex.add(entry)
     if not lex.stems:
         raise LexiconError(f"{names[1]}: stem file contains no entries")
-    for cat in sorted(lex.compat.categories() - used):
-        log.warning("compatibility tables name category %r, which no loaded "
-                    "entry carries", cat)
+    _warn_unused(lex.compat, used)
     return lex
 
 
+def _warn_unused(compat: CompatTables, used: set[str]) -> None:
+    for cat in sorted(compat.categories() - used):
+        log.warning("compatibility tables name category %r, which no loaded "
+                    "entry carries", cat)
+
+
 def load_lexicon_dir(path) -> Lexicon:
+    """``load_lexicon`` of the six files in ``path``, restored from their
+    snapshot (``snapshot.load_cached``) where it stands for them."""
     names = tuple(str(Path(path) / n) for n in LEXICON_FILES)
-    lines = [utf8_lines(name) for name in names]
-    return load_lexicon(*lines[:3], tuple(lines[3:]), filenames=names)
+
+    def parse() -> Lexicon:
+        lines = [utf8_lines(name) for name in names]
+        return load_lexicon(*lines[:3], tuple(lines[3:]), filenames=names)
+
+    return load_cached(names, snapshot_path(path, "lexicon"), parse,
+                       _dump_store, _restore_store)
+
+
+# The LexEntry fields that a snapshot stores as columns of str.
+_STR_COLUMNS = ("voc", "cat", "gloss", "pos", "lemma")
+
+
+def _dump_store(lex: Lexicon) -> tuple:
+    """The lexicon as marshal data: its compat pair sets, then per kind
+    the bucket keys, the bucket sizes, one column per field of
+    ``_STR_COLUMNS`` in load order and the flags as ints."""
+    kinds = []
+    for table in lex.tables.values():
+        rows = [e for bucket in table.values() for e in bucket]
+        kinds.append((list(table), [len(bucket) for bucket in table.values()],
+                      *(list(map(attrgetter(name), rows))
+                        for name in _STR_COLUMNS),
+                      [int(e.flags) for e in rows]))
+    return lex.compat.ab, lex.compat.bc, lex.compat.ac, kinds
+
+
+def _restore_store(payload: tuple) -> Lexicon:
+    """The lexicon that ``_dump_store`` gave ``payload`` for, its buckets
+    built in stored order, with the text load's warnings."""
+    ab, bc, ac, kinds = payload
+    lex = Lexicon(CompatTables(ab, bc, ac))
+    flag_of: dict[int, Flag] = {}
+    used: set[str] = set()
+    for kind, table, (keys, sizes, vocs, cats, glosses, poses, lemmas,
+                      masks) in zip(Kind, lex.tables.values(), kinds):
+        for mask in set(masks).difference(flag_of):
+            flag_of[mask] = Flag(mask)
+        rows = map(LexEntry, repeat(kind),
+                   chain.from_iterable(map(repeat, keys, sizes)),
+                   vocs, cats, glosses, poses, lemmas,
+                   map(flag_of.__getitem__, masks))
+        for key, size in zip(keys, sizes):
+            table[key] = list(islice(rows, size))
+        used.update(cats)
+    _warn_unused(lex.compat, used)
+    return lex
 
 
 def serialize_lexicon(lex: Lexicon) -> dict[str, str]:

@@ -12,6 +12,7 @@ from .disambig import (FilterRule, LmError, LmModel, apply_rules,
                        check_lambda, empty_lm, load_freq_table, load_lm,
                        parse_rules, rank)
 from .lexicon import Flag, Lexicon, LexiconError, load_lexicon_dir
+from .snapshot import load_cached, snapshot_path
 from .textio import read_with
 from .translit import BuckTable, DEFAULT_TABLE
 
@@ -52,7 +53,13 @@ class PipelineConfig:
         freq = (read_with(load_freq_table, self.freq_path)
                 if self.freq_path else None)
         if self.lm_path:
-            model = read_with(load_lm, self.lm_path)
+            lm_path = Path(self.lm_path)
+            # load_lm is read from this module's globals at the call.
+            model = load_cached(
+                (lm_path,), snapshot_path(lm_path.parent, lm_path.name),
+                lambda: read_with(load_lm, self.lm_path),
+                lambda m: (m.trigram, m.bigram, m.unigram, m.freq, m.lam),
+                lambda payload: LmModel(*payload))
             if self.lam is not None:
                 model = replace(model, lam=self.lam)
         else:

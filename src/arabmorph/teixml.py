@@ -33,17 +33,37 @@ class TeiError(ValueError):
     """Malformed or invalid annotated XML."""
 
 
-@dataclass(frozen=True, slots=True)
+# Note and TeiWord set their slots through the slots' setters, as
+# lexicon.LexEntry does: a frozen dataclass's own __init__ calls
+# object.__setattr__ per field, which costs about twice as much.
+
+@dataclass(frozen=True, slots=True, init=False)
 class Note:
     ana: str
     corrected: bool = False
 
+    def __init__(self, ana: str, corrected: bool = False):
+        set_ana, set_corrected = _NOTE_SETTERS
+        set_ana(self, ana)
+        set_corrected(self, corrected)
 
-@dataclass(frozen=True, slots=True)
+
+@dataclass(frozen=True, slots=True, init=False)
 class TeiWord:
     surface: str
     ana: str
     notes: tuple[Note, ...] = ()
+
+    def __init__(self, surface: str, ana: str, notes: tuple[Note, ...] = ()):
+        set_surface, set_ana, set_notes = _WORD_SETTERS
+        set_surface(self, surface)
+        set_ana(self, ana)
+        set_notes(self, notes)
+
+
+_NOTE_SETTERS, _WORD_SETTERS = (
+    tuple(cls.__dict__[name].__set__ for name in cls.__slots__)
+    for cls in (Note, TeiWord))
 
 
 @dataclass(frozen=True)

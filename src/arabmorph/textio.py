@@ -1,11 +1,15 @@
 """Reading UTF-8 text inputs: a decode failure becomes an
 ``EncodingError`` that names the input, so the CLI can report it; TSV
-inputs share one rule for blank and comment lines."""
+inputs share one rule for blank and comment lines.  Every file the
+program writes goes through ``atomic_write``."""
 
 from __future__ import annotations
 
+import os
 import re
+import tempfile
 from contextlib import contextmanager
+from pathlib import Path
 from typing import IO, Callable, Iterable, Iterator, TypeVar
 
 _T = TypeVar("_T")
@@ -61,3 +65,22 @@ def utf8_lines(path) -> Iterator[str]:
     lines run out."""
     with open_utf8(path) as f:
         yield from f
+
+
+def atomic_write(path, data: str | bytes) -> None:
+    """Write ``data``, UTF-8 text or bytes, to ``path`` through a temporary
+    file in its directory renamed over it, so a reader sees the old file
+    or the new one, never a part; the directory is made if missing."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".",
+                               suffix=".tmp")
+    try:
+        with (os.fdopen(fd, "wb") if isinstance(data, bytes)
+              else os.fdopen(fd, "w", encoding="utf-8")) as f:
+            f.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise

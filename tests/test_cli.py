@@ -8,11 +8,12 @@ from pathlib import Path
 
 import pytest
 
-from arabmorph.cli import _atomic_write, _parse_cli_flags, _read_text, main
+from arabmorph.cli import _parse_cli_flags, _read_text, main
 from arabmorph.disambig import BOS, load_lm, train_lm, load_freq_table
 from arabmorph.evaluation import load_gold
 from arabmorph.lexicon import (ALL_FLAGS, Flag, classical_preset,
                                load_lexicon_dir, load_review, Status)
+from arabmorph.textio import atomic_write
 
 DATA = Path(__file__).parent / "data"
 RULES = str(DATA.parent.parent / "src" / "arabmorph" / "data" / "rules.txt")
@@ -531,7 +532,7 @@ def test_output_is_utf8_whatever_the_locale(tmp_path, command):
 def test_atomic_write_leaves_no_temp_file_when_the_write_fails(tmp_path):
     target = tmp_path / "out.tsv"
     with pytest.raises(UnicodeEncodeError):
-        _atomic_write(target, "ok\n\ud800\n")
+        atomic_write(target, "ok\n\ud800\n")
     assert list(tmp_path.iterdir()) == []
 
 

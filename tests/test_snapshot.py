@@ -1,0 +1,361 @@
+"""The marshal snapshot behind ``load_lexicon_dir`` and the language-model
+load of ``PipelineConfig.load``: a hit gives exactly what the text parse
+gives, and a changed source, a damaged snapshot or a directory that cannot
+hold one falls back to the text parse."""
+
+import io
+import logging
+import marshal
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from dataclasses import replace
+from pathlib import Path
+
+import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+from arabmorph.cli import default_lexicon_dir
+from arabmorph.disambig import LmError, load_lm, serialize_lm, train_lm
+from arabmorph.lexicon import (ALL_FLAGS, LEXICON_FILES, CompatTables, Kind,
+                               Lexicon, LexiconError, load_lexicon,
+                               load_lexicon_dir, serialize_lexicon)
+from arabmorph.pipeline import PipelineConfig
+from arabmorph import snapshot
+from arabmorph.snapshot import snapshot_path
+from arabmorph.textio import read_with, utf8_lines
+
+from test_lexicon import _entries
+
+DATA = Path(__file__).parent / "data"
+SRC = Path(__file__).parents[1] / "src"
+
+HIT, WRITTEN, NOT_WRITTEN = ("snapshot hit", "snapshot miss, written",
+                             "snapshot miss, not written")
+
+
+def _logged(caplog, load):
+    """``load()``, the snapshot outcomes it logged and its warnings."""
+    caplog.clear()
+    with caplog.at_level(logging.DEBUG, logger="arabmorph"):
+        result = load()
+    outcomes = [r.getMessage().partition(":")[0] for r in caplog.records
+                if r.name == "arabmorph.snapshot"]
+    warnings = [r.getMessage() for r in caplog.records
+                if r.levelno == logging.WARNING]
+    return result, outcomes, warnings
+
+
+def _text_lexicon(path):
+    """The text parse of the lexicon in ``path``, with no snapshot."""
+    names = [str(Path(path) / n) for n in LEXICON_FILES]
+    lines = [utf8_lines(n) for n in names]
+    return load_lexicon(*lines[:3], tuple(lines[3:]), filenames=names)
+
+
+def _store(lex):
+    """Every bucket key and every entry's fields, in order, with the type
+    of its flags."""
+    return [[(key, [(*(getattr(e, f) for f in e.__slots__), type(e.flags))
+                    for e in bucket]) for key, bucket in table.items()]
+            for table in lex.tables.values()]
+
+
+def _assert_same_lexicon(restored, text):
+    assert _store(restored) == _store(text)
+    assert restored.compat == text.compat
+    assert {type(pairs) for pairs in (restored.compat.ab, restored.compat.bc,
+                                      restored.compat.ac)} == {frozenset}
+    assert serialize_lexicon(restored) == serialize_lexicon(text)
+
+
+def _bundled_copy(path):
+    shutil.copytree(default_lexicon_dir(), path,
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    return path
+
+
+def test_a_hit_gives_the_bundled_lexicon_the_text_parse_gives(tmp_path,
+                                                             caplog):
+    lexdir = _bundled_copy(tmp_path / "lex")
+    text, outcomes, warned = _logged(caplog, lambda: load_lexicon_dir(lexdir))
+    assert outcomes == [WRITTEN]
+    restored, outcomes, warned_again = _logged(
+        caplog, lambda: load_lexicon_dir(lexdir))
+    assert outcomes == [HIT]
+    assert warned_again == warned
+    _assert_same_lexicon(restored, text)
+    _assert_same_lexicon(restored, _text_lexicon(lexdir))
+
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(_entries(Kind.STEM), st.lists(_entries(), max_size=12))
+def test_a_hit_gives_a_generated_lexicon_the_text_parse_gives(caplog, stem,
+                                                             entries):
+    lex = Lexicon(CompatTables(
+        ab=frozenset({("Pref-Al", "N"), ("Pref-Unused", "N")}),
+        bc=frozenset({("N", "Suff-0")}), ac=frozenset()))
+    for entry in [stem] + entries:
+        lex.add(entry)
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, text in serialize_lexicon(lex).items():
+            Path(tmp, name).write_text(text, encoding="utf-8")
+        text, outcomes, warned = _logged(caplog, lambda: load_lexicon_dir(tmp))
+        assert outcomes == [WRITTEN]
+        restored, outcomes, warned_again = _logged(
+            caplog, lambda: load_lexicon_dir(tmp))
+    assert outcomes == [HIT]
+    assert any("'Pref-Unused'" in w for w in warned)
+    assert warned_again == warned
+    _assert_same_lexicon(restored, text)
+    assert list(restored.entries()) == list(lex.entries())
+
+
+def _write_lm(path, freq, gold_sentences):
+    tuples = [[t.lemma_pos for t in sent] for sent in gold_sentences]
+    path.write_text(serialize_lm(train_lm(tuples, freq=freq, lam=0.7)),
+                    encoding="utf-8")
+    return path
+
+
+def _config(lexdir, lm, **kw):
+    return PipelineConfig(lexicon_dir=lexdir, flags=ALL_FLAGS,
+                          lm_path=str(lm), **kw)
+
+
+def test_a_hit_gives_the_model_the_text_parse_gives(tmp_path, caplog, freq,
+                                                    gold_sentences):
+    lexdir = _bundled_copy(tmp_path / "lex")
+    lm = _write_lm(tmp_path / "model.lm", freq, gold_sentences)
+    first, outcomes, _ = _logged(caplog, lambda: _config(lexdir, lm).load())
+    assert outcomes == [WRITTEN, WRITTEN]
+    again, outcomes, _ = _logged(caplog, lambda: _config(lexdir, lm).load())
+    assert outcomes == [HIT, HIT]
+    text = read_with(load_lm, lm)
+    for model in (first.model, again.model):
+        assert model == text
+        assert [list(t) for t in (model.trigram, model.bigram, model.unigram,
+                                  model.freq)] == \
+            [list(t) for t in (text.trigram, text.bigram, text.unigram,
+                               text.freq)]
+        assert (model.total, model.vocab, model.freq_total, model.v1,
+                model.contextual) == (text.total, text.vocab, text.freq_total,
+                                      text.v1, text.contextual)
+        assert serialize_lm(model) == lm.read_text(encoding="utf-8")
+        keys = [*model.unigram, *model.freq, *model.vocab,
+                *(t for key in [*model.bigram, *model.trigram] for t in key)]
+        assert len({id(t) for t in keys}) == len(set(keys))
+    assert _config(lexdir, lm, lam=0.25).load().model == \
+        replace(text, lam=0.25)
+
+
+def _edit_one_byte(path):
+    """Change the last character of the category in the first data row of
+    a lexicon or compat file, or the last digit of an LM's last line."""
+    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    if path.suffix == ".lm":
+        i, col = len(lines) - 1, -1
+    else:
+        i = next(i for i, line in enumerate(lines)
+                 if line.strip() and not line.startswith("#"))
+        col = 0 if path.name.startswith("compat") else 2
+    fields = lines[i].rstrip("\n").split("\t")
+    last = fields[col][-1]
+    fields[col] = fields[col][:-1] + ("Z" if last.isalpha() and last != "Z"
+                                      else "Y" if last == "Z"
+                                      else "8" if last == "9" else "9")
+    lines[i] = "\t".join(fields) + "\n"
+    path.write_text("".join(lines), encoding="utf-8")
+
+
+@pytest.mark.parametrize("name", LEXICON_FILES)
+def test_a_one_byte_edit_to_a_lexicon_file_gives_the_text_result(
+        tmp_path, caplog, name):
+    lexdir = _bundled_copy(tmp_path / "lex")
+    before = load_lexicon_dir(lexdir)
+    _edit_one_byte(lexdir / name)
+    after, outcomes, _ = _logged(caplog, lambda: load_lexicon_dir(lexdir))
+    assert outcomes == [WRITTEN]
+    _assert_same_lexicon(after, _text_lexicon(lexdir))
+    assert (serialize_lexicon(after), after.compat) != \
+        (serialize_lexicon(before), before.compat)
+    _, outcomes, _ = _logged(caplog, lambda: load_lexicon_dir(lexdir))
+    assert outcomes == [HIT]
+
+
+def test_a_one_byte_edit_to_the_model_gives_the_text_result(
+        tmp_path, caplog, freq, gold_sentences):
+    lexdir = _bundled_copy(tmp_path / "lex")
+    lm = _write_lm(tmp_path / "model.lm", freq, gold_sentences)
+    before = _config(lexdir, lm).load().model
+    _edit_one_byte(lm)
+    after, outcomes, _ = _logged(caplog, lambda: _config(lexdir, lm).load())
+    assert outcomes == [HIT, WRITTEN]
+    assert after.model == read_with(load_lm, lm) != before
+
+
+def test_a_snapshot_written_by_other_code_is_passed_over(tmp_path, caplog,
+                                                        monkeypatch):
+    lexdir = _bundled_copy(tmp_path / "lex")
+    load_lexicon_dir(lexdir)
+    code_digest = snapshot._code_digest()
+    monkeypatch.setattr(snapshot, "_code_digest", lambda: b"other code")
+    _, outcomes, _ = _logged(caplog, lambda: load_lexicon_dir(lexdir))
+    assert outcomes == [WRITTEN]
+    monkeypatch.setattr(snapshot, "_code_digest", lambda: code_digest)
+    for outcome in (WRITTEN, HIT):
+        _, outcomes, _ = _logged(caplog, lambda: load_lexicon_dir(lexdir))
+        assert outcomes == [outcome]
+
+
+def test_a_source_that_no_longer_parses_raises_with_its_place(
+        tmp_path, freq, gold_sentences):
+    lexdir = _bundled_copy(tmp_path / "lex")
+    lm = _write_lm(tmp_path / "model.lm", freq, gold_sentences)
+    _config(lexdir, lm).load()
+    stems = lexdir / "stems.tsv"
+    n_lines = len(stems.read_text(encoding="utf-8").splitlines())
+    with stems.open("a", encoding="utf-8") as f:
+        f.write("broken\n")
+    with pytest.raises(LexiconError, match=f"^{stems}:{n_lines + 1}: "):
+        load_lexicon_dir(lexdir)
+    stems.write_text(stems.read_text(encoding="utf-8").replace("broken\n", ""),
+                     encoding="utf-8")
+    lines = lm.read_text(encoding="utf-8").splitlines(keepends=True)
+    lines[-1] = lines[-1].rsplit("\t", 1)[0] + "\tx\n"
+    lm.write_text("".join(lines), encoding="utf-8")
+    with pytest.raises(LmError, match=f"^{lm}:{len(lines)}: bad freq count"):
+        _config(lexdir, lm).load()
+
+
+def _garbage(data):
+    return b"\x00 not a snapshot"
+
+
+def _truncated(data):
+    return data[:len(data) // 2]
+
+
+def _other_digest(data):
+    key, payload = marshal.loads(data)
+    return marshal.dumps((bytes(len(key)), payload))
+
+
+def _wrong_shape(data):
+    key, _ = marshal.loads(data)
+    return marshal.dumps((key, (1, 2)))
+
+
+@pytest.mark.parametrize("damage", [_garbage, _truncated, _other_digest,
+                                    _wrong_shape])
+def test_a_damaged_snapshot_falls_back_to_the_text_load_and_is_rewritten(
+        tmp_path, caplog, freq, gold_sentences, damage):
+    lexdir = _bundled_copy(tmp_path / "lex")
+    lm = _write_lm(tmp_path / "model.lm", freq, gold_sentences)
+    _config(lexdir, lm).load()
+    for snap in (snapshot_path(lexdir, "lexicon"),
+                 snapshot_path(tmp_path, "model.lm")):
+        snap.write_bytes(damage(snap.read_bytes()))
+    loaded, outcomes, _ = _logged(caplog, lambda: _config(lexdir, lm).load())
+    assert outcomes == [WRITTEN, WRITTEN]
+    _assert_same_lexicon(loaded.lexicon, _text_lexicon(lexdir))
+    assert loaded.model == read_with(load_lm, lm)
+    _, outcomes, _ = _logged(caplog, lambda: _config(lexdir, lm).load())
+    assert outcomes == [HIT, HIT]
+
+
+def _tree(root):
+    return sorted(str(p.relative_to(root)) for p in Path(root).rglob("*"))
+
+
+def test_a_file_named_pycache_loads_and_writes_nothing(tmp_path, caplog):
+    lexdir = _bundled_copy(tmp_path / "lex")
+    (lexdir / "__pycache__").write_text("not a directory", encoding="utf-8")
+    before = _tree(tmp_path)
+    for _ in range(2):
+        lex, outcomes, _ = _logged(caplog, lambda: load_lexicon_dir(lexdir))
+        assert outcomes == [NOT_WRITTEN]
+        _assert_same_lexicon(lex, _text_lexicon(lexdir))
+    assert _tree(tmp_path) == before
+
+
+@pytest.mark.parametrize("missing", [("stems.tsv",),
+                                     ("stems.tsv", "compat_ab.tsv")])
+def test_a_missing_source_gives_the_text_paths_message(tmp_path, missing):
+    lexdir = _bundled_copy(tmp_path / "lex")
+    load_lexicon_dir(lexdir)                  # a snapshot of every file
+    for name in missing:
+        (lexdir / name).unlink()
+    with pytest.raises(FileNotFoundError) as text:
+        _text_lexicon(lexdir)
+    with pytest.raises(FileNotFoundError) as loaded:
+        load_lexicon_dir(lexdir)
+    assert str(loaded.value) == str(text.value)
+    assert Path(loaded.value.filename).name == missing[-1]
+
+
+def test_every_path_a_load_creates_lies_under_pycache(tmp_path, freq,
+                                                      gold_sentences):
+    lexdir = _bundled_copy(tmp_path / "lex")
+    lm = _write_lm(tmp_path / "model.lm", freq, gold_sentences)
+    before = _tree(tmp_path)
+    _config(lexdir, lm).load()
+    _config(lexdir, lm).load()
+    added = sorted(set(_tree(tmp_path)) - set(before))
+    assert added == ["__pycache__", str(Path("__pycache__") / snapshot_path(
+        tmp_path, "model.lm").name), str(Path("lex") / "__pycache__"),
+        str(snapshot_path(lexdir, "lexicon").relative_to(tmp_path))]
+
+
+def test_fresh_processes_hit_and_a_merge_or_code_change_rewrites(
+        tmp_path, freq, gold_sentences):
+    lexdir = _bundled_copy(tmp_path / "lex")
+    lm = _write_lm(tmp_path / "model.lm", freq, gold_sentences)
+    text = tmp_path / "in.txt"
+    text.write_text("مع كاتب جامد", encoding="utf-8")
+    src = tmp_path / "src"
+    shutil.copytree(SRC, src, ignore=shutil.ignore_patterns("__pycache__"))
+    env = {**os.environ, "PYTHONPATH": str(src)}
+
+    def arabmorph(*args):
+        proc = subprocess.run([sys.executable, "-m", "arabmorph.cli", *args],
+                              capture_output=True, timeout=60, env=env)
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout
+
+    def analyze():
+        return arabmorph("analyze", str(text), "--flags", "all", "--format",
+                         "tsv", "--lexicon", str(lexdir), "--lm", str(lm))
+
+    snaps = [snapshot_path(lexdir, "lexicon"),
+             snapshot_path(tmp_path, "model.lm")]
+    first = analyze()
+    stats = [os.stat(s) for s in snaps]
+    assert analyze() == first                # a hit writes nothing
+    assert [(s.st_ino, s.st_mtime_ns) for s in map(os.stat, snaps)] == \
+        [(s.st_ino, s.st_mtime_ns) for s in stats]
+    assert "جامد\tUNK//UNK\n" in first.decode("utf-8")
+
+    review = tmp_path / "review.tsv"
+    arabmorph("import", "--wordlist", str(DATA / "wordlist.tsv"), "--flags",
+              "ICA", "--output", str(review))
+    review.write_text("".join(
+        line if line.startswith("#") else "A\t" + line.partition("\t")[2]
+        for line in io.StringIO(review.read_text(encoding="utf-8"))),
+        encoding="utf-8")
+    arabmorph("merge", str(review), "--lexicon", str(lexdir))
+    merged = analyze()
+    assert os.stat(snaps[0]).st_ino != stats[0].st_ino   # rewritten
+    assert os.stat(snaps[1]).st_ino == stats[1].st_ino
+    assert merged.decode("utf-8") == first.decode("utf-8").replace(
+        "جامد\tUNK//UNK\n", "جامد\tjAmd/jAmd_1/A\n")
+
+    stats = [os.stat(s) for s in snaps]
+    with (src / "arabmorph" / "__init__.py").open("a", encoding="utf-8") as f:
+        f.write("# edited\n")
+    assert analyze() == merged
+    assert [os.stat(s).st_ino != old.st_ino
+            for s, old in zip(snaps, stats)] == [True, True]

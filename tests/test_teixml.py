@@ -1,3 +1,5 @@
+import inspect
+from dataclasses import FrozenInstanceError, fields, replace
 from pathlib import Path
 
 import pytest
@@ -33,6 +35,28 @@ def test_emit_matches_the_golden_fragment(lexicon, rules, freq):
                 '      كاتب\n'
                 '    </w>\n')
     assert fragment in GOLDEN
+
+
+@pytest.mark.parametrize("record", [KATIB, KATIB.notes[0], MAEA,
+                                    Note("kAtib/kAtib_2/A", corrected=True)])
+def test_words_and_notes_are_slotted_frozen_and_still_replace(record):
+    cls = type(record)
+    assert not hasattr(record, "__dict__")
+    with pytest.raises(FrozenInstanceError):
+        record.ana = "x/x_1/N"
+    names = [f.name for f in fields(cls)]
+    assert list(inspect.signature(cls).parameters) == names
+    values = [getattr(record, name) for name in names]
+    keyword = cls(**dict(zip(names, values)))
+    assert keyword == cls(*values) == record
+    assert hash(keyword) == hash(record)
+    assert repr(keyword) == repr(record) == f"{cls.__name__}(" + ", ".join(
+        f"{name}={value!r}" for name, value in zip(names, values)) + ")"
+    changed = replace(record, ana="x/x_1/N")
+    assert (changed.ana, record.ana) == ("x/x_1/N", values[names.index("ana")])
+    assert replace(changed, ana=record.ana) == record
+    assert cls(*values[:-1]) == \
+        replace(record, **{names[-1]: fields(cls)[-1].default})
 
 
 def test_emit_empty_document_is_header_only():
