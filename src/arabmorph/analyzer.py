@@ -118,9 +118,10 @@ def analyze_type(surface: str, lex: Lexicon, active: Flag,
     holds only the (prefix, suffix) surface pairs with a prefix-suffix
     licensed entry pair, so a stem is sliced and read only for such a
     pair, and only the prefix-stem and stem-suffix tables are checked.
-    Duplicates (same voc, lemma, primary tag) collapse onto the first
-    occurrence, so order is deterministic: segmentation order, then
-    lexicon load order.
+    A stem bucket the lexicon has not built yet is built on that read
+    (``LexView.read``).  Duplicates (same voc, lemma, primary tag)
+    collapse onto the first occurrence, so order is deterministic:
+    segmentation order, then lexicon load order.
     """
     out: dict[tuple[str, str, str], Analysis] = {}
     n = len(surface)
@@ -142,9 +143,12 @@ def analyze_type(surface: str, lex: Lexicon, active: Flag,
             entries = by_suffix.get(surface[n - s:])
             if entries is None:
                 continue
-            stem_entries = stems.get(surface[p:n - s])
+            stem = surface[p:n - s]
+            stem_entries = stems.get(stem)
             if stem_entries is None:
                 continue
+            if stem_entries.__class__ is not list:   # not yet built
+                stem_entries = view.read(stem)
             for a, sufs in entries:
                 for b in stem_entries:
                     if (a.cat, b.cat) not in ab:

@@ -15,8 +15,7 @@ import logging
 import re
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass, field, replace
-from itertools import chain, islice, repeat
-from operator import attrgetter
+from itertools import accumulate, islice
 from pathlib import Path
 from typing import IO, Iterable, Iterator
 
@@ -168,8 +167,15 @@ class LexEntry:
 
     def head_tag(self) -> str:
         """Primary tag: first annotation unit folded to the closed set."""
-        units = self.tag_units()
-        return fold_tag(units[0]) if units else ""
+        tag = _first_tag(self.pos)
+        return "" if tag is None else fold_tag(tag)
+
+
+def _first_tag(pos: str) -> str | None:
+    """The tag of the first unit of the annotation ``pos``, unfolded; None
+    if it has no unit."""
+    first = pos.lstrip("+").partition("+")[0]
+    return first.rpartition("/")[2] if first else None
 
 
 # The setters of LexEntry's slots, in field order.
@@ -280,19 +286,25 @@ def format_entry_line(e: LexEntry) -> str:
     """The TSV row that ``parse_entry_line`` reads back as ``e``.  An entry
     with no flags, whose row would read back with every flag, and an
     annotation holding ``<pos>`` or ``</pos>`` are refused."""
-    flagtext = _flag_text(e.flags)
+    return _format_row(e.surface, e.voc, e.cat, e.gloss, e.pos, e.lemma,
+                       _flag_text(e.flags))
+
+
+def _format_row(surface: str, voc: str, cat: str, gloss: str, pos: str,
+                lemma: str, flagtext: str) -> str:
+    """``format_entry_line`` of the entry with these fields and the flag
+    column ``flagtext``, which may come from a snapshot's stored rows
+    (``_StoredRows``) as well as from an entry."""
     if not flagtext:
-        raise LexiconError(f"entry {e.surface or '0'}/{e.lemma or '-'} has "
+        raise LexiconError(f"entry {surface or '0'}/{lemma or '-'} has "
                            "no flags; its row would read back with every flag")
-    gloss = e.gloss
-    if e.pos != _default_pos(e.voc, e.cat):
-        if "<pos>" in e.pos or "</pos>" in e.pos:
-            raise LexiconError(f"entry {e.surface or '0'}/{e.lemma or '-'}: "
-                               f"pos {e.pos!r} would not read back from a row")
-        gloss = (f"{gloss} <pos>{e.pos}</pos>" if gloss
-                 else f"<pos>{e.pos}</pos>")
-    return (f"{e.surface or '0'}\t{e.voc or '0'}\t{e.cat}\t{gloss}\t"
-            f"{e.lemma}\t{flagtext}")
+    if pos != _default_pos(voc, cat):
+        if "<pos>" in pos or "</pos>" in pos:
+            raise LexiconError(f"entry {surface or '0'}/{lemma or '-'}: "
+                               f"pos {pos!r} would not read back from a row")
+        gloss = f"{gloss} <pos>{pos}</pos>" if gloss else f"<pos>{pos}</pos>"
+    return (f"{surface or '0'}\t{voc or '0'}\t{cat}\t{gloss}\t"
+            f"{lemma}\t{flagtext}")
 
 
 @dataclass(frozen=True)
@@ -337,6 +349,112 @@ def _parse_pairs(stream: IO[str] | Iterable[str],
     return frozenset(pairs)
 
 
+# A snapshot stores each row as the LexEntry fields after its kind.
+_WIDTH = len(LexEntry.__slots__) - 1
+
+
+class _StoredRows:
+    """The rows of one kind as a snapshot stores them (``_dump_store``).
+    ``keys`` are the bucket keys in table order and ``sizes`` their bucket
+    sizes; ``rows`` holds each row's fields after its kind side by side,
+    in table order, its flags as an index into ``flags``, the kind's
+    distinct flag sets.  ``place`` maps a key to the index in ``rows`` of
+    its bucket's first row; the bucket's rows are those from there on
+    that hold its key.  Nothing changes them, so copies of a lexicon share
+    them."""
+
+    __slots__ = ("kind", "keys", "sizes", "flags", "rows", "place")
+
+    def __init__(self, kind: Kind, stored: tuple):
+        self.kind = kind
+        self.keys, self.sizes, masks, self.rows = stored
+        if (len(self.sizes) != len(self.keys)
+                or sum(self.sizes) * _WIDTH != len(self.rows)):
+            raise LexiconError("snapshot rows of unequal length")
+        self.flags = [Flag(mask) for mask in masks]
+        self.place = dict(zip(self.keys, map(
+            _WIDTH.__mul__, accumulate(self.sizes, initial=0))))
+
+    def _tuples(self) -> Iterator[tuple]:
+        """Each row as a tuple of its stored fields, in table order."""
+        return zip(*[iter(self.rows)] * _WIDTH)
+
+    def buckets(self) -> Iterator[tuple[str, list[LexEntry]]]:
+        """(key, bucket) of every stored key, in table order."""
+        kind, flags, rows = self.kind, self.flags, self._tuples()
+        return ((key, [LexEntry(kind, s, v, c, g, p, lemma, flags[f])
+                       for s, v, c, g, p, lemma, f in islice(rows, size)])
+                for key, size in zip(self.keys, self.sizes))
+
+    def read(self, table: dict[str, list[LexEntry]],
+             key: str) -> list[LexEntry] | None:
+        """``table``'s bucket for ``key``.  A stored key that ``table``
+        lacks has its bucket built from its rows and kept in ``table``;
+        None if neither holds ``key``."""
+        bucket = table.get(key)
+        if bucket is None and (j := self.place.get(key)) is not None:
+            kind, r, flags = self.kind, self.rows, self.flags
+            bucket = table[key] = []
+            while j < len(r) and r[j] == key:
+                bucket.append(LexEntry(kind, key, r[j + 1], r[j + 2],
+                                       r[j + 3], r[j + 4], r[j + 5],
+                                       flags[r[j + 6]]))
+                j += _WIDTH
+        return bucket
+
+    def lemma_pos(self, table: dict[str, list[LexEntry]]
+                  ) -> set[tuple[str, str]]:
+        """(lemma, primary tag) of each row with a lemma whose key
+        ``table`` lacks, read from the stored fields."""
+        r = self.rows
+        pairs = {(lemma, _first_tag(pos)) for key, pos, lemma in zip(
+                     r[0::_WIDTH], r[4::_WIDTH], r[5::_WIDTH])
+                 if lemma and key not in table}
+        # A lexicon has a few distinct tags: fold each once.
+        tags = {tag for _, tag in pairs}
+        tags.discard(None)
+        folded = {tag: fold_tag(tag) for tag in tags}
+        return {(lemma, folded.get(tag, "")) for lemma, tag in pairs}
+
+    def hidden(self, mask: int) -> set[str]:
+        """The stored keys none of whose rows has a flag in ``mask``."""
+        shown = [int(flags) & mask for flags in self.flags]
+        return set(self.keys).difference(
+            row[0] for row in self._tuples() if shown[row[-1]])
+
+    def lines(self, table: dict[str, list[LexEntry]]) -> list[str]:
+        """The rows of ``table`` over these, formatted by ``_format_row`` in
+        table order: a key that ``table`` holds from its entries, any other
+        stored key from its stored rows, then the keys that only ``table``
+        holds."""
+        texts = list(map(_flag_text, self.flags))
+        stored = [_format_row(s, v, c, g, p, lemma, texts[f])
+                  for s, v, c, g, p, lemma, f in self._tuples()]
+        out: list[str] = []
+        done = 0
+        for j in sorted(j for key in table
+                        if (j := self.place.get(key)) is not None):
+            key, i = self.rows[j], j // _WIDTH
+            out += stored[done:i]
+            out += map(format_entry_line, table[key])
+            done = i + 1
+            while done < len(stored) and self.rows[done * _WIDTH] == key:
+                done += 1
+        out += stored[done:]
+        out += (format_entry_line(e) for key, bucket in table.items()
+                if key not in self.place for e in bucket)
+        return out
+
+
+def _fold_keys(keys: list[str]) -> list[str]:
+    """``normalize(key, fold_alif=True)`` of each key, in one call over the
+    keys joined by line feeds, which no key holds (``_check_row``)."""
+    folded = normalize("\n".join(keys), fold_alif=True).split("\n")
+    if len(folded) != len(keys):        # an entry added with a line feed
+        folded = [normalize(key, fold_alif=True) for key in keys]
+    return folded
+
+
 class LexView:
     """The entries of one (active flags, alif folding) pair, as
     ``Lexicon.view`` builds them, and the affix side of analysis
@@ -347,37 +465,65 @@ class LexView:
     load order.  A surface whose rows all intersect the active set, and
     onto which no other surface folds, keeps the lexicon's own bucket,
     which ``add`` replaces rather than changes, so a view adds no list for
-    it.  ``pairs`` maps a prefix surface to a suffix surface to the prefix
-    entries ``a`` of that surface, in load order, each with the suffix
-    entries ``c`` of that surface, in load order, that ``compat.ac``
-    licenses for ``a``; a pair without such an (a, c) is absent.
-    ``prefix_lens`` and ``suffix_lens`` are the sorted lengths of its
-    keys, so the lexicon's own affixes bound the splits tried.
-    ``head_tags`` memoizes ``LexEntry.head_tag`` by the ``id`` of an
-    entry of ``tables``, which the view keeps alive, so the ids stay its
-    own.  Callers change only ``head_tags``."""
+    it.  A stem bucket that the lexicon has not built yet (see
+    ``Lexicon``) is found by its key and the flags of its stored rows, and
+    its entries are built when ``read`` first asks for them: until then
+    ``stems`` holds, in place of a list, the surface that folds onto the
+    key, or a tuple of such surfaces and of lists in table order.  Read a
+    stem key through ``read``; every other value is a list.  ``pairs``
+    maps a prefix surface to a suffix surface to the prefix entries ``a``
+    of that surface, in load order, each with the suffix entries ``c`` of
+    that surface, in load order, that ``compat.ac`` licenses for ``a``; a
+    pair without such an (a, c) is absent.  ``prefix_lens`` and
+    ``suffix_lens`` are the sorted lengths of its keys, so the lexicon's
+    own affixes bound the splits tried.  ``head_tags`` memoizes
+    ``LexEntry.head_tag`` by the ``id`` of an entry of ``tables``, which
+    the view keeps alive, so the ids stay its own.  Callers change only
+    ``head_tags``."""
 
     __slots__ = ("tables", "stems", "pairs", "prefix_lens", "suffix_lens",
-                 "head_tags")
+                 "head_tags", "_mask", "_every", "_built", "_stored")
 
     def __init__(self, tables: dict[Kind, dict[str, list[LexEntry]]],
-                 ac: frozenset[tuple[str, str]], mask: int, fold_alif: bool):
+                 stored: _StoredRows | None, ac: frozenset[tuple[str, str]],
+                 mask: int, fold_alif: bool):
+        self._mask, self._built, self._stored = mask, tables[Kind.STEM], stored
+        # Whether every stored stem row is visible, the common case.
+        self._every = stored is None or all(int(flags) & mask
+                                            for flags in stored.flags)
         self.tables: dict[Kind, dict[str, list[LexEntry]]] = {}
         for kind, table in tables.items():
+            surfaces, hidden = list(table), ()
+            if kind is Kind.STEM and stored is not None:
+                surfaces = stored.keys + [s for s in table
+                                          if s not in stored.place]
+                hidden = () if self._every else stored.hidden(mask)
+            keys = _fold_keys(surfaces) if fold_alif else surfaces
             self.tables[kind] = index = {}
-            for key, bucket in table.items():
-                if fold_alif:
-                    key = normalize(key, fold_alif=True)
-                for e in bucket:
-                    if not int(e.flags) & mask:
-                        rows = [e for e in bucket if int(e.flags) & mask]
-                        break
-                else:               # every row is visible
-                    rows = bucket
-                if rows:
-                    held = index.setdefault(key, rows)
-                    if held is not rows:    # a second surface folds here
-                        index[key] = held + rows
+            for key, surface in zip(keys, surfaces):
+                bucket = table.get(surface)
+                if bucket is None:          # built on its first read
+                    if surface in hidden:
+                        continue
+                    rows = surface
+                else:
+                    for e in bucket:
+                        if not int(e.flags) & mask:
+                            rows = [e for e in bucket if int(e.flags) & mask]
+                            break
+                    else:           # every row is visible
+                        rows = bucket
+                    if not rows:
+                        continue
+                held = index.setdefault(key, rows)
+                if held is rows:
+                    continue
+                # A second surface folds here.
+                if held.__class__ is list and rows.__class__ is list:
+                    index[key] = held + rows
+                else:
+                    index[key] = (*(held if held.__class__ is tuple
+                                    else (held,)), rows)
         prefixes, self.stems, suffixes = self.tables.values()
         # The licensed suffixes depend on the prefix's category alone, and
         # there are far fewer categories than prefix entries.
@@ -401,21 +547,78 @@ class LexView:
                                    for skey in row})
         self.head_tags: dict[int, str] = {}
 
+    def read(self, key: str) -> list[LexEntry]:
+        """The visible stem entries under ``key``, a key of ``stems``, built
+        on the first read of a bucket the lexicon had not built and kept
+        in ``stems`` and in the lexicon."""
+        parts = self.stems[key]
+        if parts.__class__ is list:
+            return parts
+        if parts.__class__ is str:
+            rows = self._visible(parts)
+        else:
+            rows = [e for part in parts for e in (
+                self._visible(part) if part.__class__ is str else part)]
+        self.stems[key] = rows
+        return rows
+
+    def _visible(self, surface: str) -> list[LexEntry]:
+        """The visible rows of the lexicon's bucket of ``surface``, built
+        if need be: the bucket itself if every row is visible."""
+        bucket = self._stored.read(self._built, surface)
+        if self._every:
+            return bucket
+        rows = [e for e in bucket if int(e.flags) & self._mask]
+        return bucket if len(rows) == len(bucket) else rows
+
 
 class Lexicon:
     """The surface-keyed entry tables of the three kinds, one ``tables``
     store, plus their compatibility tables.  Lookups read one ``view`` per
     (flags, alif folding), with its affix pair table, and evaluation the
     ``known_lemma_pos`` set, each built on first use; ``add``, the only
-    mutator (merges return a new Lexicon), drops both."""
+    mutator (merges return a new Lexicon), drops both.
+
+    A lexicon restored from a snapshot keeps its stem rows as the snapshot
+    stores them (``_StoredRows``) and builds a stem bucket on its first
+    read.  Analysis (``view``, ``lookup``) and ``add`` build only the
+    buckets they read; ``len``, ``copy`` and ``serialize_lexicon`` build
+    none, and ``known_lemma_pos`` reads the stored lemma and annotation
+    fields.  ``tables``, ``stems``, ``table`` and ``entries`` build every
+    remaining bucket first.  Every reader gives what it gives on the text
+    parse: the same entries, in the same table order."""
 
     def __init__(self, compat: CompatTables):
-        self.tables: dict[Kind, dict[str, list[LexEntry]]] = {k: {} for k in Kind}
-        self.prefixes, self.stems, self.suffixes = self.tables.values()
+        self._tables: dict[Kind, dict[str, list[LexEntry]]] = {
+            k: {} for k in Kind}
+        # Every affix bucket is built; the stems go through ``stems``.
+        self.prefixes, _, self.suffixes = self._tables.values()
+        # The stem rows not yet built into buckets of _tables[STEM].
+        self._stored: _StoredRows | None = None
         self.compat = compat
         self._view_key: tuple[int, bool] | None = None
         self._view: LexView | None = None
         self._known: frozenset[tuple[str, str]] | None = None
+
+    @property
+    def tables(self) -> dict[Kind, dict[str, list[LexEntry]]]:
+        """Each kind's buckets by surface, in table order; the stem
+        buckets not yet built are built first."""
+        stored, self._stored = self._stored, None
+        if stored is not None:
+            # The view holds the stored rows; a new one reads the table.
+            self._view_key = self._view = None
+            table = self._tables[Kind.STEM]
+            built = table.copy()
+            table.clear()
+            for key, bucket in stored.buckets():
+                table[key] = built.pop(key, bucket)
+            table.update(built)             # keys added since the restore
+        return self._tables
+
+    @property
+    def stems(self) -> dict[str, list[LexEntry]]:
+        return self.tables[Kind.STEM]
 
     def table(self, kind: Kind) -> dict[str, list[LexEntry]]:
         return self.tables[kind]
@@ -426,8 +629,22 @@ class Lexicon:
                 yield from bucket
 
     def __len__(self) -> int:
-        return sum(len(bucket) for table in self.tables.values()
-                   for bucket in table.values())
+        n = sum(len(bucket) for table in self._tables.values()
+                for bucket in table.values())
+        if self._stored is not None:
+            built = self._tables[Kind.STEM]
+            n += sum(size for key, size in zip(self._stored.keys,
+                                               self._stored.sizes)
+                     if key not in built)
+        return n
+
+    def _bucket(self, kind: Kind, surface: str) -> list[LexEntry] | None:
+        """The bucket of ``surface``, built if it is stored and not yet
+        built; None if the lexicon has none."""
+        table = self._tables[kind]
+        if kind is Kind.STEM and self._stored is not None:
+            return self._stored.read(table, surface)
+        return table.get(surface)
 
     def add(self, entry: LexEntry) -> bool:
         """Insert an entry, collapsing duplicates by flag union: a row of
@@ -439,8 +656,8 @@ class Lexicon:
         row absorbed the entry's flags.
         """
         self._view_key = self._view = self._known = None
-        table = self.tables[entry.kind]
-        bucket = table.get(entry.surface)
+        table = self._tables[entry.kind]
+        bucket = self._bucket(entry.kind, entry.surface)
         if bucket is None:
             table[entry.surface] = [entry]
             return True
@@ -462,7 +679,10 @@ class Lexicon:
         view = self.view(active, fold_alif)
         if fold_alif:
             surface = normalize(surface, fold_alif=True)
-        return list(view.tables[kind].get(surface, ()))
+        if surface not in view.tables[kind]:
+            return []
+        return list(view.read(surface) if kind is Kind.STEM
+                    else view.tables[kind][surface])
 
     def view(self, active: Flag, fold_alif: bool = False) -> LexView:
         """The entries whose flags intersect ``active``, with surfaces
@@ -471,25 +691,32 @@ class Lexicon:
         for its (flags, folding) pair and dropped by ``add``."""
         mask = int(active)
         if (mask, fold_alif) != self._view_key:
-            self._view = LexView(self.tables, self.compat.ac, mask, fold_alif)
+            self._view = LexView(self._tables, self._stored,
+                                 self.compat.ac, mask, fold_alif)
             self._view_key = (mask, fold_alif)
         return self._view
 
     def known_lemma_pos(self) -> frozenset[tuple[str, str]]:
         """(lemma, primary tag) pairs of every stem entry, collected on
-        first use and kept until ``add``."""
+        first use and kept until ``add``.  Stem rows not yet built are read
+        from their stored fields."""
         if self._known is None:
-            self._known = frozenset(
-                (e.lemma, e.head_tag())
-                for bucket in self.stems.values() for e in bucket if e.lemma)
+            table = self._tables[Kind.STEM]
+            known = {(e.lemma, e.head_tag())
+                     for bucket in table.values() for e in bucket if e.lemma}
+            if self._stored is not None:    # builds no bucket
+                known |= self._stored.lemma_pos(table)
+            self._known = frozenset(known)
         return self._known
 
     def copy(self) -> "Lexicon":
         """An independent lexicon with the same rows.  It shares the
-        buckets, which ``add`` replaces rather than changes."""
+        buckets, which ``add`` replaces rather than changes, and the stored
+        stem rows."""
         clone = Lexicon(self.compat)
-        for kind, table in self.tables.items():
-            clone.tables[kind].update(table)
+        for kind, table in self._tables.items():
+            clone._tables[kind].update(table)
+        clone._stored = self._stored
         return clone
 
 
@@ -535,52 +762,56 @@ def load_lexicon_dir(path) -> Lexicon:
                        _dump_store, _restore_store)
 
 
-# The LexEntry fields that a snapshot stores as columns of str.
-_STR_COLUMNS = ("voc", "cat", "gloss", "pos", "lemma")
-
-
 def _dump_store(lex: Lexicon) -> tuple:
-    """The lexicon as marshal data: its compat pair sets, then per kind
-    the bucket keys, the bucket sizes, one column per field of
-    ``_STR_COLUMNS`` in load order and the flags as ints."""
+    """The lexicon as marshal data: its compat pair sets, then per kind the
+    bucket keys, the bucket sizes, the distinct flag masks and the rows
+    (``_StoredRows``).  A row's fields lie side by side, as the read of a
+    bucket wants them, and it holds its bucket's key itself, which marshal
+    writes once."""
     kinds = []
     for table in lex.tables.values():
-        rows = [e for bucket in table.values() for e in bucket]
+        masks = sorted({int(e.flags) for bucket in table.values()
+                        for e in bucket})
+        index = {mask: i for i, mask in enumerate(masks)}
+        rows = [field for key, bucket in table.items() for e in bucket
+                for field in (key, e.voc, e.cat, e.gloss, e.pos, e.lemma,
+                              index[int(e.flags)])]
         kinds.append((list(table), [len(bucket) for bucket in table.values()],
-                      *(list(map(attrgetter(name), rows))
-                        for name in _STR_COLUMNS),
-                      [int(e.flags) for e in rows]))
+                      masks, rows))
     return lex.compat.ab, lex.compat.bc, lex.compat.ac, kinds
 
 
 def _restore_store(payload: tuple) -> Lexicon:
-    """The lexicon that ``_dump_store`` gave ``payload`` for, its buckets
-    built in stored order, with the text load's warnings."""
+    """The lexicon that ``_dump_store`` gave ``payload`` for, with the text
+    load's warnings.  Its affix buckets are built in stored order; its stem
+    rows stay as stored, built into buckets as they are read
+    (``Lexicon``)."""
     ab, bc, ac, kinds = payload
     lex = Lexicon(CompatTables(ab, bc, ac))
-    flag_of: dict[int, Flag] = {}
     used: set[str] = set()
-    for kind, table, (keys, sizes, vocs, cats, glosses, poses, lemmas,
-                      masks) in zip(Kind, lex.tables.values(), kinds):
-        for mask in set(masks).difference(flag_of):
-            flag_of[mask] = Flag(mask)
-        rows = map(LexEntry, repeat(kind),
-                   chain.from_iterable(map(repeat, keys, sizes)),
-                   vocs, cats, glosses, poses, lemmas,
-                   map(flag_of.__getitem__, masks))
-        for key, size in zip(keys, sizes):
-            table[key] = list(islice(rows, size))
-        used.update(cats)
+    for kind, payload_rows in zip(Kind, kinds):
+        stored = _StoredRows(kind, payload_rows)
+        used.update(stored.rows[2::_WIDTH])     # each row's category
+        if kind is Kind.STEM:
+            lex._stored = stored
+        else:
+            lex._tables[kind].update(stored.buckets())
     _warn_unused(lex.compat, used)
     return lex
 
 
 def serialize_lexicon(lex: Lexicon) -> dict[str, str]:
-    """Render the lexicon back to its six-file TSV form (file name -> text)."""
+    """Render the lexicon back to its six-file TSV form (file name -> text).
+    Stem rows not yet built are written as stored (``_StoredRows.lines``)."""
     out = {}
-    for name, table in zip(LEXICON_FILES[:3], lex.tables.values()):
-        out[name] = "".join(format_entry_line(e) + "\n"
-                            for bucket in table.values() for e in bucket)
+    for name, kind in zip(LEXICON_FILES[:3], Kind):
+        table = lex._tables[kind]
+        lines = (lex._stored.lines(table)
+                 if kind is Kind.STEM and lex._stored is not None else
+                 [format_entry_line(e) for bucket in table.values()
+                  for e in bucket])
+        lines.append("")            # each row ends in a line feed
+        out[name] = "\n".join(lines)
     for name, pairs in zip(LEXICON_FILES[3:],
                            (lex.compat.ab, lex.compat.bc, lex.compat.ac)):
         out[name] = "".join(f"{a}\t{b}\n" for a, b in sorted(pairs))
@@ -703,7 +934,7 @@ def reject_known(batch: ReviewBatch, lex: Lexicon) -> None:
     for cand in batch.candidates:
         e = cand.entry
         if any(row.lemma == e.lemma
-               for row in lex.tables[e.kind].get(e.surface, ())):
+               for row in lex._bucket(e.kind, e.surface) or ()):
             cand.status = Status.REJECTED
 
 

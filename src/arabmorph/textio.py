@@ -7,7 +7,6 @@ from __future__ import annotations
 
 import os
 import re
-import tempfile
 from contextlib import contextmanager
 from pathlib import Path
 from typing import IO, Callable, Iterable, Iterator, TypeVar
@@ -70,15 +69,23 @@ def utf8_lines(path) -> Iterator[str]:
 def atomic_write(path, data: str | bytes) -> None:
     """Write ``data``, UTF-8 text or bytes, to ``path`` through a temporary
     file in its directory renamed over it, so a reader sees the old file
-    or the new one, never a part; the directory is made if missing."""
+    or the new one, never a part; the directory is made if missing.  The
+    file keeps the permission bits of the one it replaces; a new file gets
+    what ``open(path, "w")`` gives it, 0o666 less the umask."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".",
-                               suffix=".tmp")
+    try:
+        mode = os.stat(path).st_mode & 0o777
+    except FileNotFoundError:
+        mode = None
+    tmp = path.with_name(f"{path.name}.{os.urandom(6).hex()}.tmp")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with (os.fdopen(fd, "wb") if isinstance(data, bytes)
               else os.fdopen(fd, "w", encoding="utf-8")) as f:
             f.write(data)
+        if mode is not None:
+            os.chmod(tmp, mode)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

@@ -2,6 +2,7 @@ import io
 import os
 import random
 import shutil
+import stat
 import subprocess
 import sys
 from pathlib import Path
@@ -534,6 +535,61 @@ def test_atomic_write_leaves_no_temp_file_when_the_write_fails(tmp_path):
     with pytest.raises(UnicodeEncodeError):
         atomic_write(target, "ok\n\ud800\n")
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o077, 0o002], ids=oct)
+def test_atomic_write_gives_a_new_file_the_mode_open_would(tmp_path, umask):
+    old = os.umask(umask)
+    try:
+        atomic_write(tmp_path / "new.tsv", "text\n")
+        atomic_write(tmp_path / "sub" / "new.marshal", b"bytes")
+        with open(tmp_path / "opened.tsv", "w", encoding="utf-8"):
+            pass
+    finally:
+        os.umask(old)
+    modes = {stat.S_IMODE(os.stat(path).st_mode)
+             for path in (tmp_path / "new.tsv", tmp_path / "sub" / "new.marshal",
+                          tmp_path / "opened.tsv")}
+    assert modes == {0o666 & ~umask}
+
+
+@pytest.mark.parametrize("mode", [0o640, 0o604, 0o755], ids=oct)
+def test_atomic_write_keeps_the_mode_of_the_file_it_replaces(tmp_path, mode):
+    target = tmp_path / "out.tsv"
+    target.write_text("old\n", encoding="utf-8")
+    target.chmod(mode)
+    atomic_write(target, "new\n")
+    assert target.read_text(encoding="utf-8") == "new\n"
+    assert stat.S_IMODE(os.stat(target).st_mode) == mode
+
+
+def test_atomic_write_keeps_only_the_permission_bits_of_a_replaced_file(
+        tmp_path):
+    target = tmp_path / "out.tsv"
+    target.write_text("old\n", encoding="utf-8")
+    target.chmod(0o4755)
+    if not stat.S_IMODE(os.stat(target).st_mode) & stat.S_ISUID:
+        pytest.skip("this file system keeps no set-user-ID bit")
+    atomic_write(target, "new\n")
+    assert stat.S_IMODE(os.stat(target).st_mode) == 0o755
+
+
+def test_python_dash_m_arabmorph_runs_the_command_line():
+    def run(*argv):
+        return subprocess.run(
+            [sys.executable, "-m", "arabmorph", *argv], capture_output=True,
+            timeout=60, env={**os.environ, "PYTHONPATH": str(
+                Path(__file__).parents[1] / "src")})
+
+    helped = run("--help")
+    assert helped.returncode == 0
+    assert b"usage: arabmorph" in helped.stdout
+    for bad in (["--no-such-option"], ["analyze", "--flags", "NOPE", "-"]):
+        proc = run(*bad)
+        assert proc.returncode == 2
+        assert b"Traceback" not in proc.stderr
+        assert proc.stderr.startswith(b"usage: arabmorph") or \
+            proc.stderr.startswith(b"arabmorph: error:")
 
 
 def test_stdin_text_equals_a_files_whatever_stdin_was_set_up_with(

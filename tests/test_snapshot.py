@@ -3,6 +3,7 @@ load of ``PipelineConfig.load``: a hit gives exactly what the text parse
 gives, and a changed source, a damaged snapshot or a directory that cannot
 hold one falls back to the text parse."""
 
+import gc
 import io
 import logging
 import marshal
@@ -19,13 +20,17 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from arabmorph.cli import default_lexicon_dir
 from arabmorph.disambig import LmError, load_lm, serialize_lm, train_lm
-from arabmorph.lexicon import (ALL_FLAGS, LEXICON_FILES, CompatTables, Kind,
-                               Lexicon, LexiconError, load_lexicon,
-                               load_lexicon_dir, serialize_lexicon)
+from arabmorph.lexicon import (ALL_FLAGS, LEXICON_FILES, Candidate,
+                               CompatTables, Flag, Kind, LexEntry, Lexicon,
+                               LexiconError, ReviewBatch, Status,
+                               import_wordlist, load_lexicon,
+                               load_lexicon_dir, merge_reviewed,
+                               serialize_lexicon)
 from arabmorph.pipeline import PipelineConfig
 from arabmorph import snapshot
 from arabmorph.snapshot import snapshot_path
 from arabmorph.textio import read_with, utf8_lines
+from arabmorph.translit import buck_to_arabic
 
 from test_lexicon import _entries
 
@@ -112,6 +117,106 @@ def test_a_hit_gives_a_generated_lexicon_the_text_parse_gives(caplog, stem,
     assert warned_again == warned
     _assert_same_lexicon(restored, text)
     assert list(restored.entries()) == list(lex.entries())
+
+
+def _unbuilt_stems(lex):
+    """The stem keys of a restored lexicon whose buckets no reader has
+    built yet."""
+    return [key for key in lex._stored.keys
+            if key not in lex._tables[Kind.STEM]]
+
+
+def _assert_partly_read_lexicon_agrees(restored, text, batch):
+    """A restored lexicon that analysis has read in part gives what the
+    text parse gives: its rows, written before any reader builds them all;
+    its size and (lemma, tag) pairs; a merge; an add that collapses into a
+    bucket not yet built; and at the end every bucket."""
+    unbuilt = _unbuilt_stems(restored)
+    assert unbuilt                      # the run read only some buckets
+    assert serialize_lexicon(restored) == serialize_lexicon(text)
+    assert len(restored) == len(text)
+    assert restored.known_lemma_pos() == text.known_lemma_pos()
+    assert _unbuilt_stems(restored) == unbuilt
+    assert serialize_lexicon(merge_reviewed(restored, batch)) == \
+        serialize_lexicon(merge_reviewed(text, batch))
+    assert _unbuilt_stems(restored) == unbuilt   # the merge read a copy
+    key = unbuilt[-1]
+    wider = replace(text.stems[key][0], flags=ALL_FLAGS)
+    assert restored.add(wider) is text.add(wider) is False
+    assert key not in _unbuilt_stems(restored)
+    _assert_same_lexicon(restored, text)
+
+
+def _collapsing(text, key):
+    """An accepted candidate that a merge collapses by flag union into the
+    first row of ``key``'s bucket."""
+    return Candidate(replace(text.stems[key][0], flags=ALL_FLAGS),
+                     Status.ACCEPTED)
+
+
+def test_a_partly_read_bundled_lexicon_gives_what_the_text_parse_gives(
+        tmp_path, caplog):
+    lexdir = _bundled_copy(tmp_path / "lex")
+    load_lexicon_dir(lexdir)
+    pipeline, outcomes, _ = _logged(caplog, lambda: PipelineConfig(
+        lexicon_dir=lexdir, flags=ALL_FLAGS).load())
+    assert outcomes == [HIT]
+    pipeline.run("مع كاتب جامد والكتاب")
+    text = _text_lexicon(lexdir)
+    with open(DATA / "wordlist.tsv", encoding="utf-8") as f:
+        batch = import_wordlist(f, Kind.STEM, Flag.ICA)
+    for cand in batch.candidates:
+        cand.status = Status.ACCEPTED
+    batch.candidates.append(_collapsing(text, _unbuilt_stems(
+        pipeline.lexicon)[0]))
+    _assert_partly_read_lexicon_agrees(pipeline.lexicon, text, batch)
+
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.lists(_entries(Kind.STEM), min_size=2, max_size=8),
+       st.lists(_entries(), max_size=8),
+       st.lists(_entries(Kind.STEM), max_size=3), st.data())
+def test_a_partly_read_generated_lexicon_gives_what_the_text_parse_gives(
+        caplog, stems, entries, accepted, data):
+    lex = Lexicon(CompatTables(
+        ab=frozenset({("Pref-Al", "N"), ("Pref-Al", "PV")}),
+        bc=frozenset({("N", "Suff-0"), ("PV", "NSuff-ap")}),
+        ac=frozenset({("Pref-Al", "Suff-0"), ("Pref-Al", "NSuff-ap")})))
+    for entry in stems + entries:
+        lex.add(entry)
+    keys = list(lex.stems)
+    read = data.draw(st.lists(st.sampled_from(keys), max_size=3))
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, text in serialize_lexicon(lex).items():
+            Path(tmp, name).write_text(text, encoding="utf-8")
+        load_lexicon_dir(tmp)
+        pipeline, outcomes, _ = _logged(caplog, lambda: PipelineConfig(
+            lexicon_dir=Path(tmp), flags=ALL_FLAGS).load())
+        text = _text_lexicon(tmp)
+    assert outcomes == [HIT]
+    pipeline.run(" ".join(map(buck_to_arabic, read)))
+    unbuilt = _unbuilt_stems(pipeline.lexicon)
+    if not unbuilt:
+        return                  # the run read every bucket
+    batch = ReviewBatch([Candidate(e, Status.ACCEPTED) for e in accepted]
+                        + [_collapsing(text, unbuilt[0])])
+    _assert_partly_read_lexicon_agrees(pipeline.lexicon, text, batch)
+
+
+def test_a_hit_builds_the_entries_of_only_the_stems_a_run_reads(tmp_path):
+    lexdir = _bundled_copy(tmp_path / "lex")
+    load_lexicon_dir(lexdir)                  # writes the snapshot
+    config = PipelineConfig(lexicon_dir=lexdir, flags=ALL_FLAGS)
+
+    def alive():
+        gc.collect()
+        return sum(type(obj) is LexEntry for obj in gc.get_objects())
+
+    before = alive()
+    pipeline = config.load()
+    pipeline.run("كاتب")
+    assert alive() - before < len(pipeline.lexicon)
 
 
 def _write_lm(path, freq, gold_sentences):
