@@ -118,7 +118,8 @@ def analyze_type(surface: str, lex: Lexicon, active: Flag,
     holds only the (prefix, suffix) surface pairs with a prefix-suffix
     licensed entry pair, so a stem is sliced and read only for such a
     pair, and only the prefix-stem and stem-suffix tables are checked.
-    A stem bucket the lexicon has not built yet is built on that read
+    A stem key's entries are fetched, built if the lexicon has not built
+    them yet, and filtered by ``active`` on its first read
     (``LexView.read``).  Duplicates (same voc, lemma, primary tag)
     collapse onto the first occurrence, so order is deterministic:
     segmentation order, then lexicon load order.
@@ -147,7 +148,7 @@ def analyze_type(surface: str, lex: Lexicon, active: Flag,
             stem_entries = stems.get(stem)
             if stem_entries is None:
                 continue
-            if stem_entries.__class__ is not list:   # not yet built
+            if stem_entries.__class__ is not list:   # not yet read
                 stem_entries = view.read(stem)
             for a, sufs in entries:
                 for b in stem_entries:

@@ -15,9 +15,10 @@ import logging
 import re
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass, field, replace
-from itertools import accumulate, islice
+from itertools import accumulate, compress, filterfalse
+from operator import ne
 from pathlib import Path
-from typing import IO, Iterable, Iterator
+from typing import IO, Callable, Iterable, Iterator
 
 from .snapshot import load_cached, snapshot_path
 from .textio import NOT_XML_CHAR, data_lines, utf8_lines
@@ -187,6 +188,10 @@ def _default_pos(voc: str, cat: str) -> str:
     return f"{voc}/{cat}" if voc else ""
 
 
+# The names of a row's fields in LexiconError messages, in LexEntry order.
+_FIELD_NAMES = ("surface", "voc", "category", "gloss", "pos", "lemma")
+
+
 def _check_row(kind: Kind, surface: str, voc: str, cat: str, gloss: str,
                pos: str, lemma: str) -> None:
     """The rules every lexicon row keeps, checked where a row is read and
@@ -218,8 +223,8 @@ def _check_row(kind: Kind, surface: str, voc: str, cat: str, gloss: str,
                                         or NOT_XML_CHAR.search(joined))
     if bad:
         ch = bad.group()
-        fields = {"surface": surface, "voc": voc, "category": cat,
-                  "gloss": gloss, "pos": pos, "lemma": lemma}
+        fields = dict(zip(_FIELD_NAMES, (surface, voc, cat, gloss, pos,
+                                         lemma)))
         name = next(n for n, v in fields.items() if ch in v)
         if ch in "\t\r\n":
             raise LexiconError(f"{name} {fields[name]!r} would not "
@@ -247,34 +252,47 @@ def _flag_text(flags: Flag) -> str:
     return "|".join(flag_names(flags))
 
 
+def _annotation(gloss: str, voc: str, cat: str) -> tuple[str, str]:
+    """The gloss and the pos annotation of a row's stripped gloss column:
+    around its last ``<pos>``, when the column ends in ``</pos>``, else the
+    column and the default ``voc/cat``.  This is ``_POS_FIELD_RE``'s match
+    by string operations: the column holds no line feed, which the
+    pattern's "." stops at."""
+    if (gloss.endswith("</pos>") and "\n" not in gloss
+            and (i := gloss.rfind("<pos>")) >= 0):
+        return gloss[:i].strip(), gloss[i + 5:-6].strip()
+    return gloss, _default_pos(voc, cat)
+
+
+def _split_row(line: str) -> tuple[str, str, str, str, str, str, str]:
+    """The surface, voc, category, gloss, pos, lemma and flag column of a
+    lexicon row, before any check of their values (``parse_entry_line``)."""
+    fields = line.split("\t")
+    if len(fields) != 6:
+        if not 3 <= len(fields) <= 6:
+            raise LexiconError(f"expected 3 to 6 tab-separated fields, "
+                               f"got {len(fields)}")
+        fields += [""] * (6 - len(fields))
+    surface, voc, cat, gloss, lemma, flagtext = map(str.strip, fields)
+    surface = "" if surface == "0" else surface
+    voc = "" if voc == "0" else voc
+    gloss, pos = _annotation(gloss, voc, cat)
+    return surface, voc, cat, gloss, pos, lemma, flagtext
+
+
 def parse_entry_line(line: str, kind: Kind, lineno: int = 0,
                      filename: str = "<lexicon>") -> LexEntry:
     """Parse one TSV lexicon row.
 
     Columns: surface, voc, cat, gloss (optionally with a trailing
     ``<pos>...</pos>`` annotation, the last one of the column), lemma, and
-    a pipe-separated flag list.  A literal ``0`` denotes the empty
-    surface/voc of a null affix; trailing columns may be omitted, and an
-    entry without flags belongs to every variety.  An error names
-    ``filename:lineno``.
+    a pipe-separated flag list, each stripped of surrounding whitespace.
+    A literal ``0`` denotes the empty surface/voc of a null affix;
+    trailing columns may be omitted, and an entry without flags belongs to
+    every variety.  An error names ``filename:lineno``.
     """
-    fields = line.split("\t")
-    if not 3 <= len(fields) <= 6:
-        raise LexiconError(f"{filename}:{lineno}: expected 3 to 6 "
-                           f"tab-separated fields, got {len(fields)}")
-    fields += [""] * (6 - len(fields))
-    surface, voc, cat, gloss, lemma, flagtext = map(str.strip, fields)
-    surface = "" if surface == "0" else surface
-    voc = "" if voc == "0" else voc
-    # _POS_FIELD_RE's match on a stripped column, by string operations: the
-    # column ends in ``</pos>``, holds no line feed (the pattern's "." stops
-    # at one) and holds ``<pos>``, split at the last one.
-    if (gloss.endswith("</pos>") and "\n" not in gloss
-            and (i := gloss.rfind("<pos>")) >= 0):
-        gloss, pos = gloss[:i].strip(), gloss[i + 5:-6].strip()
-    else:
-        pos = _default_pos(voc, cat)
     try:
+        surface, voc, cat, gloss, pos, lemma, flagtext = _split_row(line)
         _check_row(kind, surface, voc, cat, gloss, pos, lemma)
         flags = _parse_flag_text(flagtext) if flagtext else ALL_FLAGS
     except LexiconError as exc:
@@ -284,20 +302,21 @@ def parse_entry_line(line: str, kind: Kind, lineno: int = 0,
 
 def format_entry_line(e: LexEntry) -> str:
     """The TSV row that ``parse_entry_line`` reads back as ``e``.  An entry
-    with no flags, whose row would read back with every flag, and an
+    with no flags, whose row would read back with every flag, a field with
+    leading or trailing whitespace, which the reader strips, and an
     annotation holding ``<pos>`` or ``</pos>`` are refused."""
-    return _format_row(e.surface, e.voc, e.cat, e.gloss, e.pos, e.lemma,
-                       _flag_text(e.flags))
-
-
-def _format_row(surface: str, voc: str, cat: str, gloss: str, pos: str,
-                lemma: str, flagtext: str) -> str:
-    """``format_entry_line`` of the entry with these fields and the flag
-    column ``flagtext``, which may come from a snapshot's stored rows
-    (``_StoredRows``) as well as from an entry."""
+    surface, voc, cat, gloss, pos, lemma = values = (
+        e.surface, e.voc, e.cat, e.gloss, e.pos, e.lemma)
+    flagtext = _flag_text(e.flags)
     if not flagtext:
         raise LexiconError(f"entry {surface or '0'}/{lemma or '-'} has "
                            "no flags; its row would read back with every flag")
+    if tuple(map(str.strip, values)) != values:
+        name, value = next((name, value) for name, value in zip(
+            _FIELD_NAMES, values) if value != value.strip())
+        raise LexiconError(f"entry {surface or '0'}/{lemma or '-'}: {name} "
+                           f"{value!r} has leading or trailing whitespace, "
+                           "which its row would not read back")
     if pos != _default_pos(voc, cat):
         if "<pos>" in pos or "</pos>" in pos:
             raise LexiconError(f"entry {surface or '0'}/{lemma or '-'}: "
@@ -349,42 +368,39 @@ def _parse_pairs(stream: IO[str] | Iterable[str],
     return frozenset(pairs)
 
 
-# A snapshot stores each row as the LexEntry fields after its kind.
-_WIDTH = len(LexEntry.__slots__) - 1
-
-
 class _StoredRows:
-    """The rows of one kind as a snapshot stores them (``_dump_store``).
-    ``keys`` are the bucket keys in table order and ``sizes`` their bucket
-    sizes; ``rows`` holds each row's fields after its kind side by side,
-    in table order, its flags as an index into ``flags``, the kind's
-    distinct flag sets.  ``place`` maps a key to the index in ``rows`` of
-    its bucket's first row; the bucket's rows are those from there on
-    that hold its key.  Nothing changes them, so copies of a lexicon share
-    them."""
+    """The rows of one kind as a snapshot stores them (``_dump_store``):
+    ``keys`` are the bucket keys in table order, ``sizes`` their bucket
+    sizes and ``rows`` each row's text as ``format_entry_line`` writes it,
+    in table order.  ``place`` maps a key to its index in ``keys``, and
+    ``starts`` holds the index in ``rows`` of each bucket's first row,
+    then the number of rows.  A bucket is built from its rows by the split
+    that ``parse_entry_line`` makes, without its checks, which the text
+    parse behind the snapshot passed; ``format_entry_line`` refuses a
+    field with surrounding whitespace, so a stored column needs no strip.
+    Nothing changes them, so copies of a lexicon share them."""
 
-    __slots__ = ("kind", "keys", "sizes", "flags", "rows", "place")
+    __slots__ = ("kind", "keys", "sizes", "rows", "starts", "place")
 
     def __init__(self, kind: Kind, stored: tuple):
         self.kind = kind
-        self.keys, self.sizes, masks, self.rows = stored
+        self.keys, self.sizes, self.rows = stored
+        self.starts = list(accumulate(self.sizes, initial=0))
         if (len(self.sizes) != len(self.keys)
-                or sum(self.sizes) * _WIDTH != len(self.rows)):
+                or self.starts[-1] != len(self.rows)):
             raise LexiconError("snapshot rows of unequal length")
-        self.flags = [Flag(mask) for mask in masks]
-        self.place = dict(zip(self.keys, map(
-            _WIDTH.__mul__, accumulate(self.sizes, initial=0))))
+        self.place = dict(zip(self.keys, range(len(self.keys))))
 
-    def _tuples(self) -> Iterator[tuple]:
-        """Each row as a tuple of its stored fields, in table order."""
-        return zip(*[iter(self.rows)] * _WIDTH)
+    def _bucket(self, i: int) -> list[LexEntry]:
+        """The entries of the ``i``-th stored bucket."""
+        kind, starts = self.kind, self.starts
+        return [LexEntry(kind, s, v, c, g, p, lemma, _parse_flag_text(f))
+                for s, v, c, g, p, lemma, f in map(
+                    _split_row, self.rows[starts[i]:starts[i + 1]])]
 
     def buckets(self) -> Iterator[tuple[str, list[LexEntry]]]:
         """(key, bucket) of every stored key, in table order."""
-        kind, flags, rows = self.kind, self.flags, self._tuples()
-        return ((key, [LexEntry(kind, s, v, c, g, p, lemma, flags[f])
-                       for s, v, c, g, p, lemma, f in islice(rows, size)])
-                for key, size in zip(self.keys, self.sizes))
+        return ((key, self._bucket(i)) for i, key in enumerate(self.keys))
 
     def read(self, table: dict[str, list[LexEntry]],
              key: str) -> list[LexEntry] | None:
@@ -392,58 +408,47 @@ class _StoredRows:
         lacks has its bucket built from its rows and kept in ``table``;
         None if neither holds ``key``."""
         bucket = table.get(key)
-        if bucket is None and (j := self.place.get(key)) is not None:
-            kind, r, flags = self.kind, self.rows, self.flags
-            bucket = table[key] = []
-            while j < len(r) and r[j] == key:
-                bucket.append(LexEntry(kind, key, r[j + 1], r[j + 2],
-                                       r[j + 3], r[j + 4], r[j + 5],
-                                       flags[r[j + 6]]))
-                j += _WIDTH
+        if bucket is None and (i := self.place.get(key)) is not None:
+            bucket = table[key] = self._bucket(i)
         return bucket
 
     def lemma_pos(self, table: dict[str, list[LexEntry]]
                   ) -> set[tuple[str, str]]:
-        """(lemma, primary tag) of each row with a lemma whose key
-        ``table`` lacks, read from the stored fields."""
-        r = self.rows
-        pairs = {(lemma, _first_tag(pos)) for key, pos, lemma in zip(
-                     r[0::_WIDTH], r[4::_WIDTH], r[5::_WIDTH])
-                 if lemma and key not in table}
+        """(lemma, primary tag) of each stem row with a lemma whose key
+        ``table`` lacks, read from its voc, category, gloss and lemma
+        columns alone.  A stem's voc is never the null marker ``0``."""
         # A lexicon has a few distinct tags: fold each once.
-        tags = {tag for _, tag in pairs}
-        tags.discard(None)
-        folded = {tag: fold_tag(tag) for tag in tags}
-        return {(lemma, folded.get(tag, "")) for lemma, tag in pairs}
-
-    def hidden(self, mask: int) -> set[str]:
-        """The stored keys none of whose rows has a flag in ``mask``."""
-        shown = [int(flags) & mask for flags in self.flags]
-        return set(self.keys).difference(
-            row[0] for row in self._tuples() if shown[row[-1]])
+        heads: dict[str | None, str] = {None: ""}
+        pairs = set()
+        for row in self.rows:
+            key, voc, cat, gloss, lemma, _ = row.split("\t")
+            if lemma and key not in table:
+                tag = _first_tag(_annotation(gloss, voc, cat)[1])
+                head = heads.get(tag)
+                if head is None:
+                    head = heads[tag] = fold_tag(tag)
+                pairs.add((lemma, head))
+        return pairs
 
     def lines(self, table: dict[str, list[LexEntry]]) -> list[str]:
-        """The rows of ``table`` over these, formatted by ``_format_row`` in
-        table order: a key that ``table`` holds from its entries, any other
-        stored key from its stored rows, then the keys that only ``table``
-        holds."""
-        texts = list(map(_flag_text, self.flags))
-        stored = [_format_row(s, v, c, g, p, lemma, texts[f])
-                  for s, v, c, g, p, lemma, f in self._tuples()]
+        """The rows of ``table`` over these, in table order: a stored key
+        that ``table`` holds written from its entries, any other stored key
+        as stored, then the keys that only ``table`` holds."""
+        rows, starts, place = self.rows, self.starts, self.place
         out: list[str] = []
         done = 0
-        for j in sorted(j for key in table
-                        if (j := self.place.get(key)) is not None):
-            key, i = self.rows[j], j // _WIDTH
-            out += stored[done:i]
-            out += map(format_entry_line, table[key])
-            done = i + 1
-            while done < len(stored) and self.rows[done * _WIDTH] == key:
-                done += 1
-        out += stored[done:]
+        for i in sorted(place[key] for key in table if key in place):
+            out += rows[done:starts[i]]
+            out += map(format_entry_line, table[self.keys[i]])
+            done = starts[i + 1]
+        out += rows[done:]
         out += (format_entry_line(e) for key, bucket in table.items()
-                if key not in self.place for e in bucket)
+                if key not in place for e in bucket)
         return out
+
+
+# The stored rows of a lexicon that has every bucket built.
+_NO_ROWS = _StoredRows(Kind.STEM, ([], [], []))
 
 
 def _fold_keys(keys: list[str]) -> list[str]:
@@ -455,6 +460,19 @@ def _fold_keys(keys: list[str]) -> list[str]:
     return folded
 
 
+def _affix_view(table: dict[str, list[LexEntry]], mask: int,
+                fold_alif: bool) -> dict[str, list[LexEntry]]:
+    """The entries of ``table`` whose flags intersect ``mask``, keyed by
+    surface, alif-folded under ``fold_alif``, in table order; a key with
+    none is absent."""
+    index: dict[str, list[LexEntry]] = {}
+    for surface, bucket in table.items():
+        if rows := [e for e in bucket if int(e.flags) & mask]:
+            key = normalize(surface, fold_alif=True) if fold_alif else surface
+            index.setdefault(key, []).extend(rows)
+    return index
+
+
 class LexView:
     """The entries of one (active flags, alif folding) pair, as
     ``Lexicon.view`` builds them, and the affix side of analysis
@@ -462,69 +480,53 @@ class LexView:
 
     ``tables`` maps each kind to its entries whose flags intersect the
     active set, keyed by surface, alif-folded under folding; table, then
-    load order.  A surface whose rows all intersect the active set, and
-    onto which no other surface folds, keeps the lexicon's own bucket,
-    which ``add`` replaces rather than changes, so a view adds no list for
-    it.  A stem bucket that the lexicon has not built yet (see
-    ``Lexicon``) is found by its key and the flags of its stored rows, and
-    its entries are built when ``read`` first asks for them: until then
-    ``stems`` holds, in place of a list, the surface that folds onto the
-    key, or a tuple of such surfaces and of lists in table order.  Read a
-    stem key through ``read``; every other value is a list.  ``pairs``
-    maps a prefix surface to a suffix surface to the prefix entries ``a``
-    of that surface, in load order, each with the suffix entries ``c`` of
-    that surface, in load order, that ``compat.ac`` licenses for ``a``; a
-    pair without such an (a, c) is absent.  ``prefix_lens`` and
-    ``suffix_lens`` are the sorted lengths of its keys, so the lexicon's
-    own affixes bound the splits tried.  ``head_tags`` memoizes
-    ``LexEntry.head_tag`` by the ``id`` of an entry of ``tables``, which
-    the view keeps alive, so the ids stay its own.  Callers change only
-    ``head_tags``."""
+    load order.  Its affix tables hold lists, a key none of whose entries
+    intersects the active set being absent.  Its stem table, ``stems``,
+    holds every stem key: until ``read`` first asks for a key, it holds
+    the surface that folds onto the key, or a tuple of such surfaces in
+    table order, and ``read`` fetches their buckets through
+    ``read_stem``, which builds a bucket the lexicon has not built yet
+    (see ``Lexicon``), keeps the entries that intersect the active set and
+    puts the list in their place, empty if none does: the lexicon's own
+    bucket when one surface folds onto the key and all of its entries
+    do, since ``add`` replaces a bucket rather than changes it.  Read a
+    stem key through ``read``.  The view holds the lexicon's stem table
+    and stored rows through ``read_stem``, never the lexicon itself.
+
+    ``pairs`` maps a prefix surface to a suffix surface to the prefix
+    entries ``a`` of that surface, in load order, each with the suffix
+    entries ``c`` of that surface, in load order, that ``compat.ac``
+    licenses for ``a``; a pair without such an (a, c) is absent.
+    ``prefix_lens`` and ``suffix_lens`` are the sorted lengths of its
+    keys, so the lexicon's own affixes bound the splits tried.
+    ``head_tags`` memoizes ``LexEntry.head_tag`` by the ``id`` of an entry
+    of ``tables``, which the view keeps alive, so the ids stay its own.
+    Callers change only ``head_tags``."""
 
     __slots__ = ("tables", "stems", "pairs", "prefix_lens", "suffix_lens",
-                 "head_tags", "_mask", "_every", "_built", "_stored")
+                 "head_tags", "_mask", "_read")
 
-    def __init__(self, tables: dict[Kind, dict[str, list[LexEntry]]],
-                 stored: _StoredRows | None, ac: frozenset[tuple[str, str]],
-                 mask: int, fold_alif: bool):
-        self._mask, self._built, self._stored = mask, tables[Kind.STEM], stored
-        # Whether every stored stem row is visible, the common case.
-        self._every = stored is None or all(int(flags) & mask
-                                            for flags in stored.flags)
-        self.tables: dict[Kind, dict[str, list[LexEntry]]] = {}
-        for kind, table in tables.items():
-            surfaces, hidden = list(table), ()
-            if kind is Kind.STEM and stored is not None:
-                surfaces = stored.keys + [s for s in table
-                                          if s not in stored.place]
-                hidden = () if self._every else stored.hidden(mask)
-            keys = _fold_keys(surfaces) if fold_alif else surfaces
-            self.tables[kind] = index = {}
-            for key, surface in zip(keys, surfaces):
-                bucket = table.get(surface)
-                if bucket is None:          # built on its first read
-                    if surface in hidden:
-                        continue
-                    rows = surface
-                else:
-                    for e in bucket:
-                        if not int(e.flags) & mask:
-                            rows = [e for e in bucket if int(e.flags) & mask]
-                            break
-                    else:           # every row is visible
-                        rows = bucket
-                    if not rows:
-                        continue
-                held = index.setdefault(key, rows)
-                if held is rows:
-                    continue
-                # A second surface folds here.
-                if held.__class__ is list and rows.__class__ is list:
-                    index[key] = held + rows
-                else:
-                    index[key] = (*(held if held.__class__ is tuple
-                                    else (held,)), rows)
-        prefixes, self.stems, suffixes = self.tables.values()
+    def __init__(self, prefixes: dict[str, list[LexEntry]],
+                 suffixes: dict[str, list[LexEntry]], stem_keys: list[str],
+                 read_stem: Callable[[str], list[LexEntry]],
+                 ac: frozenset[tuple[str, str]], mask: int, fold_alif: bool):
+        self._mask, self._read = mask, read_stem
+        keys = _fold_keys(stem_keys) if fold_alif else stem_keys
+        self.stems: dict[str, object] = dict(zip(keys, stem_keys))
+        if len(self.stems) < len(stem_keys):    # surfaces folded together
+            # Each such key has a surface that folding changed.
+            moved = set(compress(keys, map(ne, keys, stem_keys)))
+            shared: dict[str, list[str]] = {}
+            for key, surface in compress(zip(keys, stem_keys),
+                                         map(moved.__contains__, keys)):
+                shared.setdefault(key, []).append(surface)
+            self.stems.update((key, tuple(surfaces))
+                              for key, surfaces in shared.items()
+                              if len(surfaces) > 1)
+        prefixes = _affix_view(prefixes, mask, fold_alif)
+        suffixes = _affix_view(suffixes, mask, fold_alif)
+        self.tables = {Kind.PREFIX: prefixes, Kind.STEM: self.stems,
+                       Kind.SUFFIX: suffixes}
         # The licensed suffixes depend on the prefix's category alone, and
         # there are far fewer categories than prefix entries.
         by_cat: dict[str, dict[str, list[LexEntry]]] = {}
@@ -548,28 +550,24 @@ class LexView:
         self.head_tags: dict[int, str] = {}
 
     def read(self, key: str) -> list[LexEntry]:
-        """The visible stem entries under ``key``, a key of ``stems``, built
-        on the first read of a bucket the lexicon had not built and kept
-        in ``stems`` and in the lexicon."""
-        parts = self.stems[key]
-        if parts.__class__ is list:
-            return parts
-        if parts.__class__ is str:
-            rows = self._visible(parts)
+        """The stem entries under ``key``, a key of ``stems``, whose flags
+        intersect the active set; fetched on the key's first read and kept
+        in ``stems``."""
+        held = self.stems[key]
+        if held.__class__ is list:
+            return held
+        mask, read = self._mask, self._read
+        if held.__class__ is str:
+            bucket = read(held)
+            rows = [e for e in bucket if int(e.flags) & mask]
+            # A list per read gives the collector one more object per key.
+            if len(rows) == len(bucket):
+                rows = bucket
         else:
-            rows = [e for part in parts for e in (
-                self._visible(part) if part.__class__ is str else part)]
+            rows = [e for surface in held for e in read(surface)
+                    if int(e.flags) & mask]
         self.stems[key] = rows
         return rows
-
-    def _visible(self, surface: str) -> list[LexEntry]:
-        """The visible rows of the lexicon's bucket of ``surface``, built
-        if need be: the bucket itself if every row is visible."""
-        bucket = self._stored.read(self._built, surface)
-        if self._every:
-            return bucket
-        rows = [e for e in bucket if int(e.flags) & self._mask]
-        return bucket if len(rows) == len(bucket) else rows
 
 
 class Lexicon:
@@ -580,11 +578,11 @@ class Lexicon:
     mutator (merges return a new Lexicon), drops both.
 
     A lexicon restored from a snapshot keeps its stem rows as the snapshot
-    stores them (``_StoredRows``) and builds a stem bucket on its first
-    read.  Analysis (``view``, ``lookup``) and ``add`` build only the
-    buckets they read; ``len``, ``copy`` and ``serialize_lexicon`` build
-    none, and ``known_lemma_pos`` reads the stored lemma and annotation
-    fields.  ``tables``, ``stems``, ``table`` and ``entries`` build every
+    stores them, as row text (``_StoredRows``), and builds a stem bucket
+    on its first read.  Analysis (``view``, ``lookup``) and ``add`` build
+    only the buckets they read; ``len``, ``copy`` and ``serialize_lexicon``
+    build none, and ``known_lemma_pos`` reads four columns of the stored
+    rows.  ``tables``, ``stems``, ``table`` and ``entries`` build every
     remaining bucket first.  Every reader gives what it gives on the text
     parse: the same entries, in the same table order."""
 
@@ -594,7 +592,7 @@ class Lexicon:
         # Every affix bucket is built; the stems go through ``stems``.
         self.prefixes, _, self.suffixes = self._tables.values()
         # The stem rows not yet built into buckets of _tables[STEM].
-        self._stored: _StoredRows | None = None
+        self._stored = _NO_ROWS
         self.compat = compat
         self._view_key: tuple[int, bool] | None = None
         self._view: LexView | None = None
@@ -604,10 +602,8 @@ class Lexicon:
     def tables(self) -> dict[Kind, dict[str, list[LexEntry]]]:
         """Each kind's buckets by surface, in table order; the stem
         buckets not yet built are built first."""
-        stored, self._stored = self._stored, None
-        if stored is not None:
-            # The view holds the stored rows; a new one reads the table.
-            self._view_key = self._view = None
+        stored, self._stored = self._stored, _NO_ROWS
+        if stored.keys:
             table = self._tables[Kind.STEM]
             built = table.copy()
             table.clear()
@@ -629,20 +625,17 @@ class Lexicon:
                 yield from bucket
 
     def __len__(self) -> int:
-        n = sum(len(bucket) for table in self._tables.values()
-                for bucket in table.values())
-        if self._stored is not None:
-            built = self._tables[Kind.STEM]
-            n += sum(size for key, size in zip(self._stored.keys,
-                                               self._stored.sizes)
-                     if key not in built)
-        return n
+        built = self._tables[Kind.STEM]
+        return sum(len(bucket) for table in self._tables.values()
+                   for bucket in table.values()) + sum(
+            size for key, size in zip(self._stored.keys, self._stored.sizes)
+            if key not in built)
 
     def _bucket(self, kind: Kind, surface: str) -> list[LexEntry] | None:
         """The bucket of ``surface``, built if it is stored and not yet
         built; None if the lexicon has none."""
         table = self._tables[kind]
-        if kind is Kind.STEM and self._stored is not None:
+        if kind is Kind.STEM:
             return self._stored.read(table, surface)
         return table.get(surface)
 
@@ -691,22 +684,25 @@ class Lexicon:
         for its (flags, folding) pair and dropped by ``add``."""
         mask = int(active)
         if (mask, fold_alif) != self._view_key:
-            self._view = LexView(self._tables, self._stored,
-                                 self.compat.ac, mask, fold_alif)
+            stored, table = self._stored, self._tables[Kind.STEM]
+            self._view = LexView(
+                self.prefixes, self.suffixes,
+                stored.keys + list(filterfalse(stored.place.__contains__,
+                                               table)),
+                functools.partial(stored.read, table), self.compat.ac,
+                mask, fold_alif)
             self._view_key = (mask, fold_alif)
         return self._view
 
     def known_lemma_pos(self) -> frozenset[tuple[str, str]]:
         """(lemma, primary tag) pairs of every stem entry, collected on
         first use and kept until ``add``.  Stem rows not yet built are read
-        from their stored fields."""
+        from their stored text."""
         if self._known is None:
             table = self._tables[Kind.STEM]
             known = {(e.lemma, e.head_tag())
                      for bucket in table.values() for e in bucket if e.lemma}
-            if self._stored is not None:    # builds no bucket
-                known |= self._stored.lemma_pos(table)
-            self._known = frozenset(known)
+            self._known = frozenset(known | self._stored.lemma_pos(table))
         return self._known
 
     def copy(self) -> "Lexicon":
@@ -743,8 +739,8 @@ def load_lexicon(prefix_stream, stem_stream, suffix_stream,
     return lex
 
 
-def _warn_unused(compat: CompatTables, used: set[str]) -> None:
-    for cat in sorted(compat.categories() - used):
+def _warn_unused(compat: CompatTables, used: Iterable[str]) -> None:
+    for cat in sorted(compat.categories().difference(used)):
         log.warning("compatibility tables name category %r, which no loaded "
                     "entry carries", cat)
 
@@ -763,22 +759,15 @@ def load_lexicon_dir(path) -> Lexicon:
 
 
 def _dump_store(lex: Lexicon) -> tuple:
-    """The lexicon as marshal data: its compat pair sets, then per kind the
-    bucket keys, the bucket sizes, the distinct flag masks and the rows
-    (``_StoredRows``).  A row's fields lie side by side, as the read of a
-    bucket wants them, and it holds its bucket's key itself, which marshal
-    writes once."""
-    kinds = []
-    for table in lex.tables.values():
-        masks = sorted({int(e.flags) for bucket in table.values()
-                        for e in bucket})
-        index = {mask: i for i, mask in enumerate(masks)}
-        rows = [field for key, bucket in table.items() for e in bucket
-                for field in (key, e.voc, e.cat, e.gloss, e.pos, e.lemma,
-                              index[int(e.flags)])]
-        kinds.append((list(table), [len(bucket) for bucket in table.values()],
-                      masks, rows))
-    return lex.compat.ab, lex.compat.bc, lex.compat.ac, kinds
+    """The lexicon as marshal data: its compat pair sets, the sorted
+    categories its rows carry, then per kind the bucket keys, the bucket
+    sizes and the rows as ``format_entry_line`` writes them
+    (``_StoredRows``)."""
+    kinds = [(list(table), [len(bucket) for bucket in table.values()],
+              [format_entry_line(e) for bucket in table.values()
+               for e in bucket]) for table in lex.tables.values()]
+    cats = sorted({e.cat for e in lex.entries()})
+    return lex.compat.ab, lex.compat.bc, lex.compat.ac, cats, kinds
 
 
 def _restore_store(payload: tuple) -> Lexicon:
@@ -786,17 +775,13 @@ def _restore_store(payload: tuple) -> Lexicon:
     load's warnings.  Its affix buckets are built in stored order; its stem
     rows stay as stored, built into buckets as they are read
     (``Lexicon``)."""
-    ab, bc, ac, kinds = payload
+    ab, bc, ac, cats, kinds = payload
     lex = Lexicon(CompatTables(ab, bc, ac))
-    used: set[str] = set()
-    for kind, payload_rows in zip(Kind, kinds):
-        stored = _StoredRows(kind, payload_rows)
-        used.update(stored.rows[2::_WIDTH])     # each row's category
-        if kind is Kind.STEM:
-            lex._stored = stored
-        else:
-            lex._tables[kind].update(stored.buckets())
-    _warn_unused(lex.compat, used)
+    prefixes, lex._stored, suffixes = (
+        _StoredRows(kind, rows) for kind, rows in zip(Kind, kinds, strict=True))
+    lex.prefixes.update(prefixes.buckets())
+    lex.suffixes.update(suffixes.buckets())
+    _warn_unused(lex.compat, cats)
     return lex
 
 
@@ -806,8 +791,7 @@ def serialize_lexicon(lex: Lexicon) -> dict[str, str]:
     out = {}
     for name, kind in zip(LEXICON_FILES[:3], Kind):
         table = lex._tables[kind]
-        lines = (lex._stored.lines(table)
-                 if kind is Kind.STEM and lex._stored is not None else
+        lines = (lex._stored.lines(table) if kind is Kind.STEM else
                  [format_entry_line(e) for bucket in table.values()
                   for e in bucket])
         lines.append("")            # each row ends in a line feed

@@ -372,6 +372,24 @@ def test_an_entry_without_flags_is_not_written():
         save_review(ReviewBatch([Candidate(entry)]), io.StringIO())
 
 
+@pytest.mark.parametrize("entry,name,value", [
+    (LexEntry(Kind.STEM, "ktb", "kataba", "PV", " write ", "kataba/V ",
+              "katab_1", Flag.CA), "gloss", " write "),
+    (LexEntry(Kind.STEM, "ktb", "kataba", "PV ", "write", "kataba/PV",
+              "katab_1", Flag.CA), "category", "PV ")])
+def test_an_entry_with_a_padded_field_is_not_written(entry, name, value):
+    message = (f"^entry ktb/katab_1: {name} '{value}' has leading or "
+               "trailing whitespace, which its row would not read back$")
+    with pytest.raises(LexiconError, match=message):
+        format_entry_line(entry)
+    lex = _mini_lexicon(["ktAb\tkitAb\tN\tbook\tkitAb_1\tCA"])
+    lex.add(entry)
+    with pytest.raises(LexiconError, match=message):
+        serialize_lexicon(lex)
+    with pytest.raises(LexiconError, match=message):
+        save_review(ReviewBatch([Candidate(entry)]), io.StringIO())
+
+
 def test_the_annotation_is_the_last_pos_that_ends_the_gloss_column():
     entry = LexEntry(Kind.STEM, "ktb", "kataba", "PV", "a <pos>x</pos> b",
                      "kataba/V", "katab_1", Flag.CA)
@@ -468,20 +486,28 @@ def test_lookup_fold_alif(lexicon):
     assert lexicon.lookup("ArD", Kind.STEM, ALL_FLAGS, fold_alif=True) == plain
 
 
-def test_a_view_leaves_the_lexicon_rows_as_they_were():
+def test_a_view_leaves_the_lexicon_rows_as_they_were(tmp_path):
     """A view may hold a lexicon bucket itself; folding two surfaces onto
-    one key, or hiding a row, gives the view a list of its own."""
+    one key, or hiding a row, gives the view a list of its own, on the text
+    parse and on a snapshot hit of the same rows alike."""
     lex = _mini_lexicon(["ArD\tAaroD\tN\tland\tAaroD_1\tCA",
                          ">rD\t>aroD\tN\tland\t>aroD_1\tMSA",
                          ">rD\t>aruD\tN\tland\t>aruD_1\tCA"])
+    for name, text in serialize_lexicon(lex).items():
+        (tmp_path / name).write_text(text, encoding="utf-8")
+    load_lexicon_dir(tmp_path)                # writes the snapshot
+    hit = load_lexicon_dir(tmp_path)
+    assert hit._stored.keys                   # restored, not yet built
     rows = {s: list(bucket) for s, bucket in lex.stems.items()}
-    for active in (ALL_FLAGS, Flag.CA, Flag.MSA):
-        for fold_alif in (False, True):
-            stems = lex.view(active, fold_alif).stems
-            assert [e.voc for bucket in stems.values() for e in bucket] == [
-                e.voc for e in lex.entries()
-                if e.kind is Kind.STEM and e.flags & active]
-    assert lex.stems == rows
+    for lexicon in (lex, hit):
+        for active in (ALL_FLAGS, Flag.CA, Flag.MSA):
+            for fold_alif in (False, True):
+                view = lexicon.view(active, fold_alif)
+                assert [e.voc for key in list(view.stems)
+                        for e in view.read(key)] == [
+                    e.voc for e in lex.entries()
+                    if e.kind is Kind.STEM and e.flags & active]
+        assert lexicon.stems == rows
 
 
 @given(st.data())

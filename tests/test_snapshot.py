@@ -12,25 +12,27 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import weakref
 from dataclasses import replace
 from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from arabmorph.analyzer import analyze_type
 from arabmorph.cli import default_lexicon_dir
 from arabmorph.disambig import LmError, load_lm, serialize_lm, train_lm
 from arabmorph.lexicon import (ALL_FLAGS, LEXICON_FILES, Candidate,
                                CompatTables, Flag, Kind, LexEntry, Lexicon,
                                LexiconError, ReviewBatch, Status,
                                import_wordlist, load_lexicon,
-                               load_lexicon_dir, merge_reviewed,
-                               serialize_lexicon)
+                               classical_preset, load_lexicon_dir,
+                               merge_reviewed, serialize_lexicon)
 from arabmorph.pipeline import PipelineConfig
 from arabmorph import snapshot
 from arabmorph.snapshot import snapshot_path
 from arabmorph.textio import read_with, utf8_lines
-from arabmorph.translit import buck_to_arabic
+from arabmorph.translit import buck_to_arabic, normalize
 
 from test_lexicon import _entries
 
@@ -147,6 +149,24 @@ def _assert_partly_read_lexicon_agrees(restored, text, batch):
     _assert_same_lexicon(restored, text)
 
 
+def _assert_hidden_stems_read_as_the_text_parse(hit, text):
+    """Every stem surface and its alif-folded form looks up in ``hit``, a
+    lexicon restored from a snapshot, as in the text parse, under three
+    flag sets with folding on and off, and analyzes the same under
+    ``classical_preset()`` with folding.  The flag sets hide stem rows,
+    and some stem keys whole, as the view reads them."""
+    surfaces = list(text.stems)
+    queries = surfaces + [normalize(s, fold_alif=True) for s in surfaces]
+    for active in (ALL_FLAGS, classical_preset(), Flag.MSA):
+        for fold_alif in (False, True):
+            for query in queries:
+                assert hit.lookup(query, Kind.STEM, active, fold_alif) == \
+                    text.lookup(query, Kind.STEM, active, fold_alif)
+    assert [analyze_type(q, hit, classical_preset(), True)
+            for q in queries] == \
+        [analyze_type(q, text, classical_preset(), True) for q in queries]
+
+
 def _collapsing(text, key):
     """An accepted candidate that a merge collapses by flag union into the
     first row of ``key``'s bucket."""
@@ -169,6 +189,8 @@ def test_a_partly_read_bundled_lexicon_gives_what_the_text_parse_gives(
         cand.status = Status.ACCEPTED
     batch.candidates.append(_collapsing(text, _unbuilt_stems(
         pipeline.lexicon)[0]))
+    _assert_hidden_stems_read_as_the_text_parse(load_lexicon_dir(lexdir),
+                                                text)
     _assert_partly_read_lexicon_agrees(pipeline.lexicon, text, batch)
 
 
@@ -194,7 +216,10 @@ def test_a_partly_read_generated_lexicon_gives_what_the_text_parse_gives(
         pipeline, outcomes, _ = _logged(caplog, lambda: PipelineConfig(
             lexicon_dir=Path(tmp), flags=ALL_FLAGS).load())
         text = _text_lexicon(tmp)
-    assert outcomes == [HIT]
+        again, again_outcomes, _ = _logged(caplog,
+                                           lambda: load_lexicon_dir(tmp))
+    assert outcomes == again_outcomes == [HIT]
+    _assert_hidden_stems_read_as_the_text_parse(again, text)
     pipeline.run(" ".join(map(buck_to_arabic, read)))
     unbuilt = _unbuilt_stems(pipeline.lexicon)
     if not unbuilt:
@@ -217,6 +242,24 @@ def test_a_hit_builds_the_entries_of_only_the_stems_a_run_reads(tmp_path):
     pipeline = config.load()
     pipeline.run("كاتب")
     assert alive() - before < len(pipeline.lexicon)
+
+
+def test_a_dropped_pipeline_frees_its_lexicon_without_the_collector(
+        tmp_path):
+    lexdir = _bundled_copy(tmp_path / "lex")
+    load_lexicon_dir(lexdir)                  # writes the snapshot
+    pipeline = PipelineConfig(lexicon_dir=lexdir, flags=ALL_FLAGS,
+                              normalize_alif=True).load()
+    pipeline.run("مع كاتب جامد والكتاب")
+    lexicon = weakref.ref(pipeline.lexicon)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        del pipeline
+        assert lexicon() is None
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def _write_lm(path, freq, gold_sentences):
