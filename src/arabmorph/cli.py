@@ -14,15 +14,12 @@ import argparse
 import io
 import os
 import sys
-from importlib import resources
 from pathlib import Path
 
 from . import __version__
 from .analyzer import had_diacritics
 from .disambig import (DEFAULT_LAMBDA, LmError, RuleError, load_freq_table,
                        serialize_lm, train_lm)
-from .evaluation import (evaluate, load_gold, readings_from_doc,
-                         report_table, report_tsv)
 from .lexicon import (ALL_FLAGS, Flag, Kind, LexiconError, classical_preset,
                       flag_names, load_lexicon_dir, load_review,
                       import_tei_dictionary, import_wordlist, merge_reviewed,
@@ -42,7 +39,7 @@ _ERRORS = (LexiconError, RuleError, LmError, TeiError, TranslitError,
 
 
 def default_lexicon_dir() -> Path:
-    return Path(str(resources.files("arabmorph").joinpath("data/lexicon")))
+    return Path(__file__).parent / "data" / "lexicon"
 
 
 def _resolve_lexicon_dir(arg: str | None) -> Path:
@@ -139,6 +136,8 @@ def cmd_correct(args) -> int:
 
 
 def cmd_train_lm(args) -> int:
+    from .evaluation import load_gold
+
     sentences = read_with(load_gold, args.gold)
     freq = read_with(load_freq_table, args.freq) if args.freq else None
     tuples = [[tok.lemma_pos for tok in sent] for sent in sentences]
@@ -150,6 +149,9 @@ def cmd_train_lm(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    from .evaluation import (evaluate, load_gold, readings_from_doc,
+                             report_table, report_tsv)
+
     lex = load_lexicon_dir(_resolve_lexicon_dir(args.lexicon))
     doc = parse_tei(_read_text(args.system))
     gold = [tok for sent in read_with(load_gold, args.gold) for tok in sent]

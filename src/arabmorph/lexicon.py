@@ -13,7 +13,6 @@ import enum
 import functools
 import logging
 import re
-import xml.etree.ElementTree as ET
 from dataclasses import dataclass, field, replace
 from itertools import accumulate, compress, filterfalse
 from operator import ne
@@ -21,7 +20,7 @@ from pathlib import Path
 from typing import IO, Callable, Iterable, Iterator
 
 from .snapshot import load_cached, snapshot_path
-from .textio import NOT_XML_CHAR, data_lines, utf8_lines
+from .textio import data_lines, not_xml_char, utf8_lines
 from .translit import (DEFAULT_TABLE, arabic_to_buck, normalize,
                        strip_diacritics)
 
@@ -220,7 +219,7 @@ def _check_row(kind: Kind, surface: str, voc: str, cat: str, gloss: str,
     # tab, CR, LF and every character XML 1.0 cannot carry are unprintable.
     joined = f"{surface}{voc}{cat}{gloss}{pos}{lemma}"
     bad = not joined.isprintable() and (_ROW_BREAK_RE.search(joined)
-                                        or NOT_XML_CHAR.search(joined))
+                                        or not_xml_char().search(joined))
     if bad:
         ch = bad.group()
         fields = dict(zip(_FIELD_NAMES, (surface, voc, cat, gloss, pos,
@@ -841,9 +840,11 @@ def _candidate(word: str, kind: Kind, cat: str, gloss: str, assign: Flag,
                where: str) -> LexEntry:
     """The entry an import proposes for an Arabic-script ``word``; a stem
     gets the lemma ``<voc>_1``.  A row that breaks a row rule, whose
-    surface or voc is the row format's null marker ``0``, or whose word is
+    surface or voc is the row format's null marker ``0``, whose word is
     not one run of characters that ``tokenize`` reads as a word (such as
-    ``book``, whose ``o`` is Buckwalter's sukun), is a ``LexiconError``
+    ``book``, whose ``o`` is Buckwalter's sukun), or whose word holds an
+    Arabic letter outside the table, which would stay in the row as itself
+    and could not be written back in Arabic script, is a ``LexiconError``
     at ``where``."""
     voc = normalize(arabic_to_buck(word))
     surface = strip_diacritics(voc)
@@ -858,6 +859,11 @@ def _candidate(word: str, kind: Kind, cat: str, gloss: str, assign: Flag,
     if not DEFAULT_TABLE.runs.fullmatch(word):
         raise LexiconError(f"{where}: {word!r} is not a word that tokenize "
                            "would read")
+    letters = DEFAULT_TABLE.arabic_letters
+    if not letters.isdisjoint(voc):
+        other = next(c for c in voc if c in letters)
+        raise LexiconError(f"{where}: {word!r} holds U+{ord(other):04X}, "
+                           "which the transliteration table lacks")
     return LexEntry(kind=kind, surface=surface, voc=voc, cat=cat, gloss=gloss,
                     pos=pos, lemma=lemma, flags=assign)
 
@@ -870,6 +876,8 @@ def import_tei_dictionary(stream, assign: Flag,
     whitespace runs of both made one space; the category is a placeholder
     pending human review.  An entry that gives no row is skipped.
     """
+    import xml.etree.ElementTree as ET
+
     if not assign:
         raise LexiconError("import requires a non-empty flag set")
     try:

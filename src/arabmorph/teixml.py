@@ -11,22 +11,14 @@ LF line endings) so byte-level golden comparisons are stable.
 
 from __future__ import annotations
 
-import re
-import xml.etree.ElementTree as ET
 from dataclasses import dataclass, replace
 from typing import Sequence
-from xml.sax.saxutils import escape, quoteattr
 
 from . import __version__
 from .analyzer import TokenReadings
-from .textio import NOT_XML_CHAR
+from .textio import not_xml_char
 
 UNKNOWN_ANA = "UNK//UNK"
-
-# The characters quoteattr and escape change; a value holding none of them
-# is written in double quotes or as is, without calling them.
-_ATTR_SPECIAL = re.compile('[&<>"\n\r\t]').search
-_TEXT_SPECIAL = re.compile("[&<>]").search
 
 
 class TeiError(ValueError):
@@ -74,12 +66,24 @@ class TeiDoc:
     words: tuple[TeiWord, ...] = ()
 
 
-def _attr(value: str) -> str:
-    return quoteattr(value) if _ATTR_SPECIAL(value) else f'"{value}"'
+def escape(text: str) -> str:
+    """``text`` as XML character data, as ``xml.sax.saxutils.escape``
+    writes it: ``&``, ``<`` and ``>`` become entities."""
+    return text.replace("&", "&amp;").replace(">", "&gt;").replace("<", "&lt;")
 
 
-def _text(value: str) -> str:
-    return escape(value) if _TEXT_SPECIAL(value) else value
+def quoteattr(value: str) -> str:
+    """``value`` as a quoted XML attribute value, as
+    ``xml.sax.saxutils.quoteattr`` writes it: escaped, with tab, LF and CR
+    as character references, in double quotes unless it holds ``"`` and
+    no ``'``; holding both, its ``"`` become ``&quot;``."""
+    value = (escape(value).replace("\n", "&#10;").replace("\r", "&#13;")
+             .replace("\t", "&#9;"))
+    if '"' not in value:
+        return f'"{value}"'
+    if "'" not in value:
+        return f"'{value}'"
+    return '"%s"' % value.replace('"', "&quot;")
 
 
 def _check_word(word: TeiWord, where: str = "") -> None:
@@ -127,12 +131,11 @@ def emit_tei(doc: TeiDoc) -> str:
 
     Each distinct word object is checked and rendered once per call, and
     its ``<w>`` block repeated for every later occurrence (keyed by
-    ``id`` as ``TokenReadings`` allows); a word value goes through
-    ``quoteattr`` or ``escape`` only if it holds a character they change.
-    A header field holding a character that XML 1.0 cannot carry is a
-    ``TeiError``."""
+    ``id`` as ``TokenReadings`` allows).  A header field holding a
+    character that XML 1.0 cannot carry is a ``TeiError``."""
     for name in ("source", "flags", "version"):
-        bad = NOT_XML_CHAR.search(getattr(doc, name))
+        value = getattr(doc, name)
+        bad = not value.isprintable() and not_xml_char().search(value)
         if bad:
             raise TeiError(f"{name} holds U+{ord(bad.group()):04X}, which "
                            "XML 1.0 cannot carry")
@@ -149,12 +152,12 @@ def emit_tei(doc: TeiDoc) -> str:
         block = blocks.get(key)
         if block is None:
             _check_word(word)
-            block = f"    <w ana={_attr(word.ana)}>\n"
+            block = f"    <w ana={quoteattr(word.ana)}>\n"
             for note in word.notes:
                 ed = ' ed="correct"' if note.corrected else ""
-                block += f"      <note ana={_attr(note.ana)}{ed}/>\n"
+                block += f"      <note ana={quoteattr(note.ana)}{ed}/>\n"
             block = blocks[key] = (
-                f"{block}      {_text(word.surface)}\n    </w>\n")
+                f"{block}      {escape(word.surface)}\n    </w>\n")
         out.append(block)
     out.append("  </body>\n</text>\n")
     return "".join(out)
@@ -167,6 +170,8 @@ def parse_tei(xml: str) -> TeiDoc:
     content (``ana``, text, each note's ``ana``, mark and tail) then gives
     one shared ``TeiWord``, built and checked at its first occurrence, so
     an invalid word is reported with its own ``word #N``."""
+    import xml.etree.ElementTree as ET
+
     try:
         root = ET.fromstring(xml)
     except ET.ParseError as exc:

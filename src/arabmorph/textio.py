@@ -5,6 +5,7 @@ program writes goes through ``atomic_write``."""
 
 from __future__ import annotations
 
+import functools
 import os
 import re
 from contextlib import contextmanager
@@ -13,9 +14,15 @@ from typing import IO, Callable, Iterable, Iterator, TypeVar
 
 _T = TypeVar("_T")
 
-# A character outside XML 1.0's Char production.
-NOT_XML_CHAR = re.compile(
-    "[^\t\n\r\x20-\ud7ff\ue000-\ufffd\U00010000-\U0010ffff]")
+
+@functools.cache
+def not_xml_char() -> re.Pattern[str]:
+    """The pattern of a character outside XML 1.0's Char production,
+    compiled on the first call: the compile takes milliseconds, and every
+    such character is unprintable, so a caller that tests
+    ``str.isprintable()`` first never needs it on common text."""
+    return re.compile(
+        "[^\t\n\r\x20-\ud7ff\ue000-\ufffd\U00010000-\U0010ffff]")
 
 
 class EncodingError(ValueError):

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import re
 import unicodedata
-from importlib import resources
+from pathlib import Path
 from typing import IO, Iterable
 
 from .textio import data_lines, read_with
@@ -121,7 +121,7 @@ class BuckTable:
 
 
 DEFAULT_TABLE = read_with(BuckTable.from_stream,
-                          resources.files("arabmorph") / "data/buckwalter.tsv")
+                          Path(__file__).parent / "data" / "buckwalter.tsv")
 
 _STRIP = {ord(c): None for c in DIACRITICS}
 

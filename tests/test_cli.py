@@ -709,6 +709,43 @@ def test_every_command_exits_2_with_one_error_line_on_bad_input(
         assert str(named) in lines[0]
 
 
+# Every command as the fresh-process test runs it: analyze in both
+# formats, and eval writing its TSV report too.
+FRESH_COMMANDS = {
+    **COMMANDS, "analyze --format tsv": COMMANDS["analyze"] + ["--format",
+                                                               "tsv"],
+    "eval": COMMANDS["eval"] + ["--tsv", "{out}/report.tsv"]}
+
+
+def _outputs(out):
+    """The bytes of every file under ``out``, by relative path."""
+    return {p.relative_to(out): p.read_bytes()
+            for p in sorted(out.rglob("*")) if p.is_file()}
+
+
+@pytest.mark.parametrize("command", sorted(FRESH_COMMANDS))
+def test_every_command_in_a_fresh_process_writes_what_main_writes(
+        tmp_path, capsysbinary, command):
+    # A module that a command imports inside its function fails to load
+    # only in a process that has not imported it yet.
+    inputs = _inputs(tmp_path)
+    in_process, fresh = ([arg.format(**{**inputs, "out": tmp_path / out})
+                          for arg in FRESH_COMMANDS[command]]
+                         for out in ("a", "b"))
+    capsysbinary.readouterr()
+    assert main(in_process) == 0
+    expected = capsysbinary.readouterr().out
+    proc = subprocess.run(
+        [sys.executable, "-m", "arabmorph", *fresh],
+        capture_output=True, timeout=60, cwd=tmp_path,
+        env={**os.environ, "PYTHONPATH": str(Path(__file__).parents[1]
+                                             / "src")})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == expected
+    assert _outputs(tmp_path / "b") == _outputs(tmp_path / "a")
+    assert expected or _outputs(tmp_path / "a")
+
+
 @pytest.mark.parametrize("value,flags", [
     ("msa", Flag.MSA), ("Msa,,ca, ", Flag.MSA | Flag.CA),
     ("all,classical", ALL_FLAGS), ("ClAsSiCaL", classical_preset()),
@@ -814,3 +851,33 @@ def test_a_wordlist_gloss_ending_in_a_pos_annotation_is_refused(tmp_path,
                  "--output", str(review)]) == 2
     assert "w.tsv:2: gloss 'pen <pos>x/N</pos>'" in capsys.readouterr().err
     assert not review.exists()
+
+
+def test_an_import_word_with_a_letter_outside_the_table_is_reported(
+        tmp_path, capsys):
+    # Persian pe (U+067E) would stay in the row as itself, which could not
+    # be written back in Arabic script.  A wordlist row is refused; a TEI
+    # entry that gives no row is skipped, as every such entry is.
+    wordlist = tmp_path / "w.tsv"
+    wordlist.write_text("قلم\tpen\tN\nپك\tx\tN\n", encoding="utf-8")
+    review = tmp_path / "review.tsv"
+    proc = subprocess.run(
+        [sys.executable, "-m", "arabmorph", "import", "--wordlist",
+         str(wordlist), "--flags", "CA", "--output", str(review)],
+        capture_output=True, timeout=60, encoding="utf-8",
+        env={**os.environ, "PYTHONPATH": str(Path(__file__).parents[1]
+                                             / "src")})
+    assert proc.returncode == 2
+    assert proc.stderr.splitlines() == [
+        "arabmorph: error: w.tsv:2: 'پك' holds U+067E, which the "
+        "transliteration table lacks"]
+    assert not review.exists()
+    tei = tmp_path / "dict.xml"
+    tei.write_text("<TEI><entry><orth>پك</orth><sense>x</sense>"
+                   "</entry><entry><orth>قلم</orth><sense>pen</sense>"
+                   "</entry></TEI>", encoding="utf-8")
+    assert main(["import", "--tei", str(tei), "--flags", "CA",
+                 "--output", str(review)]) == 0
+    assert "1 candidates (1 skipped)" in capsys.readouterr().err
+    with open(review, encoding="utf-8") as f:
+        assert [c.entry.surface for c in load_review(f).candidates] == ["qlm"]

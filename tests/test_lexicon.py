@@ -28,7 +28,8 @@ from arabmorph.lexicon import (ALL_FLAGS, LEXICON_FILES, PRIMARY_TAGS,
                                load_lexicon_dir, load_review,
                                merge_reviewed, parse_entry_line, parse_flagset,
                                reject_known, save_review, serialize_lexicon)
-from arabmorph.translit import normalize, strip_diacritics
+from arabmorph.translit import (arabic_to_buck, buck_to_arabic, normalize,
+                                strip_diacritics)
 
 from oracles import (reference_adds, reference_format_entry_line,
                      reference_parse_entry_line)
@@ -752,6 +753,12 @@ _ARABIC_WORDS = st.text(st.characters(min_codepoint=0x064B,
                         min_size=1, max_size=5)
 
 
+def _assert_renders_in_arabic_script(batch):
+    for c in batch.candidates:
+        for value in (c.entry.surface, c.entry.voc):
+            assert arabic_to_buck(buck_to_arabic(value)) == value
+
+
 @given(st.sampled_from(list(Kind)), st.lists(_ARABIC_WORDS, max_size=6))
 def test_every_imported_candidate_survives_the_review_file(kind, words):
     rows = "".join(f"{w}\tgloss\tN\n" for w in words)
@@ -763,12 +770,14 @@ def test_every_imported_candidate_survives_the_review_file(kind, words):
         reloaded = _through_review_file(batch)
         assert reloaded.kind is kind
         assert reloaded.candidates == batch.candidates
+        _assert_renders_in_arabic_script(batch)
     tei = "<TEI>%s</TEI>" % "".join(
         f"<entry><orth>{escape(w)}</orth><sense>gloss</sense></entry>"
         for w in words)
     batch = import_tei_dictionary(io.StringIO(tei), Flag.ICA)
     assert len(batch.candidates) + batch.skipped == len(words)
     assert _through_review_file(batch).candidates == batch.candidates
+    _assert_renders_in_arabic_script(batch)
 
 
 # --- review and merge --------------------------------------------------------
@@ -1008,13 +1017,21 @@ def test_an_import_word_that_tokenize_would_not_read_is_refused():
     assert batch.skipped == 2
 
 
-def test_an_import_word_with_a_letter_outside_the_table_keys_like_a_token():
-    # Persian pe (U+067E) is a word letter that passes through unchanged.
-    batch = import_wordlist(io.StringIO("\u067e\u0643\tx\tN\n"), Kind.STEM,
-                            Flag.ICA)
+def test_an_import_word_with_a_letter_outside_the_table_is_refused():
+    # Persian pe (U+067E) is a word letter that tokenize reads as itself,
+    # but a row holding it could not be written back in Arabic script.
     (token,) = tokenize("\u067e\u0643")
-    assert [c.entry.surface for c in batch.candidates] == [token.key] \
-        == ["\u067ek"]
+    assert token.key == "\u067ek"
+    with pytest.raises(LexiconError) as exc:
+        import_wordlist(io.StringIO("قلم\tpen\tN\n\u067e\u0643\tx\tN\n"),
+                        Kind.STEM, Flag.ICA, "w.tsv")
+    assert str(exc.value) == ("w.tsv:2: '\u067e\u0643' holds U+067E, which "
+                              "the transliteration table lacks")
+    tei = ("<TEI><entry><orth>\u0643\u067e</orth><sense>x</sense></entry>"
+           "<entry><orth>قلم</orth><sense>pen</sense></entry></TEI>")
+    batch = import_tei_dictionary(io.StringIO(tei), Flag.ICA)
+    assert [c.entry.surface for c in batch.candidates] == ["qlm"]
+    assert batch.skipped == 1
 
 
 @pytest.mark.parametrize("line,name,codepoint", [

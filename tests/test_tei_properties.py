@@ -1,4 +1,5 @@
 """Properties of the annotated-XML format over generated documents:
+``teixml``'s escapers write what ``xml.sax.saxutils``'s write,
 ``emit_tei`` writes the bytes of a line-by-line reference that quotes
 every value with ``xml.sax.saxutils``, ``emit_tei`` and ``parse_tei``
 are inverse, or ``emit_tei`` refuses a header XML cannot carry,
@@ -6,6 +7,7 @@ are inverse, or ``emit_tei`` refuses a header XML cannot carry,
 or ``load_gold`` either parses or raises the reader's own error."""
 
 import io
+from xml.sax import saxutils
 
 import pytest
 from hypothesis import example, given, strategies as st
@@ -13,7 +15,8 @@ from hypothesis import example, given, strategies as st
 from arabmorph.evaluation import load_gold
 from arabmorph.lexicon import Flag, LexiconError
 from arabmorph.teixml import (UNKNOWN_ANA, Note, TeiDoc, TeiError, TeiWord,
-                              apply_corrections, emit_tei, parse_tei)
+                              apply_corrections, emit_tei, escape, parse_tei,
+                              quoteattr)
 from arabmorph.translit import DEFAULT_TABLE
 from oracles import reference_emit_tei
 
@@ -67,6 +70,34 @@ _odd_part = st.text(st.one_of(st.sampled_from(BUCKWALTER), _SPECIAL),
 _odd_ana = st.builds(lambda voc, lemma, pos: f"{voc}/{lemma}/{pos}",
                      _odd_part, _odd_part, _odd_part)
 _shared = TeiWord('k&"<', 'k"b/k_1/N', (Note("q'\"/x\t_1/N", True),))
+
+
+# Text of the characters the escapers change, other text between them,
+# and values holding both quote kinds.
+_escapable = st.one_of(
+    st.text(st.one_of(_SPECIAL, st.characters()), max_size=12),
+    st.builds("{}\"{}'{}".format, *[st.text(max_size=3)] * 3))
+
+
+@example("\"'")
+@example("&amp;\t<'>\r\n")
+@given(_escapable)
+def test_the_escapers_write_what_saxutils_writes(text):
+    assert escape(text) == saxutils.escape(text)
+    assert quoteattr(text) == saxutils.quoteattr(text)
+
+
+@pytest.mark.parametrize("source,flags", [
+    ("a\"b.txt", "CA|'MSA'"), ("it's \"x\".txt", "\"'"), ("'", '"')])
+def test_a_header_holding_quotes_is_quoted_as_saxutils_quotes_it(source,
+                                                                 flags):
+    doc = TeiDoc(source=source, flags=flags)
+    xml = emit_tei(doc)
+    assert xml.splitlines()[1] == (
+        f"<text source={saxutils.quoteattr(source)} "
+        f"flags={saxutils.quoteattr(flags)} "
+        f"version={saxutils.quoteattr(doc.version)}>")
+    assert parse_tei(xml) == doc
 
 
 @example(TeiDoc())
