@@ -235,6 +235,9 @@ class LmModel:
 
     def __post_init__(self):
         check_lambda(self.lam)
+        tables = (self.trigram, self.bigram, self.unigram, self.freq)
+        if any(type(table) is not dict for table in tables):
+            raise LmError("n-gram and freq tables must be dicts")
         vocab = frozenset(t for t in self.unigram if t != BOS) \
             | frozenset(self.freq)
         object.__setattr__(self, "total", sum(self.unigram.values()))

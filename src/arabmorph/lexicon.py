@@ -14,7 +14,7 @@ import functools
 import logging
 import re
 from dataclasses import dataclass, field, replace
-from itertools import accumulate, compress, filterfalse
+from itertools import compress
 from operator import ne
 from pathlib import Path
 from typing import IO, Callable, Iterable, Iterator
@@ -367,87 +367,32 @@ def _parse_pairs(stream: IO[str] | Iterable[str],
     return frozenset(pairs)
 
 
-class _StoredRows:
-    """The rows of one kind as a snapshot stores them (``_dump_store``):
-    ``keys`` are the bucket keys in table order, ``sizes`` their bucket
-    sizes and ``rows`` each row's text as ``format_entry_line`` writes it,
-    in table order.  ``place`` maps a key to its index in ``keys``, and
-    ``starts`` holds the index in ``rows`` of each bucket's first row,
-    then the number of rows.  A bucket is built from its rows by the split
-    that ``parse_entry_line`` makes, without its checks, which the text
-    parse behind the snapshot passed; ``format_entry_line`` refuses a
-    field with surrounding whitespace, so a stored column needs no strip.
-    Nothing changes them, so copies of a lexicon share them."""
-
-    __slots__ = ("kind", "keys", "sizes", "rows", "starts", "place")
-
-    def __init__(self, kind: Kind, stored: tuple):
-        self.kind = kind
-        self.keys, self.sizes, self.rows = stored
-        self.starts = list(accumulate(self.sizes, initial=0))
-        if (len(self.sizes) != len(self.keys)
-                or self.starts[-1] != len(self.rows)):
-            raise LexiconError("snapshot rows of unequal length")
-        self.place = dict(zip(self.keys, range(len(self.keys))))
-
-    def _bucket(self, i: int) -> list[LexEntry]:
-        """The entries of the ``i``-th stored bucket."""
-        kind, starts = self.kind, self.starts
-        return [LexEntry(kind, s, v, c, g, p, lemma, _parse_flag_text(f))
-                for s, v, c, g, p, lemma, f in map(
-                    _split_row, self.rows[starts[i]:starts[i + 1]])]
-
-    def buckets(self) -> Iterator[tuple[str, list[LexEntry]]]:
-        """(key, bucket) of every stored key, in table order."""
-        return ((key, self._bucket(i)) for i, key in enumerate(self.keys))
-
-    def read(self, table: dict[str, list[LexEntry]],
-             key: str) -> list[LexEntry] | None:
-        """``table``'s bucket for ``key``.  A stored key that ``table``
-        lacks has its bucket built from its rows and kept in ``table``;
-        None if neither holds ``key``."""
-        bucket = table.get(key)
-        if bucket is None and (i := self.place.get(key)) is not None:
-            bucket = table[key] = self._bucket(i)
-        return bucket
-
-    def lemma_pos(self, table: dict[str, list[LexEntry]]
-                  ) -> set[tuple[str, str]]:
-        """(lemma, primary tag) of each stem row with a lemma whose key
-        ``table`` lacks, read from its voc, category, gloss and lemma
-        columns alone.  A stem's voc is never the null marker ``0``."""
-        # A lexicon has a few distinct tags: fold each once.
-        heads: dict[str | None, str] = {None: ""}
-        pairs = set()
-        for row in self.rows:
-            key, voc, cat, gloss, lemma, _ = row.split("\t")
-            if lemma and key not in table:
-                tag = _first_tag(_annotation(gloss, voc, cat)[1])
-                head = heads.get(tag)
-                if head is None:
-                    head = heads[tag] = fold_tag(tag)
-                pairs.add((lemma, head))
-        return pairs
-
-    def lines(self, table: dict[str, list[LexEntry]]) -> list[str]:
-        """The rows of ``table`` over these, in table order: a stored key
-        that ``table`` holds written from its entries, any other stored key
-        as stored, then the keys that only ``table`` holds."""
-        rows, starts, place = self.rows, self.starts, self.place
-        out: list[str] = []
-        done = 0
-        for i in sorted(place[key] for key in table if key in place):
-            out += rows[done:starts[i]]
-            out += map(format_entry_line, table[self.keys[i]])
-            done = starts[i + 1]
-        out += rows[done:]
-        out += (format_entry_line(e) for key, bucket in table.items()
-                if key not in place for e in bucket)
-        return out
+def _build(kind: Kind, text: str) -> list[LexEntry]:
+    """The entries of a bucket stored as text: its rows as
+    ``format_entry_line`` writes them, joined by line feeds, which no row
+    holds (``_check_row``).  A row is split as ``parse_entry_line`` splits
+    it, without its checks, which the text parse behind the snapshot
+    passed."""
+    return [LexEntry(kind, s, v, c, g, p, lemma, _parse_flag_text(f))
+            for s, v, c, g, p, lemma, f in map(_split_row, text.split("\n"))]
 
 
-# The stored rows of a lexicon that has every bucket built.
-_NO_ROWS = _StoredRows(Kind.STEM, ([], [], []))
+def _read(table: dict[str, list[LexEntry] | str], kind: Kind,
+          key: str) -> list[LexEntry] | None:
+    """``table``'s bucket for ``key``, built from its text and kept in
+    ``table`` on its first read; None if ``table`` lacks ``key``."""
+    bucket = table.get(key)
+    if bucket.__class__ is str:
+        bucket = table[key] = _build(kind, bucket)
+    return bucket
+
+
+def _bucket_texts(table: dict[str, list[LexEntry] | str]) -> list[str]:
+    """The rows of each bucket of ``table`` joined by line feeds, in table
+    order: a bucket not yet built as it is stored."""
+    return [bucket if bucket.__class__ is str
+            else "\n".join(map(format_entry_line, bucket))
+            for bucket in table.values()]
 
 
 def _fold_keys(keys: list[str]) -> list[str]:
@@ -484,13 +429,13 @@ class LexView:
     holds every stem key: until ``read`` first asks for a key, it holds
     the surface that folds onto the key, or a tuple of such surfaces in
     table order, and ``read`` fetches their buckets through
-    ``read_stem``, which builds a bucket the lexicon has not built yet
+    ``read_stem``, which builds a bucket the lexicon still holds as text
     (see ``Lexicon``), keeps the entries that intersect the active set and
     puts the list in their place, empty if none does: the lexicon's own
     bucket when one surface folds onto the key and all of its entries
     do, since ``add`` replaces a bucket rather than changes it.  Read a
     stem key through ``read``.  The view holds the lexicon's stem table
-    and stored rows through ``read_stem``, never the lexicon itself.
+    through ``read_stem``, never the lexicon itself.
 
     ``pairs`` maps a prefix surface to a suffix surface to the prefix
     entries ``a`` of that surface, in load order, each with the suffix
@@ -576,22 +521,21 @@ class Lexicon:
     ``known_lemma_pos`` set, each built on first use; ``add``, the only
     mutator (merges return a new Lexicon), drops both.
 
-    A lexicon restored from a snapshot keeps its stem rows as the snapshot
-    stores them, as row text (``_StoredRows``), and builds a stem bucket
-    on its first read.  Analysis (``view``, ``lookup``) and ``add`` build
-    only the buckets they read; ``len``, ``copy`` and ``serialize_lexicon``
-    build none, and ``known_lemma_pos`` reads four columns of the stored
-    rows.  ``tables``, ``stems``, ``table`` and ``entries`` build every
-    remaining bucket first.  Every reader gives what it gives on the text
-    parse: the same entries, in the same table order."""
+    A lexicon restored from a snapshot holds each stem bucket in its stem
+    table as the snapshot stores it, its rows' text, until the bucket's
+    first read builds its entries (``_read``).  Analysis (``view``,
+    ``lookup``), ``add`` and ``reject_known`` build only the buckets they
+    read; ``len``, ``copy`` and ``serialize_lexicon`` build none, and
+    ``known_lemma_pos`` reads four columns of each text bucket.
+    ``tables``, ``stems``, ``table`` and ``entries`` build every remaining
+    bucket first.  Every reader gives what it gives on the text parse: the
+    same entries, in the same table order."""
 
     def __init__(self, compat: CompatTables):
-        self._tables: dict[Kind, dict[str, list[LexEntry]]] = {
+        self._tables: dict[Kind, dict[str, list[LexEntry] | str]] = {
             k: {} for k in Kind}
         # Every affix bucket is built; the stems go through ``stems``.
         self.prefixes, _, self.suffixes = self._tables.values()
-        # The stem rows not yet built into buckets of _tables[STEM].
-        self._stored = _NO_ROWS
         self.compat = compat
         self._view_key: tuple[int, bool] | None = None
         self._view: LexView | None = None
@@ -601,14 +545,10 @@ class Lexicon:
     def tables(self) -> dict[Kind, dict[str, list[LexEntry]]]:
         """Each kind's buckets by surface, in table order; the stem
         buckets not yet built are built first."""
-        stored, self._stored = self._stored, _NO_ROWS
-        if stored.keys:
-            table = self._tables[Kind.STEM]
-            built = table.copy()
-            table.clear()
-            for key, bucket in stored.buckets():
-                table[key] = built.pop(key, bucket)
-            table.update(built)             # keys added since the restore
+        table = self._tables[Kind.STEM]
+        for key, bucket in table.items():
+            if bucket.__class__ is str:
+                table[key] = _build(Kind.STEM, bucket)
         return self._tables
 
     @property
@@ -624,19 +564,10 @@ class Lexicon:
                 yield from bucket
 
     def __len__(self) -> int:
-        built = self._tables[Kind.STEM]
-        return sum(len(bucket) for table in self._tables.values()
-                   for bucket in table.values()) + sum(
-            size for key, size in zip(self._stored.keys, self._stored.sizes)
-            if key not in built)
-
-    def _bucket(self, kind: Kind, surface: str) -> list[LexEntry] | None:
-        """The bucket of ``surface``, built if it is stored and not yet
-        built; None if the lexicon has none."""
-        table = self._tables[kind]
-        if kind is Kind.STEM:
-            return self._stored.read(table, surface)
-        return table.get(surface)
+        return sum(len(bucket) if bucket.__class__ is list
+                   else bucket.count("\n") + 1
+                   for table in self._tables.values()
+                   for bucket in table.values())
 
     def add(self, entry: LexEntry) -> bool:
         """Insert an entry, collapsing duplicates by flag union: a row of
@@ -649,7 +580,7 @@ class Lexicon:
         """
         self._view_key = self._view = self._known = None
         table = self._tables[entry.kind]
-        bucket = self._bucket(entry.kind, entry.surface)
+        bucket = _read(table, entry.kind, entry.surface)
         if bucket is None:
             table[entry.surface] = [entry]
             return True
@@ -683,35 +614,47 @@ class Lexicon:
         for its (flags, folding) pair and dropped by ``add``."""
         mask = int(active)
         if (mask, fold_alif) != self._view_key:
-            stored, table = self._stored, self._tables[Kind.STEM]
+            table = self._tables[Kind.STEM]
             self._view = LexView(
-                self.prefixes, self.suffixes,
-                stored.keys + list(filterfalse(stored.place.__contains__,
-                                               table)),
-                functools.partial(stored.read, table), self.compat.ac,
+                self.prefixes, self.suffixes, list(table),
+                functools.partial(_read, table, Kind.STEM), self.compat.ac,
                 mask, fold_alif)
             self._view_key = (mask, fold_alif)
         return self._view
 
     def known_lemma_pos(self) -> frozenset[tuple[str, str]]:
         """(lemma, primary tag) pairs of every stem entry, collected on
-        first use and kept until ``add``.  Stem rows not yet built are read
-        from their stored text."""
+        first use and kept until ``add``.  A bucket not yet built is read
+        from the voc, category, gloss and lemma columns of its text; a
+        stem's voc is never the null marker ``0``."""
         if self._known is None:
-            table = self._tables[Kind.STEM]
-            known = {(e.lemma, e.head_tag())
-                     for bucket in table.values() for e in bucket if e.lemma}
-            self._known = frozenset(known | self._stored.lemma_pos(table))
+            # A lexicon has a few distinct tags: fold each once.
+            heads: dict[str | None, str] = {None: ""}
+            known = set()
+            for bucket in self._tables[Kind.STEM].values():
+                if bucket.__class__ is list:
+                    known.update((e.lemma, e.head_tag())
+                                 for e in bucket if e.lemma)
+                    continue
+                for row in bucket.split("\n"):
+                    _, voc, cat, gloss, lemma, _ = row.split("\t")
+                    if lemma:
+                        tag = _first_tag(_annotation(gloss, voc, cat)[1])
+                        head = heads.get(tag)
+                        if head is None:
+                            head = heads[tag] = fold_tag(tag)
+                        known.add((lemma, head))
+            self._known = frozenset(known)
         return self._known
 
     def copy(self) -> "Lexicon":
         """An independent lexicon with the same rows.  It shares the
-        buckets, which ``add`` replaces rather than changes, and the stored
-        stem rows."""
+        buckets, which ``add`` replaces rather than changes, and the text
+        of those not yet built."""
         clone = Lexicon(self.compat)
-        for kind, table in self._tables.items():
-            clone._tables[kind].update(table)
-        clone._stored = self._stored
+        clone.prefixes.update(self.prefixes)
+        clone.suffixes.update(self.suffixes)
+        clone._tables[Kind.STEM] = self._tables[Kind.STEM].copy()
         return clone
 
 
@@ -759,42 +702,41 @@ def load_lexicon_dir(path) -> Lexicon:
 
 def _dump_store(lex: Lexicon) -> tuple:
     """The lexicon as marshal data: its compat pair sets, the sorted
-    categories its rows carry, then per kind the bucket keys, the bucket
-    sizes and the rows as ``format_entry_line`` writes them
-    (``_StoredRows``)."""
-    kinds = [(list(table), [len(bucket) for bucket in table.values()],
-              [format_entry_line(e) for bucket in table.values()
-               for e in bucket]) for table in lex.tables.values()]
+    categories its rows carry, then per kind a dict of each bucket key to
+    the bucket's rows as ``format_entry_line`` writes them, joined by line
+    feeds (``_build``), in table order, which marshal keeps."""
+    kinds = [dict(zip(table, _bucket_texts(table)))
+             for table in lex._tables.values()]
     cats = sorted({e.cat for e in lex.entries()})
     return lex.compat.ab, lex.compat.bc, lex.compat.ac, cats, kinds
 
 
 def _restore_store(payload: tuple) -> Lexicon:
     """The lexicon that ``_dump_store`` gave ``payload`` for, with the text
-    load's warnings.  Its affix buckets are built in stored order; its stem
-    rows stay as stored, built into buckets as they are read
-    (``Lexicon``)."""
+    load's warnings.  Its affix buckets are built in stored order; the
+    stored stem dict is its stem table as it is, each bucket built on its
+    first read (``Lexicon``).  A kind stored as anything but a dict is a
+    ``LexiconError``, which ``load_cached`` passes over as a ValueError."""
     ab, bc, ac, cats, kinds = payload
+    if any(type(table) is not dict for table in kinds):
+        raise LexiconError("snapshot tables are not dicts")
     lex = Lexicon(CompatTables(ab, bc, ac))
-    prefixes, lex._stored, suffixes = (
-        _StoredRows(kind, rows) for kind, rows in zip(Kind, kinds, strict=True))
-    lex.prefixes.update(prefixes.buckets())
-    lex.suffixes.update(suffixes.buckets())
+    prefixes, lex._tables[Kind.STEM], suffixes = kinds
+    for kind, table in ((Kind.PREFIX, prefixes), (Kind.SUFFIX, suffixes)):
+        lex._tables[kind].update((key, _build(kind, text))
+                                 for key, text in table.items())
     _warn_unused(lex.compat, cats)
     return lex
 
 
 def serialize_lexicon(lex: Lexicon) -> dict[str, str]:
     """Render the lexicon back to its six-file TSV form (file name -> text).
-    Stem rows not yet built are written as stored (``_StoredRows.lines``)."""
+    A stem bucket not yet built is written as it is stored."""
     out = {}
-    for name, kind in zip(LEXICON_FILES[:3], Kind):
-        table = lex._tables[kind]
-        lines = (lex._stored.lines(table) if kind is Kind.STEM else
-                 [format_entry_line(e) for bucket in table.values()
-                  for e in bucket])
-        lines.append("")            # each row ends in a line feed
-        out[name] = "\n".join(lines)
+    for name, table in zip(LEXICON_FILES, lex._tables.values()):
+        texts = _bucket_texts(table)
+        texts.append("")            # each row ends in a line feed
+        out[name] = "\n".join(texts)
     for name, pairs in zip(LEXICON_FILES[3:],
                            (lex.compat.ab, lex.compat.bc, lex.compat.ac)):
         out[name] = "".join(f"{a}\t{b}\n" for a, b in sorted(pairs))
@@ -874,7 +816,8 @@ def import_tei_dictionary(stream, assign: Flag,
 
     One Pending candidate per entry headword, glossed from the first sense,
     whitespace runs of both made one space; the category is a placeholder
-    pending human review.  An entry that gives no row is skipped.
+    pending human review.  An entry that gives no row is skipped, with a
+    warning naming its ordinal, its headword and why.
     """
     import xml.etree.ElementTree as ET
 
@@ -886,14 +829,16 @@ def import_tei_dictionary(stream, assign: Flag,
         raise LexiconError(f"{source}: not well-formed XML at "
                            f"line {exc.position[0]}, column {exc.position[1]}") from exc
     batch = ReviewBatch(source=source, kind=Kind.STEM)
-    for elem in tree.getroot().iter():
-        if _localname(elem.tag) != "entry":
-            continue
+    entries = (elem for elem in tree.getroot().iter()
+               if _localname(elem.tag) == "entry")
+    for n, elem in enumerate(entries, 1):
         headword = _first_text(elem, ("orth",))
         gloss = _first_text(elem, ("sense", "def"))
+        where = f"{source}: entry {n} {headword!r}"
         try:
-            entry = _candidate(headword, Kind.STEM, "N", gloss, assign, source)
-        except LexiconError:
+            entry = _candidate(headword, Kind.STEM, "N", gloss, assign, where)
+        except LexiconError as exc:
+            log.warning("%s; skipped", exc)
             batch.skipped += 1
             continue
         batch.candidates.append(Candidate(entry))
@@ -925,8 +870,8 @@ def reject_known(batch: ReviewBatch, lex: Lexicon) -> None:
     already holds for the candidate's kind."""
     for cand in batch.candidates:
         e = cand.entry
-        if any(row.lemma == e.lemma
-               for row in lex._bucket(e.kind, e.surface) or ()):
+        if any(row.lemma == e.lemma for row in _read(
+                lex._tables[e.kind], e.kind, e.surface) or ()):
             cand.status = Status.REJECTED
 
 

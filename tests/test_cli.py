@@ -857,16 +857,21 @@ def test_an_import_word_with_a_letter_outside_the_table_is_reported(
         tmp_path, capsys):
     # Persian pe (U+067E) would stay in the row as itself, which could not
     # be written back in Arabic script.  A wordlist row is refused; a TEI
-    # entry that gives no row is skipped, as every such entry is.
+    # entry that gives no row is skipped, as every such entry is, with a
+    # warning that names it and why.
+    review = tmp_path / "review.tsv"
+
+    def arabmorph_import(*args):
+        return subprocess.run(
+            [sys.executable, "-m", "arabmorph", "import", *args, "--flags",
+             "CA", "--output", str(review)],
+            capture_output=True, timeout=60, encoding="utf-8",
+            env={**os.environ, "PYTHONPATH": str(Path(__file__).parents[1]
+                                                 / "src")})
+
     wordlist = tmp_path / "w.tsv"
     wordlist.write_text("قلم\tpen\tN\nپك\tx\tN\n", encoding="utf-8")
-    review = tmp_path / "review.tsv"
-    proc = subprocess.run(
-        [sys.executable, "-m", "arabmorph", "import", "--wordlist",
-         str(wordlist), "--flags", "CA", "--output", str(review)],
-        capture_output=True, timeout=60, encoding="utf-8",
-        env={**os.environ, "PYTHONPATH": str(Path(__file__).parents[1]
-                                             / "src")})
+    proc = arabmorph_import("--wordlist", str(wordlist))
     assert proc.returncode == 2
     assert proc.stderr.splitlines() == [
         "arabmorph: error: w.tsv:2: 'پك' holds U+067E, which the "
@@ -879,5 +884,12 @@ def test_an_import_word_with_a_letter_outside_the_table_is_reported(
     assert main(["import", "--tei", str(tei), "--flags", "CA",
                  "--output", str(review)]) == 0
     assert "1 candidates (1 skipped)" in capsys.readouterr().err
+    proc = arabmorph_import("--tei", str(tei))
+    assert proc.returncode == 0
+    assert proc.stderr.splitlines() == [
+        "dict.xml: entry 1 'پك': 'پك' holds U+067E, which the "
+        "transliteration table lacks; skipped",
+        "dict.xml: skipped 1 entries without a usable headword or gloss",
+        f"1 candidates (1 skipped) -> {review}"]
     with open(review, encoding="utf-8") as f:
         assert [c.entry.surface for c in load_review(f).candidates] == ["qlm"]

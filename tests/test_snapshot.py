@@ -123,16 +123,17 @@ def test_a_hit_gives_a_generated_lexicon_the_text_parse_gives(caplog, stem,
 
 def _unbuilt_stems(lex):
     """The stem keys of a restored lexicon whose buckets no reader has
-    built yet."""
-    return [key for key in lex._stored.keys
-            if key not in lex._tables[Kind.STEM]]
+    built yet: those whose value is still the bucket's text."""
+    return [key for key, bucket in lex._tables[Kind.STEM].items()
+            if type(bucket) is str]
 
 
 def _assert_partly_read_lexicon_agrees(restored, text, batch):
     """A restored lexicon that analysis has read in part gives what the
     text parse gives: its rows, written before any reader builds them all;
-    its size and (lemma, tag) pairs; a merge; an add that collapses into a
-    bucket not yet built; and at the end every bucket."""
+    its size and (lemma, tag) pairs; a merge; an add of a new key, then an
+    add that collapses into a bucket not yet built, after which its table
+    order, size, pairs and rows agree; and at the end every bucket."""
     unbuilt = _unbuilt_stems(restored)
     assert unbuilt                      # the run read only some buckets
     assert serialize_lexicon(restored) == serialize_lexicon(text)
@@ -142,10 +143,18 @@ def _assert_partly_read_lexicon_agrees(restored, text, batch):
     assert serialize_lexicon(merge_reviewed(restored, batch)) == \
         serialize_lexicon(merge_reviewed(text, batch))
     assert _unbuilt_stems(restored) == unbuilt   # the merge read a copy
+    surface = "Z" * (1 + max(map(len, text.stems)))     # no stem key yet
+    new = LexEntry(Kind.STEM, surface, surface, "N", "new", f"{surface}/N",
+                   f"{surface}_1", Flag.CA)
+    assert restored.add(new) is text.add(new) is True
     key = unbuilt[-1]
     wider = replace(text.stems[key][0], flags=ALL_FLAGS)
     assert restored.add(wider) is text.add(wider) is False
     assert key not in _unbuilt_stems(restored)
+    assert len(restored) == len(text)
+    assert restored.known_lemma_pos() == text.known_lemma_pos()
+    assert serialize_lexicon(restored) == serialize_lexicon(text)
+    assert list(restored.stems) == list(text.stems)
     _assert_same_lexicon(restored, text)
 
 
@@ -397,8 +406,25 @@ def _wrong_shape(data):
     return marshal.dumps((key, (1, 2)))
 
 
+def _tables_as_tuples(data):
+    """The payload with its tables as tuples, under the right key: a
+    lexicon's bucket dicts as the (keys, sizes, rows) columns that earlier
+    code stored, a model's count dicts as tuples of their items."""
+    key, payload = marshal.loads(data)
+    *head, last = payload
+    if type(last) is list:                      # a lexicon's kinds
+        payload = (*head, [(list(table), [text.count("\n") + 1
+                                          for text in table.values()],
+                            "\n".join(table.values()).split("\n"))
+                           for table in last])
+    else:
+        payload = tuple(tuple(part.items()) if type(part) is dict else part
+                        for part in payload)
+    return marshal.dumps((key, payload))
+
+
 @pytest.mark.parametrize("damage", [_garbage, _truncated, _other_digest,
-                                    _wrong_shape])
+                                    _wrong_shape, _tables_as_tuples])
 def test_a_damaged_snapshot_falls_back_to_the_text_load_and_is_rewritten(
         tmp_path, caplog, freq, gold_sentences, damage):
     lexdir = _bundled_copy(tmp_path / "lex")

@@ -57,3 +57,20 @@ def test_the_total_row_sums_the_modules(tmp_path, capsys):
               for name, lines, code in map(str.split, rows)}
     assert counts == {"a.py": FIXTURE_COUNTS, "b.py": (3, 1)}
     assert total.split() == ["total", "23", "9"]
+
+
+def test_two_trees_give_each_module_in_both_and_the_difference(tmp_path,
+                                                               capsys):
+    base, new = tmp_path / "base", tmp_path / "new"
+    for src in (base, new):
+        src.mkdir()
+        (src / "a.py").write_text(FIXTURE, encoding="utf-8")
+    (base / "b.py").write_text("x = 1\n", encoding="utf-8")
+    (new / "c.py").write_text("x = 1\n\ny = 2\n", encoding="utf-8")
+    _load().main([str(base), str(new)])
+    assert [row.split() for row in capsys.readouterr().out.splitlines()] == [
+        ["module", "base", "new", "diff"],
+        ["a.py", "8", "8", "+0"],
+        ["b.py", "1", "0", "-1"],
+        ["c.py", "0", "2", "+2"],
+        ["total", "9", "10", "+1"]]
