@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 from .lexicon import Flag, LexEntry, Lexicon
-from .translit import BuckTable, DEFAULT_TABLE, normalize, strip_diacritics
+from .translit import BuckTable, DEFAULT_TABLE, normalize
 
 if TYPE_CHECKING:
     from .disambig import FilterRule
@@ -51,7 +51,7 @@ def tokenize(text: str, table: BuckTable = DEFAULT_TABLE) -> list[Token]:
     return tokens
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Analysis:
     """One reading of a word type.
 
@@ -63,6 +63,16 @@ class Analysis:
     lemma: str
     pos: str
     parts: tuple[LexEntry, LexEntry, LexEntry]
+
+    def __init__(self, voc: str, lemma: str, pos: str,
+                 parts: tuple[LexEntry, LexEntry, LexEntry]):
+        # Through the slots' setters, as ``LexEntry``: one reading is
+        # built per distinct reading of every cold word type.
+        set_voc, set_lemma, set_pos, set_parts = _ANALYSIS_SETTERS
+        set_voc(self, voc)
+        set_lemma(self, lemma)
+        set_pos(self, pos)
+        set_parts(self, parts)
 
     @property
     def tags(self) -> str:
@@ -77,6 +87,10 @@ class Analysis:
     @property
     def lemma_pos(self) -> tuple[str, str]:
         return (self.lemma, self.pos)
+
+
+_ANALYSIS_SETTERS = tuple(Analysis.__dict__[name].__set__
+                          for name in Analysis.__slots__)
 
 
 @dataclass(slots=True)
@@ -114,14 +128,16 @@ def analyze_type(surface: str, lex: Lexicon, active: Flag,
     the folded surface is the folded slice.  Splits are tried by prefix
     length, then by suffix length, over the lengths the lexicon's view
     holds (``view.prefix_lens``, ``view.suffix_lens``), the stem never
-    empty.  The view is fetched once, and its pair table (``LexView``)
-    holds only the (prefix, suffix) surface pairs with a prefix-suffix
-    licensed entry pair, so a stem is sliced and read only for such a
-    pair, and only the prefix-stem and stem-suffix tables are checked.
-    A stem key's entries are fetched, built if the lexicon has not built
-    them yet, and filtered by ``active`` on its first read
-    (``LexView.read``).  Duplicates (same voc, lemma, primary tag)
-    collapse onto the first occurrence, so order is deterministic:
+    empty.  The view is fetched once.  A split's stem is read first, as
+    few splits have one, then its (prefix, suffix) pair in the view's
+    pair table (``LexView``), which holds only the surface pairs with a
+    prefix-suffix licensed entry pair.  Each of the pair's prefix entries
+    carries the stem categories it licenses, and ``view.bc_of`` the suffix
+    categories of each stem category, so the prefix-stem and stem-suffix
+    checks are set reads.  A stem key's entries are fetched, built if the
+    lexicon has not built them yet, and filtered by ``active`` on its
+    first read (``LexView.read``).  Duplicates (same voc, lemma, primary
+    tag) collapse onto the first occurrence, so order is deterministic:
     segmentation order, then lexicon load order.
     """
     out: dict[tuple[str, str, str], Analysis] = {}
@@ -130,8 +146,7 @@ def analyze_type(surface: str, lex: Lexicon, active: Flag,
     if fold_alif:
         surface = normalize(surface, fold_alif=True)
     pairs, stems, head_tags = view.pairs, view.stems, view.head_tags
-    suffix_lens = view.suffix_lens
-    ab, bc = lex.compat.ab, lex.compat.bc
+    suffix_lens, bc_of = view.suffix_lens, view.bc_of
     for p in view.prefix_lens:
         if p >= n:
             break
@@ -141,29 +156,29 @@ def analyze_type(surface: str, lex: Lexicon, active: Flag,
         for s in suffix_lens:
             if p + s >= n:
                 break
-            entries = by_suffix.get(surface[n - s:])
-            if entries is None:
-                continue
             stem = surface[p:n - s]
             stem_entries = stems.get(stem)
             if stem_entries is None:
                 continue
+            entries = by_suffix.get(surface[n - s:])
+            if entries is None:
+                continue
             if stem_entries.__class__ is not list:   # not yet read
                 stem_entries = view.read(stem)
-            for a, sufs in entries:
+            for a, pre, stem_cats, sufs in entries:
                 for b in stem_entries:
-                    if (a.cat, b.cat) not in ab:
+                    if b.cat not in stem_cats:
                         continue
                     tag = head_tags.get(id(b))
                     if tag is None:
                         tag = head_tags[id(b)] = b.head_tag()
-                    for c in sufs:
-                        if (b.cat, c.cat) not in bc:
+                    suffix_cats = bc_of[b.cat]
+                    for c, suf in sufs:
+                        if c.cat not in suffix_cats:
                             continue
-                        key = ("+".join([x.voc for x in (a, b, c) if x.voc]),
-                               b.lemma, tag)
+                        key = (f"{pre}{b.voc}{suf}", b.lemma, tag)
                         if key not in out:
-                            out[key] = Analysis(*key, parts=(a, b, c))
+                            out[key] = Analysis(*key, (a, b, c))
     return list(out.values())
 
 
@@ -188,10 +203,12 @@ class TypeCache(dict):
 def lookup_key(surface: str, table: BuckTable = DEFAULT_TABLE) -> str:
     """Unvocalized normalized Buckwalter surface used for lexicon lookup.
 
-    Alif folding is not applied here; when enabled, ``analyze_type`` and
-    ``Lexicon.lookup`` fold the query, and the lexicon's view its keys.
+    It is ``to_buck``, then ``normalize`` and ``strip_diacritics``, in one
+    ``str.translate`` (``BuckTable.to_key``).  Alif folding is not applied
+    here; when enabled, ``analyze_type`` and ``Lexicon.lookup`` fold the
+    query, and the lexicon's view its keys.
     """
-    return strip_diacritics(normalize(table.to_buck(surface)))
+    return table.to_key(surface)
 
 
 def token_lookup_key(token: Token, table: BuckTable = DEFAULT_TABLE) -> str:

@@ -492,26 +492,41 @@ def rank(sets: Iterable[TokenReadings],
     A ranking depends only on the context's ``model.backoff`` and the
     readings, so it is computed once per (backoff, analyses object) in
     one call and the list is shared, kept with its top tuple (``UNK`` for
-    an empty list) that the next contexts take.  A model that is not
+    an empty list) that the next contexts take.  A reading's score depends
+    only on the backoff and its (lemma, tag), and the readings of
+    different types share such pairs, so each score is computed once per
+    pair in one call.  A model that is not
     ``contextual`` backs every context off to (), so its rankings are
-    keyed by the analyses object alone and no context is built.  The memo
-    keys by ``id`` and holds the keyed analyses, as ``TokenReadings``
-    asks.
+    keyed by the analyses object alone, its scores by the (lemma, tag)
+    alone, and no context is built.  The ranking memo keys by ``id`` and
+    holds the keyed analyses, as ``TokenReadings`` asks.
     """
-    contextual, backoff = model.contextual, model.backoff
-    ctx = (BOS, BOS)
+    contextual, backoff, freq = model.contextual, model.backoff, model.freq
+    ctx, seen = (BOS, BOS), ()
     memo: dict[object, tuple[list[tuple[Analysis, float]], Tuple,
                              Sequence[Analysis]]] = {}
+    scores: dict[object, float] = {}
     out = []
     for rec in sets:
         analyses = rec.analyses
-        key = (backoff(ctx), id(analyses)) if contextual else id(analyses)
+        if contextual:
+            seen = backoff(ctx)
+            key = (seen, id(analyses))
+        else:
+            key = id(analyses)
         entry = memo.get(key)
         if entry is None:
-            ranked = [(a, model.score(ctx, a.lemma_pos)) for a in analyses]
+            ranked = []
+            for a in analyses:
+                cand = a.lemma_pos
+                skey = (seen, cand) if contextual else cand
+                score = scores.get(skey)
+                if score is None:
+                    score = scores[skey] = model.score(ctx, cand)
+                ranked.append((a, score))
             if len(ranked) > 1:
                 ranked.sort(key=lambda pair: (
-                    -pair[1], -model.freq.get(pair[0].lemma_pos, 0)))
+                    -pair[1], -freq.get(pair[0].lemma_pos, 0)))
             entry = memo[key] = (ranked,
                                  ranked[0][0].lemma_pos if ranked else UNK,
                                  analyses)

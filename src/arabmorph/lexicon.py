@@ -13,6 +13,7 @@ import enum
 import functools
 import logging
 import re
+from collections import defaultdict
 from dataclasses import dataclass, field, replace
 from itertools import compress
 from operator import ne
@@ -438,22 +439,26 @@ class LexView:
     through ``read_stem``, never the lexicon itself.
 
     ``pairs`` maps a prefix surface to a suffix surface to the prefix
-    entries ``a`` of that surface, in load order, each with the suffix
-    entries ``c`` of that surface, in load order, that ``compat.ac``
-    licenses for ``a``; a pair without such an (a, c) is absent.
-    ``prefix_lens`` and ``suffix_lens`` are the sorted lengths of its
-    keys, so the lexicon's own affixes bound the splits tried.
+    entries ``a`` of that surface, in load order, each as the tuple
+    (``a``, its voc and "+" or "" for a null voc, the stem categories
+    that ``compat.ab`` licenses for ``a`` and ``compat.bc`` names, the
+    suffix entries ``c`` of that surface, in load order, that
+    ``compat.ac`` licenses for ``a``, each as (``c``, "+" and its voc or
+    "")); a pair without such an (a, c) is absent.  ``bc_of`` maps each
+    stem category that ``compat.bc`` names to its suffix categories.
+    ``prefix_lens`` and ``suffix_lens`` are the sorted lengths of the
+    pair keys, so the lexicon's own affixes bound the splits tried.
     ``head_tags`` memoizes ``LexEntry.head_tag`` by the ``id`` of an entry
     of ``tables``, which the view keeps alive, so the ids stay its own.
     Callers change only ``head_tags``."""
 
-    __slots__ = ("tables", "stems", "pairs", "prefix_lens", "suffix_lens",
-                 "head_tags", "_mask", "_read")
+    __slots__ = ("tables", "stems", "pairs", "bc_of", "prefix_lens",
+                 "suffix_lens", "head_tags", "_mask", "_read")
 
     def __init__(self, prefixes: dict[str, list[LexEntry]],
                  suffixes: dict[str, list[LexEntry]], stem_keys: list[str],
                  read_stem: Callable[[str], list[LexEntry]],
-                 ac: frozenset[tuple[str, str]], mask: int, fold_alif: bool):
+                 compat: CompatTables, mask: int, fold_alif: bool):
         self._mask, self._read = mask, read_stem
         keys = _fold_keys(stem_keys) if fold_alif else stem_keys
         self.stems: dict[str, object] = dict(zip(keys, stem_keys))
@@ -471,21 +476,35 @@ class LexView:
         suffixes = _affix_view(suffixes, mask, fold_alif)
         self.tables = {Kind.PREFIX: prefixes, Kind.STEM: self.stems,
                        Kind.SUFFIX: suffixes}
+        self.bc_of: dict[str, set[str]] = defaultdict(set)
+        for scat, ucat in compat.bc:
+            self.bc_of[scat].add(ucat)
+        stem_cats: dict[str, set[str]] = defaultdict(set)
+        for pcat, scat in compat.ab:
+            if scat in self.bc_of:
+                stem_cats[pcat].add(scat)
         # The licensed suffixes depend on the prefix's category alone, and
         # there are far fewer categories than prefix entries.
-        by_cat: dict[str, dict[str, list[LexEntry]]] = {}
-        self.pairs: dict[str, dict[str, list[tuple[LexEntry,
-                                                   list[LexEntry]]]]] = {}
+        suffix_rows = {skey: [(c, f"+{c.voc}" if c.voc else "")
+                              for c in sbucket]
+                       for skey, sbucket in suffixes.items()}
+        by_cat: dict[str, dict[str, list[tuple[LexEntry, str]]]] = {}
+        ac = compat.ac
+        self.pairs: dict[str, dict[str, list[tuple[
+            LexEntry, str, set[str], list[tuple[LexEntry, str]]]]]] = {}
         for key, bucket in prefixes.items():
             row = {}
             for a in bucket:
                 licensed = by_cat.get(a.cat)
                 if licensed is None:
                     licensed = by_cat[a.cat] = {
-                        skey: cs for skey, sbucket in suffixes.items()
-                        if (cs := [c for c in sbucket if (a.cat, c.cat) in ac])}
+                        skey: cs for skey, cands in suffix_rows.items()
+                        if (cs := [c for c in cands
+                                   if (a.cat, c[0].cat) in ac])}
+                pre = f"{a.voc}+" if a.voc else ""
+                cats = stem_cats[a.cat]
                 for skey, cs in licensed.items():
-                    row.setdefault(skey, []).append((a, cs))
+                    row.setdefault(skey, []).append((a, pre, cats, cs))
             if row:
                 self.pairs[key] = row
         self.prefix_lens = sorted({len(key) for key in self.pairs})
@@ -528,7 +547,8 @@ class Lexicon:
     read; ``len``, ``copy`` and ``serialize_lexicon`` build none, and
     ``known_lemma_pos`` reads four columns of each text bucket.
     ``tables``, ``stems``, ``table`` and ``entries`` build every remaining
-    bucket first.  Every reader gives what it gives on the text parse: the
+    bucket first, walking the stem table only until one walk has built
+    them all.  Every reader gives what it gives on the text parse: the
     same entries, in the same table order."""
 
     def __init__(self, compat: CompatTables):
@@ -540,15 +560,20 @@ class Lexicon:
         self._view_key: tuple[int, bool] | None = None
         self._view: LexView | None = None
         self._known: frozenset[tuple[str, str]] | None = None
+        # Whether every stem bucket is built: no text is put in the stem
+        # table after the restore, so this stays true once set.
+        self._built = False
 
     @property
     def tables(self) -> dict[Kind, dict[str, list[LexEntry]]]:
         """Each kind's buckets by surface, in table order; the stem
         buckets not yet built are built first."""
-        table = self._tables[Kind.STEM]
-        for key, bucket in table.items():
-            if bucket.__class__ is str:
-                table[key] = _build(Kind.STEM, bucket)
+        if not self._built:
+            table = self._tables[Kind.STEM]
+            for key, bucket in table.items():
+                if bucket.__class__ is str:
+                    table[key] = _build(Kind.STEM, bucket)
+            self._built = True
         return self._tables
 
     @property
@@ -617,7 +642,7 @@ class Lexicon:
             table = self._tables[Kind.STEM]
             self._view = LexView(
                 self.prefixes, self.suffixes, list(table),
-                functools.partial(_read, table, Kind.STEM), self.compat.ac,
+                functools.partial(_read, table, Kind.STEM), self.compat,
                 mask, fold_alif)
             self._view_key = (mask, fold_alif)
         return self._view
@@ -655,6 +680,7 @@ class Lexicon:
         clone.prefixes.update(self.prefixes)
         clone.suffixes.update(self.suffixes)
         clone._tables[Kind.STEM] = self._tables[Kind.STEM].copy()
+        clone._built = self._built
         return clone
 
 

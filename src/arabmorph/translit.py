@@ -71,6 +71,13 @@ class BuckTable:
         word_chars = {**dict.fromkeys(_JOINERS, ""), **others, **forms,
                       **self.a2b}
         self._translation = str.maketrans(word_chars)
+        # ``to_key``'s table: ``to_buck``, then tatweel and the diacritics
+        # dropped.  Each pass maps one character at a time, so they compose
+        # exactly; only a table value can be such a character.
+        dropped = DIACRITICS + TATWEEL
+        self._key_translation = str.maketrans({
+            **dict.fromkeys(dropped, ""), **word_chars,
+            **{ar: "" for ar, bw in self.a2b.items() if bw in dropped}})
         # Maximal runs of word characters.  A letter-anchored pattern would
         # backtrack quadratically over long runs of bare diacritics.
         self.runs = re.compile("[%s]+" % "".join(map(re.escape, word_chars)))
@@ -107,6 +114,11 @@ class BuckTable:
         becomes its letters' characters, ZWNJ and ZWJ vanish, and other
         characters outside the table pass through verbatim."""
         return text.translate(self._translation)
+
+    def to_key(self, text: str) -> str:
+        """``to_buck`` of ``text`` without tatweel and diacritics, in one
+        pass: the lookup key of ``analyzer.lookup_key``."""
+        return text.translate(self._key_translation)
 
     def to_arabic(self, text: str) -> str:
         out = []

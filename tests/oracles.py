@@ -12,7 +12,8 @@ from arabmorph.disambig import (_LM_MAGIC, _LM_VERSION, BOS, UNK, LmError,
 from arabmorph.lexicon import (_POS_FIELD_RE, ALL_FLAGS, Kind, LexEntry,
                                LexiconError, _check_row, _default_pos,
                                _parse_flag_text, compatible, flag_names)
-from arabmorph.translit import DIACRITICS, TATWEEL
+from arabmorph.translit import (DIACRITICS, TATWEEL, normalize,
+                                strip_diacritics)
 
 # Bounds on the bundled lexicon's prefix and suffix clusters, within
 # which ``segmentations`` cuts; the analyzer itself takes its affix
@@ -358,6 +359,12 @@ def reference_to_buck(table, text):
         bw = _reference_word_char(table, ch)
         out.append(ch if bw is None else bw)
     return "".join(out)
+
+
+def reference_lookup_key(table, text):
+    """``lookup_key`` as three passes: ``reference_to_buck``, then
+    ``normalize`` and ``strip_diacritics``."""
+    return strip_diacritics(normalize(reference_to_buck(table, text)))
 
 
 def reference_tokenize(text, table):

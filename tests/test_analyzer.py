@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from arabmorph.analyzer import (TokenReadings, TypeCache, analyze_text,
-                                analyze_type, token_lookup_key, tokenize)
+                                analyze_type, lookup_key, token_lookup_key,
+                                tokenize)
 from arabmorph.cli import default_lexicon_dir
 from arabmorph.lexicon import (ALL_FLAGS, LEXICON_FILES, Flag, Kind,
                                compatible, load_lexicon, load_lexicon_dir,
@@ -18,7 +19,7 @@ from arabmorph.translit import (DEFAULT_TABLE, DIACRITICS, TATWEEL, BuckTable,
 from oracles import (MAX_PREFIX_LEN, MAX_SUFFIX_LEN, brute_force_analyses,
                      brute_force_segmentation_count,
                      licensed_surfaces, licensed_triples,
-                     one_lookup_per_split_analyses,
+                     one_lookup_per_split_analyses, reference_lookup_key,
                      reference_to_buck, reference_tokenize, segmentations)
 
 MSA = parse_flagset(["MSA"])
@@ -106,6 +107,18 @@ def test_token_keys_are_the_lookup_keys_of_their_surfaces(data, alternate):
     table = data.draw(alternate_tables()) if alternate else DEFAULT_TABLE
     for t in tokenize(data.draw(mixed_texts(table)), table):
         assert t.key == token_lookup_key(t, table)
+
+
+@given(st.data(), st.booleans())
+def test_lookup_key_is_to_buck_then_normalize_then_strip(data, alternate):
+    # Latin diacritics and tatweel pass through a table that lacks them,
+    # and a table may map an Arabic character onto one (the default table
+    # maps its harakat so).
+    table = data.draw(alternate_tables()) if alternate else DEFAULT_TABLE
+    pieces = st.one_of(mixed_texts(table),
+                       st.text(DIACRITICS + TATWEEL, min_size=1, max_size=4))
+    text = data.draw(st.lists(pieces, max_size=4).map("".join))
+    assert lookup_key(text, table) == reference_lookup_key(table, text)
 
 
 def test_tokens_of_one_run_share_its_surface_and_key():
@@ -328,14 +341,28 @@ def test_analyze_type_sees_an_affix_added_after_it_ran(
 _GEN_LETTERS = "bkA>{"
 
 
+# With ``shapes``, a prefix category that no prefix-stem row names, and a
+# stem category that no stem-suffix row names; each of them is licensed
+# with every category by the kind's other table.
+_NO_AB, _NO_BC = "P-no-ab", "S-no-bc"
+
+
 @st.composite
-def generated_lexicons(draw):
+def generated_lexicons(draw, shapes=False):
     """A small lexicon with several entries per affix and stem surface,
     null affixes, affix surfaces longer than the bundled lexicon's
     longest clusters, alif variants, random flags and random subsets of
     the three compatibility tables; and the affix and stem surfaces it
-    holds."""
+    holds.
+
+    With ``shapes`` the bundled lexicon's missing shapes are always there:
+    both null affixes, the categories ``_NO_AB`` and ``_NO_BC``, and a
+    prefix surface and a stem surface with a row of every category of
+    their kind."""
     cats = {kind: [f"{kind.name[0]}{i}" for i in range(2)] for kind in Kind}
+    if shapes:
+        cats[Kind.PREFIX].append(_NO_AB)
+        cats[Kind.STEM].append(_NO_BC)
     surfaces = {
         Kind.PREFIX: draw(st.lists(st.text(_GEN_LETTERS,
                                            max_size=MAX_PREFIX_LEN + 1),
@@ -348,16 +375,20 @@ def generated_lexicons(draw):
                                    min_size=1, max_size=4, unique=True)),
     }
     for kind in (Kind.PREFIX, Kind.SUFFIX):
-        if "" not in surfaces[kind] and draw(st.booleans()):
+        if "" not in surfaces[kind] and (shapes or draw(st.booleans())):
             surfaces[kind].insert(0, "")
     flag_texts = st.sampled_from(["", "", "CA", "MSA", "CA|MSA"])
     files = {}
     for kind in Kind:
         rows = []
         for surface in surfaces[kind]:
-            for _ in range(draw(st.integers(2, 4))):
+            every = (shapes and kind is not Kind.SUFFIX
+                     and surface == surfaces[kind][-1])
+            count = draw(st.integers(2, 4))
+            for i in range(max(count, len(cats[kind])) if every else count):
                 voc = surface + draw(st.sampled_from(["", "a", "u", "i"]))
-                cat = draw(st.sampled_from(cats[kind]))
+                cat = (cats[kind][i % len(cats[kind])] if every
+                       else draw(st.sampled_from(cats[kind])))
                 glosspos, lemma = "g", ""
                 if kind is Kind.STEM:
                     tag = draw(st.sampled_from(["N", "V", "NEG_PART"]))
@@ -370,11 +401,14 @@ def generated_lexicons(draw):
     compat = []
     for one, other in ((Kind.PREFIX, Kind.STEM), (Kind.STEM, Kind.SUFFIX),
                        (Kind.PREFIX, Kind.SUFFIX)):
-        pairs = [(x, y) for x in cats[one] for y in cats[other]]
+        pairs = [(x, y) for x in cats[one] for y in cats[other]
+                 if (x, other) not in ((_NO_AB, Kind.STEM),
+                                       (_NO_BC, Kind.SUFFIX))]
         keep = draw(st.lists(st.booleans(), min_size=len(pairs),
                              max_size=len(pairs)))
         compat.append(io.StringIO("".join(
-            f"{x}\t{y}\n" for (x, y), k in zip(pairs, keep) if k)))
+            f"{x}\t{y}\n" for (x, y), k in zip(pairs, keep)
+            if k or _NO_AB in (x, y) or _NO_BC in (x, y))))
     return load_lexicon(*files.values(), tuple(compat)), surfaces
 
 
@@ -396,6 +430,23 @@ def test_analyze_type_lists_readings_in_reference_order_over_generated_lexicons(
                  max_size=3)))
     _agrees_with_one_lookup_per_split(types, lex, active,
                                       data.draw(st.booleans()))
+
+
+@pytest.mark.parametrize("fold_alif", [False, True])
+@given(data=st.data())
+def test_analyze_type_lists_readings_in_reference_order_over_odd_shapes(
+        fold_alif, data):
+    """Shapes the bundled lexicon lacks, in every generated lexicon: null
+    affixes, a prefix category without prefix-stem rows, a stem category
+    without stem-suffix rows, a stem bucket and a prefix surface of
+    several categories."""
+    lex, surfaces = data.draw(generated_lexicons(shapes=True))
+    types = [a + b + c for a in surfaces[Kind.PREFIX]
+             for b in surfaces[Kind.STEM] for c in surfaces[Kind.SUFFIX]]
+    active = parse_flagset(data.draw(
+        st.lists(st.sampled_from([f.name for f in Flag]), min_size=1,
+                 max_size=4)))
+    _agrees_with_one_lookup_per_split(types, lex, active, fold_alif)
 
 
 def test_analysis_invariants_hold_structurally(lexicon, corpus_text):

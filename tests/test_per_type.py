@@ -1,7 +1,8 @@
 """Each stage does its work once per distinct input of a call: the letter
 check and lookup key per run, cache lookups per key, rule outcomes
 per (readings, armed rules), rankings and their top tuples per (LM
-backoff context, readings), ``<w>`` blocks per word.  Their output must
+backoff context, readings), scores per (LM backoff context, lemma/tag),
+``<w>`` blocks per word.  Their output must
 equal the per-token references, and the call counts pin that the work
 is shared."""
 
@@ -185,9 +186,12 @@ def test_each_surface_is_transliterated_once_per_run(corpus_text,
     pipeline = PipelineConfig(lexicon_dir=default_lexicon_dir(),
                               flags=ALL_FLAGS, rules_path=str(RULES)).load()
     text = corpus_text * 20
-    calls = _counting(monkeypatch, BuckTable, "to_buck")
+    # The key translation is the run's one transliteration.
+    calls = _counting(monkeypatch, BuckTable, "to_key")
+    buck_calls = _counting(monkeypatch, BuckTable, "to_buck")
     tokens, _, _ = pipeline.run(text)
     assert len(calls) == len({t.surface for t in tokens}) < len(tokens)
+    assert buck_calls == []
 
 
 class _CountingLetters(frozenset):
@@ -270,17 +274,24 @@ def test_rank_reads_each_top_tuple_once_per_ranking(lexicon, rules, models,
 
 def test_score_runs_once_per_backoff_and_readings(lexicon, rules, models,
                                                   corpus_text, monkeypatch):
+    """``score`` runs once per distinct (backoff, lemma/tag) in a call."""
     for model in models:
         calls = _counting(monkeypatch, LmModel, "score")
         _, _, ranked = _pipeline(lexicon, ALL_FLAGS, rules,
                                  model).run(corpus_text * 20)
-        distinct = {}
+        distinct, rankings = set(), {}
         ctx = (BOS, BOS)
         for rec in ranked:
-            distinct[model.backoff(ctx), id(rec.analyses)] = len(rec.analyses)
+            seen = model.backoff(ctx)
+            distinct.update((seen, a.lemma_pos) for a in rec.analyses)
+            rankings[seen, id(rec.analyses)] = len(rec.analyses)
             ctx = ctx[1], rec.ranked[0][0].lemma_pos if rec.ranked else UNK
-        assert len(calls) == sum(distinct.values())
-        assert len(calls) < sum(len(rec.analyses) for rec in ranked)
+        assert len(calls) == len(distinct)
+        # Rankings of different readings share the scores of their tuples.
+        assert len(calls) < sum(rankings.values())
+        # Ties, on score and on frequency, still break by reading order.
+        assert [r.ranked for r in ranked] == reference_rank(
+            [r.analyses for r in ranked], model)
         monkeypatch.undo()
 
 

@@ -253,6 +253,48 @@ def test_a_hit_builds_the_entries_of_only_the_stems_a_run_reads(tmp_path):
     assert alive() - before < len(pipeline.lexicon)
 
 
+class _CountingWalks(dict):
+    """A stem table that counts the walks over its items."""
+
+    walks = 0
+
+    def items(self):
+        self.walks += 1
+        return super().items()
+
+
+def test_the_stem_table_is_walked_until_every_bucket_is_built(tmp_path):
+    lexdir = _bundled_copy(tmp_path / "lex")
+    load_lexicon_dir(lexdir)                  # writes the snapshot
+
+    def counting(lex):
+        lex._tables[Kind.STEM] = _CountingWalks(lex._tables[Kind.STEM])
+        return lex._tables[Kind.STEM]
+
+    lex = load_lexicon_dir(lexdir)
+    assert _unbuilt_stems(lex)
+    table = counting(lex)
+    for _ in range(3):
+        assert lex.stems is lex.table(Kind.STEM) is lex.tables[Kind.STEM]
+        assert sum(1 for _ in lex.entries()) == len(lex)
+    assert table.walks == 1
+    assert not _unbuilt_stems(lex)
+    rows = [(key, list(bucket)) for key, bucket in lex.stems.items()]
+    # A copy of a lexicon with every bucket built has them all built too;
+    # a copy taken before the walk builds its own on its first.
+    clone = lex.copy()
+    table = counting(clone)
+    assert [(key, list(bucket)) for key, bucket in clone.stems.items()
+            ] == rows
+    assert table.walks == 1             # the comparison's own
+    unread = load_lexicon_dir(lexdir).copy()
+    assert _unbuilt_stems(unread)
+    table = counting(unread)
+    assert [(key, list(bucket)) for key, bucket in unread.stems.items()
+            ] == rows
+    assert table.walks == 2 and not _unbuilt_stems(unread)
+
+
 def test_a_dropped_pipeline_frees_its_lexicon_without_the_collector(
         tmp_path):
     lexdir = _bundled_copy(tmp_path / "lex")
