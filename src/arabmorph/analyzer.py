@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
-from .lexicon import Flag, LexEntry, Lexicon
+from .lexicon import Flag, LexEntry, Lexicon, frozen_record
 from .translit import BuckTable, DEFAULT_TABLE, normalize
 
 if TYPE_CHECKING:
@@ -51,7 +51,7 @@ def tokenize(text: str, table: BuckTable = DEFAULT_TABLE) -> list[Token]:
     return tokens
 
 
-@dataclass(frozen=True, slots=True, init=False)
+@frozen_record
 class Analysis:
     """One reading of a word type.
 
@@ -63,16 +63,6 @@ class Analysis:
     lemma: str
     pos: str
     parts: tuple[LexEntry, LexEntry, LexEntry]
-
-    def __init__(self, voc: str, lemma: str, pos: str,
-                 parts: tuple[LexEntry, LexEntry, LexEntry]):
-        # Through the slots' setters, as ``LexEntry``: one reading is
-        # built per distinct reading of every cold word type.
-        set_voc, set_lemma, set_pos, set_parts = _ANALYSIS_SETTERS
-        set_voc(self, voc)
-        set_lemma(self, lemma)
-        set_pos(self, pos)
-        set_parts(self, parts)
 
     @property
     def tags(self) -> str:
@@ -87,10 +77,6 @@ class Analysis:
     @property
     def lemma_pos(self) -> tuple[str, str]:
         return (self.lemma, self.pos)
-
-
-_ANALYSIS_SETTERS = tuple(Analysis.__dict__[name].__set__
-                          for name in Analysis.__slots__)
 
 
 @dataclass(slots=True)

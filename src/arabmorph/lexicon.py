@@ -14,7 +14,7 @@ import functools
 import logging
 import re
 from collections import defaultdict
-from dataclasses import dataclass, field, replace
+from dataclasses import MISSING, dataclass, field, fields, replace
 from itertools import compress
 from operator import ne
 from pathlib import Path
@@ -88,10 +88,6 @@ class Kind(enum.Enum):
     STEM = "stem"
     SUFFIX = "suffix"
 
-    # Members are singletons compared by identity; Enum's own __hash__ is
-    # a Python-level call paid on every Kind-keyed dict access.
-    __hash__ = object.__hash__
-
 
 # Each kind's place in a (prefix, stem, suffix) category triple.
 _KIND_PLACES = tuple(Kind)
@@ -134,7 +130,29 @@ _POS_FIELD_RE = re.compile(r"(.*)<pos>(.*)</pos>\s*$")
 _ROW_BREAK_RE = re.compile("[\t\r\n]")
 
 
-@dataclass(frozen=True, slots=True, init=False)
+def frozen_record(cls: type) -> type:
+    """``cls`` as a frozen, slotted dataclass whose ``__init__`` sets each
+    field through its slot's setter.  The ``__init__`` that a frozen
+    dataclass writes calls ``object.__setattr__`` per field, which makes a
+    record cost about 1.5 to 1.7 times as much to build; the records built
+    this way are made once per lexicon row, per reading of a cold word type
+    and per TEI word and note.  The signature is the fields in order, with
+    their defaults."""
+    cls = dataclass(frozen=True, slots=True, init=False)(cls)
+    scope, params, body = {}, [], ""
+    for f in fields(cls):
+        scope[f"set_{f.name}"] = getattr(cls, f.name).__set__
+        scope[f"default_{f.name}"] = f.default
+        params.append(f.name if f.default is MISSING
+                      else f"{f.name}=default_{f.name}")
+        body += f"\n    set_{f.name}(self, {f.name})"
+    exec(f"def __init__(self, {', '.join(params)}):{body}", scope)
+    cls.__init__ = scope["__init__"]
+    cls.__init__.__qualname__ = f"{cls.__qualname__}.__init__"
+    return cls
+
+
+@frozen_record
 class LexEntry:
     kind: Kind
     surface: str          # unvocalized Buckwalter key; "" for null affixes
@@ -144,23 +162,6 @@ class LexEntry:
     pos: str              # POS annotation, e.g. "Al/DET" or "kitAb/N+..."
     lemma: str            # "base_N" identifier; "" for most affixes
     flags: Flag
-
-    def __init__(self, kind: Kind, surface: str, voc: str, cat: str,
-                 gloss: str, pos: str, lemma: str, flags: Flag):
-        # Each field goes through its slot's setter: the __init__ that a
-        # frozen dataclass writes calls object.__setattr__ per field, which
-        # makes an entry cost about 1.7 times as much to build, on every
-        # row a lexicon loads.
-        (set_kind, set_surface, set_voc, set_cat, set_gloss, set_pos,
-         set_lemma, set_flags) = _ENTRY_SETTERS
-        set_kind(self, kind)
-        set_surface(self, surface)
-        set_voc(self, voc)
-        set_cat(self, cat)
-        set_gloss(self, gloss)
-        set_pos(self, pos)
-        set_lemma(self, lemma)
-        set_flags(self, flags)
 
     def tag_units(self) -> list[str]:
         """Tag components of the POS annotation: "wa/CONJ+Al/DET" -> [CONJ, DET]."""
@@ -177,11 +178,6 @@ def _first_tag(pos: str) -> str | None:
     if it has no unit."""
     first = pos.lstrip("+").partition("+")[0]
     return first.rpartition("/")[2] if first else None
-
-
-# The setters of LexEntry's slots, in field order.
-_ENTRY_SETTERS = tuple(LexEntry.__dict__[name].__set__
-                       for name in LexEntry.__slots__)
 
 
 def _default_pos(voc: str, cat: str) -> str:

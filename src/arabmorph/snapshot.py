@@ -1,6 +1,12 @@
-"""Marshal snapshots of parsed inputs, kept the way Python keeps ``.pyc``
-files: in a ``__pycache__`` directory beside the sources, with the same
-trust, and skipped silently where that directory cannot be written.
+"""Marshal snapshots of parsed inputs, kept in a ``__pycache__`` directory
+beside the sources, trusted as Python trusts the ``.pyc`` files there, and
+skipped silently where that directory cannot be written.
+
+Unlike ``.pyc`` files, snapshots follow neither ``sys.dont_write_bytecode``
+(``PYTHONDONTWRITEBYTECODE``) nor ``sys.pycache_prefix``.  Containers often
+set the first, and honouring it there would make every load a text parse:
+in-process, the 30k-stem lexicon of the benchmark's big-lexicon workload
+takes 150-250 ms to parse and under 10 ms to restore (Python 3.11).
 
 A snapshot holds a SHA-256 over every input of the parse: each source's
 bytes, length-prefixed, and the bytes of this package's modules, so it

@@ -16,6 +16,7 @@ from typing import Sequence
 
 from . import __version__
 from .analyzer import TokenReadings
+from .lexicon import frozen_record
 from .textio import not_xml_char
 
 UNKNOWN_ANA = "UNK//UNK"
@@ -25,37 +26,17 @@ class TeiError(ValueError):
     """Malformed or invalid annotated XML."""
 
 
-# Note and TeiWord set their slots through the slots' setters, as
-# lexicon.LexEntry does: a frozen dataclass's own __init__ calls
-# object.__setattr__ per field, which costs about twice as much.
-
-@dataclass(frozen=True, slots=True, init=False)
+@frozen_record
 class Note:
     ana: str
     corrected: bool = False
 
-    def __init__(self, ana: str, corrected: bool = False):
-        set_ana, set_corrected = _NOTE_SETTERS
-        set_ana(self, ana)
-        set_corrected(self, corrected)
 
-
-@dataclass(frozen=True, slots=True, init=False)
+@frozen_record
 class TeiWord:
     surface: str
     ana: str
     notes: tuple[Note, ...] = ()
-
-    def __init__(self, surface: str, ana: str, notes: tuple[Note, ...] = ()):
-        set_surface, set_ana, set_notes = _WORD_SETTERS
-        set_surface(self, surface)
-        set_ana(self, ana)
-        set_notes(self, notes)
-
-
-_NOTE_SETTERS, _WORD_SETTERS = (
-    tuple(cls.__dict__[name].__set__ for name in cls.__slots__)
-    for cls in (Note, TeiWord))
 
 
 @dataclass(frozen=True)

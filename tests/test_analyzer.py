@@ -1,14 +1,16 @@
+import inspect
 import io
 import random
 import shutil
 import time
+from dataclasses import FrozenInstanceError, fields, replace
 
 import pytest
 from hypothesis import given, strategies as st
 
-from arabmorph.analyzer import (TokenReadings, TypeCache, analyze_text,
-                                analyze_type, lookup_key, token_lookup_key,
-                                tokenize)
+from arabmorph.analyzer import (Analysis, TokenReadings, TypeCache,
+                                analyze_text, analyze_type, lookup_key,
+                                token_lookup_key, tokenize)
 from arabmorph.cli import default_lexicon_dir
 from arabmorph.lexicon import (ALL_FLAGS, LEXICON_FILES, Flag, Kind,
                                compatible, load_lexicon, load_lexicon_dir,
@@ -213,6 +215,26 @@ def test_analyze_type_single_reading_of_the_preposition(lexicon):
 
 def test_analyze_type_unknown_surface(lexicon):
     assert analyze_type("qhwp", lexicon, ALL_FLAGS) == []
+
+
+def test_analyses_are_slotted_frozen_and_still_replace(lexicon):
+    reading = analyze_type("AlktAb", lexicon, MSA)[0]
+    assert not hasattr(reading, "__dict__")
+    with pytest.raises(FrozenInstanceError):
+        reading.voc = "Al+kutub"
+    names = [f.name for f in fields(Analysis)]
+    assert names == ["voc", "lemma", "pos", "parts"]
+    assert list(inspect.signature(Analysis).parameters) == names
+    values = [getattr(reading, name) for name in names]
+    keyword = Analysis(**dict(zip(names, values)))
+    assert keyword == Analysis(*values) == reading
+    assert hash(keyword) == hash(reading)
+    assert repr(keyword) == repr(reading) == "Analysis(" + ", ".join(
+        f"{name}={value!r}" for name, value in zip(names, values)) + ")"
+    changed = replace(reading, voc="Al+kutub")
+    assert (changed.voc, changed.ana, reading.ana) == (
+        "Al+kutub", "Al+kutub/kitAb_1/N", "Al+kitAb/kitAb_1/N")
+    assert replace(changed, voc=reading.voc) == reading
 
 
 @pytest.mark.parametrize("fold_alif", [False, True])

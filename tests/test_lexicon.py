@@ -543,6 +543,24 @@ def test_lookup_equals_a_filter_over_entries(lexicon, data):
     assert lexicon.lookup(surface, kind, active, fold_alif) == expected
 
 
+@pytest.mark.parametrize("fold_alif", [False, True])
+def test_lookup_is_a_filter_with_a_stem_that_holds_a_line_feed(fold_alif):
+    # No row can hold a line feed, but ``add`` takes any entry: the alif
+    # fold of the stem keys, joined by line feeds, then splits into more
+    # keys than stems, and each key is folded on its own.
+    lex = _mini_lexicon([">mr\t>amr\tN\tcommand\t>amr_1\tMSA",
+                         "ktb\tkutub\tN\tbooks\tkitAb_1\tMSA"])
+    assert lex.add(replace(lex.stems["ktb"][0], surface="k\n>t"))
+
+    def key(s):
+        return normalize(s, fold_alif=True) if fold_alif else s
+
+    for surface in ("k\n>t", "k\nAt", ">mr", "Amr", "ktb"):
+        expected = [e for e in lex.entries()
+                    if e.kind is Kind.STEM and key(e.surface) == key(surface)]
+        assert lex.lookup(surface, Kind.STEM, Flag.MSA, fold_alif) == expected
+
+
 def test_the_three_tables_are_the_store(lexicon):
     aliases = (lexicon.prefixes, lexicon.stems, lexicon.suffixes)
     for kind, alias in zip(Kind, aliases):

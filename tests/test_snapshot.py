@@ -29,7 +29,7 @@ from arabmorph.lexicon import (ALL_FLAGS, LEXICON_FILES, Candidate,
                                classical_preset, load_lexicon_dir,
                                merge_reviewed, serialize_lexicon)
 from arabmorph.pipeline import PipelineConfig
-from arabmorph import snapshot
+from arabmorph import lexicon, snapshot
 from arabmorph.snapshot import snapshot_path
 from arabmorph.textio import read_with, utf8_lines
 from arabmorph.translit import buck_to_arabic, normalize
@@ -481,6 +481,39 @@ def test_a_damaged_snapshot_falls_back_to_the_text_load_and_is_rewritten(
     assert loaded.model == read_with(load_lm, lm)
     _, outcomes, _ = _logged(caplog, lambda: _config(lexdir, lm).load())
     assert outcomes == [HIT, HIT]
+
+
+def test_a_source_that_changes_during_the_parse_leaves_no_snapshot(
+        tmp_path, caplog, monkeypatch):
+    lexdir = _bundled_copy(tmp_path / "lex")
+    parse = lexicon.load_lexicon
+
+    def parse_then_edit(*args, **kwargs):
+        lex = parse(*args, **kwargs)
+        with (lexdir / "stems.tsv").open("a", encoding="utf-8") as f:
+            f.write("# added during the parse\n")
+        return lex
+
+    monkeypatch.setattr(lexicon, "load_lexicon", parse_then_edit)
+    lex, outcomes, _ = _logged(caplog, lambda: load_lexicon_dir(lexdir))
+    assert outcomes == [NOT_WRITTEN]
+    assert not snapshot_path(lexdir, "lexicon").exists()
+    monkeypatch.undo()
+    _assert_same_lexicon(lex, _text_lexicon(lexdir))
+    _, outcomes, _ = _logged(caplog, lambda: load_lexicon_dir(lexdir))
+    assert outcomes == [WRITTEN]
+
+
+def test_snapshots_are_kept_beside_the_sources_whatever_the_bytecode_settings(
+        tmp_path, caplog, monkeypatch):
+    lexdir = _bundled_copy(tmp_path / "lex")
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    monkeypatch.setattr(sys, "pycache_prefix", str(tmp_path / "prefix"))
+    for outcome in (WRITTEN, HIT):
+        _, outcomes, _ = _logged(caplog, lambda: load_lexicon_dir(lexdir))
+        assert outcomes == [outcome]
+    assert snapshot_path(lexdir, "lexicon").exists()
+    assert not (tmp_path / "prefix").exists()
 
 
 def _tree(root):
